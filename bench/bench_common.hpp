@@ -104,9 +104,7 @@ inline void observe(runtime::EngineConfig& cfg, obs::Sink& sink,
   cfg.obs_sink = &sink;
 }
 
-/// Uniform record/replay + addressing wiring (docs/DEBUGGING.md): every
-/// harness accepts
-///   --addr-mode=guest|host   line-space selection (default guest),
+/// Uniform record/replay wiring (docs/DEBUGGING.md): every harness accepts
 ///   --record-out=FILE        write the decision stream of every replayable
 ///                            workload run to FILE (schema gilfree.record/1),
 ///   --record-limit=N         events kept per run before truncation.
@@ -115,14 +113,11 @@ inline void observe(runtime::EngineConfig& cfg, obs::Sink& sink,
 /// call wire() on each engine configuration right before the run. Recording
 /// headers are only stamped for replayable runs: registry workloads on
 /// GIL/HTM-* configurations (httpsim phases and non-registry programs get
-/// the address mode but no record stream).
+/// no record stream).
 class RecordWiring {
  public:
   explicit RecordWiring(const CliFlags& flags) : cli_(&flags) {
     try {
-      runtime::EngineConfig probe;
-      runtime::apply_addr_flags(flags, probe);
-      addr_mode_ = probe.addr_mode;
       config_ = obs::RecordConfig::from_flags(flags);
     } catch (const std::invalid_argument& e) {
       std::cerr << "error: " << e.what() << "\n";
@@ -132,16 +127,14 @@ class RecordWiring {
       recorder_ = std::make_unique<obs::RunRecorder>(config_);
   }
 
-  runtime::AddrMode addr_mode() const { return addr_mode_; }
   obs::RunRecorder* recorder() { return recorder_.get(); }
 
-  /// Applies --addr-mode and, when recording a replayable run, stamps the
-  /// recorder + header into the configuration. `config_name` must be the
-  /// NamedConfig name ("GIL", "HTM-16", "HTM-dynamic", ...).
+  /// When recording a replayable run, stamps the recorder + header into
+  /// the configuration. `config_name` must be the NamedConfig name ("GIL",
+  /// "HTM-16", "HTM-dynamic", ...).
   void wire(runtime::EngineConfig& cfg, const std::string& workload,
             const std::string& config_name, unsigned threads,
             unsigned scale) {
-    cfg.addr_mode = addr_mode_;
     if (recorder_ == nullptr) return;
     if (workloads::by_name(workload) == nullptr) return;
     if (config_name != "GIL" && !starts_with(config_name, "HTM-")) return;
@@ -154,7 +147,6 @@ class RecordWiring {
 
  private:
   const CliFlags* cli_;
-  runtime::AddrMode addr_mode_ = runtime::AddrMode::kGuest;
   obs::RecordConfig config_;
   std::unique_ptr<obs::RunRecorder> recorder_;
 };

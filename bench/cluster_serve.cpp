@@ -398,10 +398,8 @@ int main(int argc, char** argv) {
   const stm::StmConfig stm_cfg = parse_stm_flags(flags);
   vm::HeapConfig gc_probe;          // registers --gc-* for strict CLI; the
   parse_gc_flags(flags, gc_probe);  // values travel to workers as flag strings
-  runtime::EngineConfig addr_probe;
   ClusterSpec spec;
   try {
-    runtime::apply_addr_flags(flags, addr_probe);
     spec.driver = httpsim::DriverConfig::from_flags(flags);
     spec.options = httpsim::cluster::ClusterOptions::from_flags(flags);
   } catch (const std::invalid_argument& e) {
@@ -432,8 +430,8 @@ int main(int argc, char** argv) {
   spec.engine_seed = seed;
   spec.artifact_stem = artifact_stem;
   // The same canonical flag-string currency the record headers use carries
-  // the engine families (--fault-*, --stm*, --gc-*, --addr-mode) to every
-  // worker's Init frame.
+  // the engine families (--fault-*, --stm*, --gc-*) to every worker's Init
+  // frame.
   spec.engine_flags = workloads::replay_flags(fault_cfg, stm_cfg, &flags);
 
   if (campaign)

@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
   vm::HeapConfig gc_overrides;
   parse_gc_flags(flags, gc_overrides);
   // Every variant mutates the heap beyond what a record header carries, so
-  // this harness takes --addr-mode (strict CLI) but never records.
-  RecordWiring record(flags);
+  // this harness takes --record-* (strict CLI) but never records.
+  const RecordWiring record(flags);
   flags.reject_unknown();
 
   const auto profile = htm::SystemProfile::zec12();
@@ -38,14 +38,12 @@ int main(int argc, char** argv) {
   for (const char* name : {"FT", "BT", "MG"}) {
     const auto& w = workloads::npb(name);
     auto base_cfg = make_config(profile, {"GIL", 0}, fault_cfg, stm_cfg);
-    base_cfg.addr_mode = record.addr_mode();
     base_cfg.heap.initial_slots = 90'000;  // force several GCs
     const auto base = workloads::run_workload(std::move(base_cfg), w, 1,
                                               scale);
 
     for (bool tls_sweep : {false, true}) {
       auto cfg = make_config(profile, {"HTM-16", 16}, fault_cfg, stm_cfg);
-      cfg.addr_mode = record.addr_mode();
       cfg.heap.initial_slots = 90'000;
       cfg.heap.thread_local_sweep = tls_sweep;
       cfg.heap.sweep_deal_threads = threads + 1;

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   }
   // This probe has no Engine (raw HtmFacility, host buffer), so there is no
   // guest space to rebase and nothing replayable; the wiring exists for the
-  // uniform strict --addr-mode/--record-* CLI.
+  // uniform strict --record-* CLI.
   const bench::RecordWiring record(flags);
   flags.reject_unknown();
 
@@ -121,11 +121,8 @@ int main(int argc, char** argv) {
     m.labels = sink.take_labels();
     m.mode = "raw-htm";
     m.machine = profile.machine.name;
-    const htm::HtmStats hs = htm.total_stats();
-    m.begins = hs.begins;
-    m.commits = hs.commits;
-    m.aborts_by_reason = hs.aborts_by_reason;
-    m.total_cycles = machine.clock(0);
+    m.stats.htm = htm.total_stats();
+    m.stats.total_cycles = machine.clock(0);
     sink.finish_run(std::move(m), obs->drain_events());
   }
   return 0;

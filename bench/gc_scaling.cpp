@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
   vm::HeapConfig gc_overrides;
   parse_gc_flags(flags, gc_overrides);
   // Every variant mutates the heap beyond what a record header carries, so
-  // this harness takes --addr-mode (strict CLI) but never records.
-  RecordWiring record(flags);
+  // this harness takes --record-* (strict CLI) but never records.
+  const RecordWiring record(flags);
   flags.reject_unknown();
 
   const auto profile = htm::SystemProfile::zec12();
@@ -89,7 +89,6 @@ int main(int argc, char** argv) {
             << ", HTM-16, zEC12, GC-pressured heap ==\n";
 
   auto pressured = [&](runtime::EngineConfig cfg) {
-    cfg.addr_mode = record.addr_mode();
     cfg.heap.initial_slots = 90'000;  // force several GCs
     cfg.heap.arena_min_segment = gc_overrides.arena_min_segment;
     cfg.heap.arena_max_segment = gc_overrides.arena_max_segment;

@@ -1,23 +1,21 @@
-// micro_overhead: host-cost comparison of the interpreter dispatch modes.
+// micro_overhead: host-cost comparison of the interpreter host paths.
 //
 // The simulator's *virtual* cycle streams are mode-invariant by design (the
-// differential test asserts it); what the dispatch overhaul buys is host
+// differential test asserts it); what the interpreter overhaul buys is host
 // time per simulated bytecode. This benchmark runs the §5.6-style fixnum
-// While loop under the GIL engine in five configurations —
+// While loop under the GIL engine in four configurations —
 //
-//   seed-switch            switch dispatch with the host fast path disabled:
-//                          one virtual call per charge and per memory access,
-//                          the pre-overhaul ("seed") interpreter cost profile
-//   switch                 portable switch dispatch, no fusion, eager clocks
-//   threaded               computed-goto dispatch (falls back to switch when
-//                          the build has GILFREE_COMPUTED_GOTO off)
-//   threaded+fuse          + superinstruction pairs
-//   threaded+fuse+batched  + batched cycle charging (span-deferred clocks)
+//   virtual-host   host fast path disabled: one virtual call per charge and
+//                  per memory access, the pre-overhaul interpreter cost
+//                  profile
+//   plain          host fast path, no fusion, eager clocks
+//   fuse           + superinstruction pairs
+//   fuse+batched   + batched cycle charging (span-deferred clocks)
 //
 // — verifies that simulated cycles, results, and retired-instruction counts
-// are identical across all five, and reports host ns per simulated bytecode
+// are identical across all four, and reports host ns per simulated bytecode
 // (minimum over --repeats) plus the percentage reduction against the
-// seed-switch baseline. Results are written as JSON (BENCH_interp.json) for
+// virtual-host baseline. Results are written as JSON (BENCH_interp.json) for
 // the CI perf-smoke gate.
 //
 //   $ ./build/bench/micro_overhead --repeats=5 --json=BENCH_interp.json
@@ -35,8 +33,6 @@
 #include "common/table.hpp"
 #include "htm/profile.hpp"
 #include "runtime/engine.hpp"
-#include "vm/interp.hpp"
-#include "vm/options.hpp"
 
 using namespace gilfree;
 
@@ -44,22 +40,19 @@ namespace {
 
 struct BenchConfig {
   const char* name;
-  vm::DispatchMode dispatch;
   bool fuse;
   bool batched;
   bool fast_path;
 };
 
 constexpr BenchConfig kConfigs[] = {
-    {"seed-switch", vm::DispatchMode::kSwitch, false, false, false},
-    {"switch", vm::DispatchMode::kSwitch, false, false, true},
-    {"threaded", vm::DispatchMode::kThreaded, false, false, true},
-    {"threaded+fuse", vm::DispatchMode::kThreaded, true, false, true},
-    {"threaded+fuse+batched", vm::DispatchMode::kThreaded, true, true, true},
+    {"virtual-host", false, false, false},
+    {"plain", false, false, true},
+    {"fuse", true, false, true},
+    {"fuse+batched", true, true, true},
 };
 
 struct BenchResult {
-  std::string effective_dispatch;
   double host_ns_total = 0.0;  ///< Minimum over repeats.
   u64 insns = 0;
   Cycles sim_cycles = 0;
@@ -77,13 +70,11 @@ std::string while_program(long iters) {
 }
 
 BenchResult run_config(const BenchConfig& bc, const std::string& src,
-                       long repeats, runtime::AddrMode addr_mode) {
+                       long repeats) {
   BenchResult r;
   for (long rep = 0; rep < repeats; ++rep) {
     runtime::EngineConfig cfg =
         runtime::EngineConfig::gil(htm::SystemProfile::xeon_e3());
-    cfg.addr_mode = addr_mode;
-    cfg.vm.dispatch = bc.dispatch;
     cfg.vm.fuse_superinsns = bc.fuse;
     cfg.vm.batched_charging = bc.batched;
     cfg.vm.host_fast_path = bc.fast_path;
@@ -99,7 +90,6 @@ BenchResult run_config(const BenchConfig& bc, const std::string& src,
     r.sim_cycles = stats.total_cycles;
     r.fused = stats.interp.fused_instructions;
     r.result_x = stats.results.at("x");
-    r.effective_dispatch = engine.interp().dispatch_mode_name();
   }
   return r;
 }
@@ -112,19 +102,16 @@ void write_json(const std::string& path, long iters, long repeats,
   out << "{\"schema\":\"gilfree.bench_interp/1\","
       << "\"machine\":\"XeonE3-1275v3\",\"engine\":\"GIL\","
       << "\"program\":\"while_fixnum_loop\",\"iters\":" << iters
-      << ",\"repeats\":" << repeats << ",\"baseline\":\"seed-switch\","
-      << "\"threaded_available\":"
-      << (vm::Interp::threaded_dispatch_available() ? "true" : "false")
-      << ",\"configs\":[";
+      << ",\"repeats\":" << repeats << ",\"baseline\":\"virtual-host\","
+      << "\"configs\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const BenchConfig& bc = kConfigs[i];
     const BenchResult& r = results[i];
     const double red =
         base > 0.0 ? 100.0 * (1.0 - r.ns_per_insn() / base) : 0.0;
     if (i) out << ",";
-    out << "{\"name\":\"" << bc.name << "\",\"dispatch\":\""
-        << r.effective_dispatch << "\",\"fuse\":"
-        << (bc.fuse ? "true" : "false")
+    out << "{\"name\":\"" << bc.name
+        << "\",\"fuse\":" << (bc.fuse ? "true" : "false")
         << ",\"batched\":" << (bc.batched ? "true" : "false")
         << ",\"host_fast_path\":" << (bc.fast_path ? "true" : "false")
         << ",\"host_ns_total\":" << r.host_ns_total
@@ -144,39 +131,38 @@ int main(int argc, char** argv) {
   const long iters = flags.get_int("iters", quick ? 5000 : 20000);
   const long repeats = flags.get_int("repeats", quick ? 3 : 5);
   const std::string json_path = flags.get("json", "BENCH_interp.json");
-  // Host-time runs are not replayable (record headers carry no dispatch
-  // variant), but the harness still takes --addr-mode for the strict CLI.
+  // Host-time runs are not replayable (record headers carry no host-path
+  // variant), but the harness still takes --record-* for the strict CLI.
   const bench::RecordWiring record(flags);
   flags.reject_unknown();
 
   const std::string src = while_program(iters);
   std::vector<BenchResult> results;
   for (const BenchConfig& bc : kConfigs) {
-    results.push_back(run_config(bc, src, repeats, record.addr_mode()));
+    results.push_back(run_config(bc, src, repeats));
     std::cerr << "measured " << bc.name << "\n";
   }
 
-  // The dispatch mode must never change what is simulated — only how fast
-  // the host simulates it.
+  // The host path must never change what is simulated — only how fast the
+  // host simulates it.
   const BenchResult& base = results[0];
   for (const BenchResult& r : results) {
     GILFREE_CHECK_MSG(r.sim_cycles == base.sim_cycles,
-                      "simulated cycles diverged across dispatch modes");
+                      "simulated cycles diverged across host paths");
     GILFREE_CHECK_MSG(r.insns == base.insns,
                       "retired instruction counts diverged");
     GILFREE_CHECK_MSG(r.result_x == base.result_x,
                       "program results diverged");
   }
 
-  TablePrinter table({"config", "dispatch", "host_ns/insn", "reduction_pct",
+  TablePrinter table({"config", "host_ns/insn", "reduction_pct",
                       "fused_insns", "sim_cycles", "insns"});
   const double base_ns = base.ns_per_insn();
   for (std::size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
     const double red =
         base_ns > 0.0 ? 100.0 * (1.0 - r.ns_per_insn() / base_ns) : 0.0;
-    table.add_row({kConfigs[i].name, r.effective_dispatch,
-                   TablePrinter::num(r.ns_per_insn(), 2),
+    table.add_row({kConfigs[i].name, TablePrinter::num(r.ns_per_insn(), 2),
                    TablePrinter::num(red, 1), std::to_string(r.fused),
                    std::to_string(r.sim_cycles), std::to_string(r.insns)});
   }

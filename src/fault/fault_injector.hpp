@@ -26,6 +26,7 @@
 #include "common/types.hpp"
 #include "fault/fault_config.hpp"
 #include "fault/fault_kind.hpp"
+#include "fault/fault_stats.hpp"
 
 namespace gilfree::fault {
 
@@ -36,20 +37,6 @@ class FaultListener {
  public:
   virtual ~FaultListener() = default;
   virtual void on_fault_injected(FaultKind kind, CpuId cpu, Cycles t) = 0;
-};
-
-/// Campaign totals, exported into RunStats and the metrics document.
-struct FaultStats {
-  std::array<u64, kNumFaultKinds> injected{};
-
-  u64 total() const {
-    u64 t = 0;
-    for (u64 n : injected) t += n;
-    return t;
-  }
-  u64 count(FaultKind k) const {
-    return injected[static_cast<std::size_t>(k)];
-  }
 };
 
 class FaultInjector {

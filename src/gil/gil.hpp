@@ -14,16 +14,10 @@
 #include <deque>
 
 #include "common/types.hpp"
+#include "gil/gil_stats.hpp"
 #include "htm/htm.hpp"
 
 namespace gilfree::gil {
-
-struct GilStats {
-  u64 acquisitions = 0;
-  u64 contended_acquisitions = 0;
-  u64 yields = 0;            ///< Voluntary yields at timer-flagged points.
-  Cycles held_cycles = 0;    ///< Total cycles the GIL was held.
-};
 
 /// Observes successful GIL acquisitions. The tier-2 software-transaction
 /// engine registers here for eager GIL subscription: the acquisition write

@@ -6,14 +6,6 @@
 
 namespace gilfree::htm {
 
-void HtmStats::merge(const HtmStats& o) {
-  begins += o.begins;
-  commits += o.commits;
-  eager_aborts += o.eager_aborts;
-  for (std::size_t i = 0; i < aborts_by_reason.size(); ++i)
-    aborts_by_reason[i] += o.aborts_by_reason[i];
-}
-
 HtmFacility::HtmFacility(const HtmConfig& config, sim::Machine* machine)
     : config_(config), machine_(machine) {
   GILFREE_CHECK(machine_ != nullptr);

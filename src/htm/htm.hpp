@@ -31,28 +31,13 @@
 #include "fault/fault_injector.hpp"
 #include "htm/abort_reason.hpp"
 #include "htm/htm_config.hpp"
+#include "htm/htm_stats.hpp"
 #include "htm/conflict_table.hpp"
 #include "htm/tsx_learning.hpp"
 #include "sim/guest_space.hpp"
 #include "sim/machine.hpp"
 
 namespace gilfree::htm {
-
-/// Raw per-CPU transaction statistics (the TLE layer keeps the higher-level
-/// per-yield-point statistics).
-struct HtmStats {
-  u64 begins = 0;
-  u64 commits = 0;
-  u64 eager_aborts = 0;  ///< Learning-model aborts (subset of overflow-write).
-  std::array<u64, kNumAbortReasons> aborts_by_reason{};
-
-  u64 total_aborts() const {
-    u64 t = 0;
-    for (u64 a : aborts_by_reason) t += a;
-    return t;
-  }
-  void merge(const HtmStats& o);
-};
 
 /// Observes every write that reaches simulated memory outside transactional
 /// speculation: non-transactional stores and the redo-log drain of a

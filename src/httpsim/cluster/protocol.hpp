@@ -53,7 +53,7 @@ struct InitMsg {
   u32 slots = 1;  ///< Total slot count (EngineConfig::shard_count).
   std::string trace_path;    ///< Per-shard trace JSONL; "" = off.
   std::string metrics_path;  ///< Per-shard metrics doc; "" = off.
-  /// Engine-family flags (--gc-*, --fault-*, --stm*, --addr-mode), verbatim.
+  /// Engine-family flags (--gc-*, --fault-*, --stm*), verbatim.
   std::vector<std::string> engine_flags;
   /// DriverConfig::to_flags() of the global driver configuration.
   std::vector<std::string> driver_flags;

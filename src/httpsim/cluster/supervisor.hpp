@@ -81,8 +81,7 @@ struct ClusterSpec {
   std::string config = "HTM-dynamic";  ///< GIL | HTM-<len> | HTM-dynamic.
   std::string program = "webrick";     ///< webrick | rails.
   u64 engine_seed = 0x6112024;
-  /// Engine flag families, verbatim (--gc-*, --fault-*, --stm*,
-  /// --addr-mode).
+  /// Engine flag families, verbatim (--gc-*, --fault-*, --stm*).
   std::vector<std::string> engine_flags;
   DriverConfig driver;  ///< Global load; must be open-loop.
   ClusterOptions options;

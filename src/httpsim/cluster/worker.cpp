@@ -57,7 +57,6 @@ runtime::EngineConfig engine_config_from_init(const InitMsg& init) {
   cfg.fault = fault::FaultConfig::from_flags(flags);
   cfg.stm = stm::StmConfig::from_flags(flags);
   runtime::apply_gc_flags(flags, cfg.heap);
-  runtime::apply_addr_flags(flags, cfg);
   flags.reject_unknown();
   return cfg;
 }

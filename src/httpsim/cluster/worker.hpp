@@ -12,8 +12,8 @@ namespace gilfree::httpsim::cluster {
 
 /// Rebuilds the engine configuration an Init message names: the machine
 /// profile by name, GIL / HTM-<len> / HTM-dynamic by config name, then the
-/// engine flag families (--fault-*, --stm*, --gc-*, --addr-mode) from the
-/// canonical flag strings. Throws std::invalid_argument on unknown names or
+/// engine flag families (--fault-*, --stm*, --gc-*) from the canonical flag
+/// strings. Throws std::invalid_argument on unknown names or
 /// malformed flags. Shared by worker and supervisor (the supervisor needs
 /// the profile's GHz for schedule generation).
 runtime::EngineConfig engine_config_from_init(const InitMsg& init);

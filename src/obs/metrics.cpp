@@ -152,7 +152,9 @@ void append_stm_causes(
   out.push_back('}');
 }
 
-void append_stm(std::string& out, const StmMetrics& s) {
+/// The `stm` block: StmStats plus the engine's tier-transition totals.
+void append_stm(std::string& out, const runtime::RunStats& r) {
+  const stm::StmStats& s = r.stm;
   out += "{\"begins\":";
   json_append_number(out, s.begins);
   out += ",\"commits\":";
@@ -162,9 +164,9 @@ void append_stm(std::string& out, const StmMetrics& s) {
   out += ",\"aborts_by_cause\":";
   append_stm_causes(out, s.aborts_by_cause);
   out += ",\"escalations\":";
-  json_append_number(out, s.escalations);
+  json_append_number(out, r.stm_escalations);
   out += ",\"gil_fallbacks\":";
-  json_append_number(out, s.gil_fallbacks);
+  json_append_number(out, r.stm_gil_fallbacks);
   out += ",\"validated_entries\":";
   json_append_number(out, s.validated_entries);
   out += ",\"committed_writes\":";
@@ -178,7 +180,29 @@ void append_stm(std::string& out, const StmMetrics& s) {
   out.push_back('}');
 }
 
-void append_cycles(std::string& out, const CycleMetrics& c) {
+/// The `quarantine`, `watchdog_events` and `faults_injected` fields, shared
+/// by each run and the totals.
+void append_robustness(std::string& out, const runtime::RunStats& r) {
+  out += ",\"quarantine\":{\"enters\":";
+  json_append_number(out, r.quarantine_enters);
+  out += ",\"probes\":";
+  json_append_number(out, r.quarantine_probes);
+  out += ",\"exits\":";
+  json_append_number(out, r.quarantine_exits);
+  out += "},\"watchdog_events\":";
+  json_append_number(out, r.watchdog_events);
+  out += ",\"faults_injected\":";
+  json_append_number(out, r.faults.total());
+}
+
+double hit_rate(u64 hits, u64 misses) {
+  const u64 total = hits + misses;
+  return total == 0
+             ? 0.0
+             : static_cast<double>(hits) / static_cast<double>(total);
+}
+
+void append_cycles(std::string& out, const runtime::CycleBreakdown& c) {
   out += "{\"begin_end\":";
   json_append_number(out, c.begin_end);
   out += ",\"tx_success\":";
@@ -203,7 +227,7 @@ void append_cycles(std::string& out, const CycleMetrics& c) {
   out.push_back('}');
 }
 
-void append_gc(std::string& out, const GcMetrics& g) {
+void append_gc(std::string& out, const vm::GcStats& g) {
   out += "{\"collections\":";
   json_append_number(out, g.collections);
   out += ",\"total_marked\":";
@@ -275,57 +299,49 @@ void append_run(std::string& out, const RunMetrics& m) {
   json_append_string(out, m.mode);
   out += ",\"machine\":";
   json_append_string(out, m.machine);
+  const runtime::RunStats& st = m.stats;
   out += ",\"begins\":";
-  json_append_number(out, m.begins);
+  json_append_number(out, st.htm.begins);
   out += ",\"commits\":";
-  json_append_number(out, m.commits);
+  json_append_number(out, st.htm.commits);
   out += ",\"aborts\":";
-  json_append_number(out, m.total_aborts());
+  json_append_number(out, st.htm.total_aborts());
   out += ",\"abort_ratio\":";
-  json_append_number(out, m.abort_ratio());
+  json_append_number(out, st.abort_ratio());
   out += ",\"aborts_by_reason\":";
-  append_reason_counts(out, m.aborts_by_reason);
+  append_reason_counts(out, st.htm.aborts_by_reason);
   out += ",\"gil_fallbacks\":";
-  json_append_number(out, m.gil_fallbacks);
+  json_append_number(out, st.gil_fallbacks);
   out += ",\"ctx_switch_aborts\":";
-  json_append_number(out, m.ctx_switch_aborts);
+  json_append_number(out, st.ctx_switch_aborts);
   out += ",\"length_adjustments\":";
-  json_append_number(out, m.length_adjustments);
+  json_append_number(out, st.length_adjustments);
   out += ",\"insns_retired\":";
-  json_append_number(out, m.insns_retired);
+  json_append_number(out, st.insns_retired);
   out += ",\"total_cycles\":";
-  json_append_number(out, m.total_cycles);
+  json_append_number(out, st.total_cycles);
   out += ",\"virtual_seconds\":";
-  json_append_number(out, m.virtual_seconds);
-  out += ",\"interp\":{\"dispatch_mode\":";
-  json_append_string(out, m.dispatch_mode);
-  out += ",\"fused_instructions\":";
-  json_append_number(out, m.fused_instructions);
+  json_append_number(out, st.virtual_seconds);
+  out += ",\"interp\":{\"fused_instructions\":";
+  json_append_number(out, st.interp.fused_instructions);
   out += ",\"ic_method_hit_rate\":";
-  json_append_number(out, m.ic_method_hit_rate);
+  json_append_number(out, hit_rate(st.interp.ic_method_hits,
+                                   st.interp.ic_method_misses));
   out += ",\"ic_ivar_hit_rate\":";
-  json_append_number(out, m.ic_ivar_hit_rate);
+  json_append_number(out,
+                     hit_rate(st.interp.ic_ivar_hits, st.interp.ic_ivar_misses));
   out += "},\"gc\":";
-  append_gc(out, m.gc);
-  out += ",\"quarantine\":{\"enters\":";
-  json_append_number(out, m.quarantine_enters);
-  out += ",\"probes\":";
-  json_append_number(out, m.quarantine_probes);
-  out += ",\"exits\":";
-  json_append_number(out, m.quarantine_exits);
-  out += "},\"watchdog_events\":";
-  json_append_number(out, m.watchdog_events);
-  out += ",\"faults_injected\":";
-  json_append_number(out, m.faults_injected());
+  append_gc(out, st.gc);
+  append_robustness(out, st);
   out += ",\"faults_by_kind\":";
-  append_fault_counts(out, m.faults_by_kind);
-  if (m.stm.any()) {
+  append_fault_counts(out, st.faults.injected);
+  if (st.stm_engaged()) {
     // Conditional so STM-less runs keep the pre-STM document bytes.
     out += ",\"stm\":";
-    append_stm(out, m.stm);
+    append_stm(out, st);
   }
   out += ",\"cycles\":";
-  append_cycles(out, m.cycles);
+  append_cycles(out, st.breakdown);
   out += ",\"yield_points\":[";
   first = true;
   for (const auto& [yp, ym] : m.per_yield_point) {
@@ -359,100 +375,52 @@ std::string metrics_to_json(const std::vector<RunMetrics>& runs) {
     append_run(out, m);
   }
   out += "],\"totals\":{";
-  RunMetrics t;
+  // One merge per counter struct; the scalar counters add.
+  runtime::RunStats t;
+  RequestMetrics requests;
   for (const RunMetrics& m : runs) {
-    t.begins += m.begins;
-    t.commits += m.commits;
-    for (std::size_t r = 0; r < t.aborts_by_reason.size(); ++r)
-      t.aborts_by_reason[r] += m.aborts_by_reason[r];
-    t.gil_fallbacks += m.gil_fallbacks;
-    t.requests.merge(m.requests);
-    t.gc.merge(m.gc);
-    t.quarantine_enters += m.quarantine_enters;
-    t.quarantine_probes += m.quarantine_probes;
-    t.quarantine_exits += m.quarantine_exits;
-    t.watchdog_events += m.watchdog_events;
-    for (std::size_t k = 0; k < t.faults_by_kind.size(); ++k)
-      t.faults_by_kind[k] += m.faults_by_kind[k];
-    t.stm.begins += m.stm.begins;
-    t.stm.commits += m.stm.commits;
-    for (std::size_t c = 0; c < t.stm.aborts_by_cause.size(); ++c)
-      t.stm.aborts_by_cause[c] += m.stm.aborts_by_cause[c];
-    t.stm.escalations += m.stm.escalations;
-    t.stm.gil_fallbacks += m.stm.gil_fallbacks;
-    t.stm.validated_entries += m.stm.validated_entries;
-    t.stm.committed_writes += m.stm.committed_writes;
-    t.stm.zombie_kills += m.stm.zombie_kills;
-    if (m.stm.max_read_lines > t.stm.max_read_lines)
-      t.stm.max_read_lines = m.stm.max_read_lines;
-    if (m.stm.max_write_entries > t.stm.max_write_entries)
-      t.stm.max_write_entries = m.stm.max_write_entries;
+    const runtime::RunStats& st = m.stats;
+    t.htm.merge(st.htm);
+    t.gc.merge(st.gc);
+    t.stm.merge(st.stm);
+    t.faults.merge(st.faults);
+    t.gil_fallbacks += st.gil_fallbacks;
+    t.stm_escalations += st.stm_escalations;
+    t.stm_gil_fallbacks += st.stm_gil_fallbacks;
+    t.quarantine_enters += st.quarantine_enters;
+    t.quarantine_probes += st.quarantine_probes;
+    t.quarantine_exits += st.quarantine_exits;
+    t.watchdog_events += st.watchdog_events;
+    requests.merge(m.requests);
   }
   out += "\"runs\":";
   json_append_number(out, static_cast<u64>(runs.size()));
   out += ",\"begins\":";
-  json_append_number(out, t.begins);
+  json_append_number(out, t.htm.begins);
   out += ",\"commits\":";
-  json_append_number(out, t.commits);
+  json_append_number(out, t.htm.commits);
   out += ",\"aborts\":";
-  json_append_number(out, t.total_aborts());
+  json_append_number(out, t.htm.total_aborts());
   out += ",\"aborts_by_reason\":";
-  append_reason_counts(out, t.aborts_by_reason);
+  append_reason_counts(out, t.htm.aborts_by_reason);
   out += ",\"gil_fallbacks\":";
   json_append_number(out, t.gil_fallbacks);
-  out += ",\"quarantine\":{\"enters\":";
-  json_append_number(out, t.quarantine_enters);
-  out += ",\"probes\":";
-  json_append_number(out, t.quarantine_probes);
-  out += ",\"exits\":";
-  json_append_number(out, t.quarantine_exits);
-  out += "},\"watchdog_events\":";
-  json_append_number(out, t.watchdog_events);
-  out += ",\"faults_injected\":";
-  json_append_number(out, t.faults_injected());
-  if (t.stm.any()) {
+  append_robustness(out, t);
+  if (t.stm_engaged()) {
     out += ",\"stm\":";
-    append_stm(out, t.stm);
+    append_stm(out, t);
   }
   out += ",\"requests_completed\":";
-  json_append_number(out, t.requests.completed);
+  json_append_number(out, requests.completed);
   out += ",\"gc\":";
   append_gc(out, t.gc);
   // Cross-run (per-shard) request merge: the histograms add, so the
   // percentiles here are the merged-population percentiles a single
   // unsharded histogram of every request would report.
   out += ",\"requests\":";
-  append_requests(out, t.requests);
+  append_requests(out, requests);
   out += "}}\n";
   return out;
-}
-
-void GcMetrics::merge(const GcMetrics& o) {
-  collections += o.collections;
-  total_marked += o.total_marked;
-  total_swept += o.total_swept;
-  grown_blocks += o.grown_blocks;
-  arena_grows += o.arena_grows;
-  arena_shrinks += o.arena_shrinks;
-  pool_segments += o.pool_segments;
-  if (o.arena_refills > 0) {
-    if (arena_refills == 0 || o.segment_slots_min < segment_slots_min)
-      segment_slots_min = o.segment_slots_min;
-    if (o.segment_slots_max > segment_slots_max)
-      segment_slots_max = o.segment_slots_max;
-  }
-  arena_refills += o.arena_refills;
-  sweep_quanta += o.sweep_quanta;
-  sweep_quantum_cycles += o.sweep_quantum_cycles;
-  minor_collections += o.minor_collections;
-  nursery_promoted += o.nursery_promoted;
-  nursery_freed += o.nursery_freed;
-  mark_quanta += o.mark_quanta;
-  mark_quantum_cycles += o.mark_quantum_cycles;
-  arena_steals += o.arena_steals;
-  stolen_segments += o.stolen_segments;
-  if (o.max_pause > max_pause) max_pause = o.max_pause;
-  pause_hist.merge(o.pause_hist);
 }
 
 void RequestMetrics::merge(const RequestMetrics& o) {

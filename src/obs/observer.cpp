@@ -141,8 +141,6 @@ void RunObserver::on_shed(Cycles t, u32 tid, CpuId cpu, i64 req_id) {
 }
 
 void RunObserver::on_quarantine_enter(Cycles t, u32 tid, CpuId cpu, i32 yp) {
-  ++metrics_.quarantine_enters;
-  ++yp_metrics(yp).quarantine_enters;
   TraceEvent e;
   e.kind = EventKind::kQuarantineEnter;
   e.t = t;
@@ -153,7 +151,6 @@ void RunObserver::on_quarantine_enter(Cycles t, u32 tid, CpuId cpu, i32 yp) {
 }
 
 void RunObserver::on_quarantine_probe(Cycles t, u32 tid, CpuId cpu, i32 yp) {
-  ++metrics_.quarantine_probes;
   TraceEvent e;
   e.kind = EventKind::kQuarantineProbe;
   e.t = t;
@@ -164,8 +161,6 @@ void RunObserver::on_quarantine_probe(Cycles t, u32 tid, CpuId cpu, i32 yp) {
 }
 
 void RunObserver::on_quarantine_exit(Cycles t, u32 tid, CpuId cpu, i32 yp) {
-  ++metrics_.quarantine_exits;
-  ++yp_metrics(yp).quarantine_exits;
   TraceEvent e;
   e.kind = EventKind::kQuarantineExit;
   e.t = t;
@@ -177,7 +172,6 @@ void RunObserver::on_quarantine_exit(Cycles t, u32 tid, CpuId cpu, i32 yp) {
 
 void RunObserver::on_fault(Cycles t, u32 tid, CpuId cpu,
                            fault::FaultKind kind) {
-  ++metrics_.faults_by_kind[static_cast<std::size_t>(kind)];
   TraceEvent e;
   e.kind = EventKind::kFault;
   e.t = t;
@@ -189,7 +183,6 @@ void RunObserver::on_fault(Cycles t, u32 tid, CpuId cpu,
 
 void RunObserver::on_watchdog(Cycles t, u32 tid, CpuId cpu, i32 yp,
                               WatchdogKind kind) {
-  ++metrics_.watchdog_events;
   TraceEvent e;
   e.kind = EventKind::kWatchdog;
   e.t = t;

@@ -26,7 +26,7 @@ class RunObserver {
   void on_tx_begin(Cycles t, u32 tid, CpuId cpu, i32 yp, u32 length);
   void on_tx_commit(Cycles t, u32 tid, CpuId cpu, i32 yp, u32 length);
   /// `gaddr` is the guest address of the conflicting line (0 = none, e.g.
-  /// spurious conflicts or host addressing); `src_line` the MiniRuby source
+  /// spurious conflicts or a facility without a guest space); `src_line` the MiniRuby source
   /// line executing at the abort (0 = unknown).
   void on_tx_abort(Cycles t, u32 tid, CpuId cpu, i32 yp, u32 length,
                    htm::AbortReason reason, u64 gaddr = 0, u16 src_line = 0);
@@ -36,11 +36,9 @@ class RunObserver {
   void on_request(Cycles t, u32 tid, i64 req_id, Cycles latency,
                   Cycles queue = 0);
 
-  // Robustness events (docs/ROBUSTNESS.md): quarantine state transitions,
-  // injected faults, and starvation-watchdog reports.
   // Tier-2 software-transaction events (docs/TIERS.md). Trace-only: the
-  // engine stamps the exact `stm` metrics block from its own RunStats (the
-  // StmEngine is authoritative), so the observer does not aggregate them.
+  // `stm` metrics block renders the run's RunStats (the StmEngine is
+  // authoritative), so the observer does not aggregate them.
   void on_stm_begin(Cycles t, u32 tid, CpuId cpu, i32 yp);
   void on_stm_commit(Cycles t, u32 tid, CpuId cpu, i32 yp);
   void on_stm_abort(Cycles t, u32 tid, CpuId cpu, i32 yp,
@@ -53,6 +51,10 @@ class RunObserver {
   /// would double-report.
   void on_shed(Cycles t, u32 tid, CpuId cpu, i64 req_id);
 
+  // Robustness events (docs/ROBUSTNESS.md): quarantine state transitions,
+  // injected faults, and starvation-watchdog reports. Trace-only: the
+  // length table, fault injector and engine own these counters (RunStats,
+  // plus the per-yield-point quarantine counts the engine stamps).
   void on_quarantine_enter(Cycles t, u32 tid, CpuId cpu, i32 yp);
   void on_quarantine_probe(Cycles t, u32 tid, CpuId cpu, i32 yp);
   void on_quarantine_exit(Cycles t, u32 tid, CpuId cpu, i32 yp);
@@ -60,8 +62,8 @@ class RunObserver {
   void on_watchdog(Cycles t, u32 tid, CpuId cpu, i32 yp, WatchdogKind kind);
 
   /// Moves the aggregates out (per-yield-point tables, request latencies,
-  /// recorder accounting). The caller fills in engine-level totals (cycle
-  /// breakdown, HtmStats mirrors, labels) afterwards.
+  /// recorder accounting). The caller fills in the run's RunStats and
+  /// labels afterwards.
   RunMetrics finalize();
 
   /// Drains the retained trace events in sequence order.

@@ -1,8 +1,6 @@
 #include "runtime/engine.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/check.hpp"
 #include "htm/abort_reason.hpp"
@@ -89,8 +87,7 @@ Engine::Engine(EngineConfig config)
                                               machine_.get());
     // Guest addressing: the HTM (and through it the STM) line space keys on
     // process-stable segment:offset addresses instead of host pointers.
-    if (config_.addr_mode == AddrMode::kGuest)
-      htm_->set_guest_space(&gspace_);
+    htm_->set_guest_space(&gspace_);
     if (config_.fault.enabled()) {
       fault_ = std::make_unique<fault::FaultInjector>(config_.fault,
                                                       machine_->num_cpus());
@@ -141,7 +138,7 @@ void Engine::load_program(const std::vector<std::string>& sources) {
   // The heap registers its slabs (control words, arena blocks, spill blocks)
   // as guest segments in construction/growth order — deterministic for a
   // given (program, config, seed), so guest addresses match across runs.
-  if (config_.addr_mode == AddrMode::kGuest) hc.guest_space = &gspace_;
+  hc.guest_space = &gspace_;
   heap_ = std::make_unique<vm::Heap>(hc);
   // Register every compiled global / constant name as a slot.
   for (std::size_t i = 0; i < program_->global_names.size(); ++i)
@@ -173,9 +170,8 @@ void Engine::load_program(const std::vector<std::string>& sources) {
   live_count_ = 1;
   SchedThread& main = threads_.front();
   main.vm = std::make_unique<vm::VmThread>(0, config_.stack_slots);
-  if (config_.addr_mode == AddrMode::kGuest)
-    gspace_.add_segment("stack-t0", main.vm->stack_base(),
-                        u64{main.vm->stack_slots()} * 8);
+  gspace_.add_segment("stack-t0", main.vm->stack_base(),
+                      u64{main.vm->stack_slots()} * 8);
   main.cpu = 0;
   current_tid_ = 0;
 
@@ -286,8 +282,6 @@ RunStats Engine::run() {
   running_ = true;
   shed_requests_ = server_ != nullptr && server_->deadline_shedding();
 
-  const bool trace = std::getenv("GILFREE_TRACE") != nullptr;
-  u64 iterations = 0;
   init_fastpath();
   // A thread runs a short burst per scheduling decision; interleaving at
   // ~burst granularity is indistinguishable for footprint-based conflict
@@ -301,26 +295,6 @@ RunStats Engine::run() {
     if (config_.recorder != nullptr && config_.recorder->stop_requested())
       break;
     const i32 tid = pick_next();
-    if (trace && ++iterations % 1'000'000 == 0) {
-      flush_fastpath();
-      std::fprintf(stderr,
-                   "[trace] iter=%llu insns=%llu time=%llu pick=%d\n",
-                   static_cast<unsigned long long>(iterations),
-                   static_cast<unsigned long long>(
-                       interp_->stats().insns_retired),
-                   static_cast<unsigned long long>(machine_->global_time()),
-                   tid);
-      for (std::size_t i = 0; i < threads_.size(); ++i) {
-        const SchedThread& t = threads_[i];
-        std::fprintf(stderr,
-                     "  t%zu status=%d cpu=%u gil=%d tx=%d pend=%d spin=%d "
-                     "pc=%u iseq=%d wake=%llu\n",
-                     i, static_cast<int>(t.status), t.cpu, t.holds_gil,
-                     t.in_tx, t.pending_begin_yp, t.pending_spin,
-                     t.vm->regs().pc, t.vm->regs().iseq,
-                     static_cast<unsigned long long>(t.wake_at));
-      }
-    }
     if (tid < 0) continue;
     if (config_.recorder != nullptr) {
       config_.recorder->on_sched(
@@ -333,7 +307,7 @@ RunStats Engine::run() {
       const SchedThread& st = threads_[static_cast<u32>(tid)];
       if (st.status != ThreadStatus::kRunnable) break;
     }
-    flush_fastpath();  // pick_next and the trace block read raw clocks
+    flush_fastpath();  // pick_next reads raw clocks
     if (config_.max_insns != 0 &&
         interp_->stats().insns_retired > config_.max_insns) {
       GILFREE_CHECK_MSG(false, "instruction budget exceeded ("
@@ -390,66 +364,7 @@ RunStats Engine::run() {
     m.seed = config_.seed;
     m.mode = std::string(sync_mode_name(config_.mode));
     m.machine = config_.profile.machine.name;
-    m.begins = stats.htm.begins;
-    m.commits = stats.htm.commits;
-    m.aborts_by_reason = stats.htm.aborts_by_reason;
-    m.gil_fallbacks = stats.gil_fallbacks;
-    m.ctx_switch_aborts = stats.ctx_switch_aborts;
-    m.length_adjustments = stats.length_adjustments;
-    m.insns_retired = stats.insns_retired;
-    m.total_cycles = stats.total_cycles;
-    m.virtual_seconds = stats.virtual_seconds;
-    m.dispatch_mode = interp_->dispatch_mode_name();
-    m.fused_instructions = stats.interp.fused_instructions;
-    const auto hit_rate = [](u64 hits, u64 misses) {
-      const u64 total = hits + misses;
-      return total == 0 ? 0.0
-                        : static_cast<double>(hits) /
-                              static_cast<double>(total);
-    };
-    m.ic_method_hit_rate =
-        hit_rate(stats.interp.ic_method_hits, stats.interp.ic_method_misses);
-    m.ic_ivar_hit_rate =
-        hit_rate(stats.interp.ic_ivar_hits, stats.interp.ic_ivar_misses);
-    m.gc.collections = stats.gc.collections;
-    m.gc.total_marked = stats.gc.total_marked;
-    m.gc.total_swept = stats.gc.total_swept;
-    m.gc.grown_blocks = stats.gc.grown_blocks;
-    m.gc.arena_refills = stats.gc.arena_refills;
-    m.gc.arena_grows = stats.gc.arena_grows;
-    m.gc.arena_shrinks = stats.gc.arena_shrinks;
-    m.gc.pool_segments = stats.gc.pool_segments;
-    m.gc.segment_slots_min = stats.gc.segment_slots_min;
-    m.gc.segment_slots_max = stats.gc.segment_slots_max;
-    m.gc.sweep_quanta = stats.gc.sweep_quanta;
-    m.gc.sweep_quantum_cycles = stats.gc.sweep_quantum_cycles;
-    m.gc.minor_collections = stats.gc.minor_collections;
-    m.gc.nursery_promoted = stats.gc.nursery_promoted;
-    m.gc.nursery_freed = stats.gc.nursery_freed;
-    m.gc.mark_quanta = stats.gc.mark_quanta;
-    m.gc.mark_quantum_cycles = stats.gc.mark_quantum_cycles;
-    m.gc.arena_steals = stats.gc.arena_steals;
-    m.gc.stolen_segments = stats.gc.stolen_segments;
-    m.gc.max_pause = stats.gc.max_pause;
-    m.gc.pause_hist = stats.gc.pause_hist;
-    m.stm.begins = stats.stm.begins;
-    m.stm.commits = stats.stm.commits;
-    m.stm.aborts_by_cause = stats.stm.aborts_by_cause;
-    m.stm.escalations = stats.stm_escalations;
-    m.stm.gil_fallbacks = stats.stm_gil_fallbacks;
-    m.stm.validated_entries = stats.stm.validated_entries;
-    m.stm.committed_writes = stats.stm.committed_writes;
-    m.stm.zombie_kills = stats.stm.zombie_kills;
-    m.stm.max_read_lines = stats.stm.max_read_lines;
-    m.stm.max_write_entries = stats.stm.max_write_entries;
-    m.cycles.begin_end = stats.breakdown.begin_end;
-    m.cycles.tx_success = stats.breakdown.tx_success;
-    m.cycles.tx_aborted = stats.breakdown.tx_aborted;
-    m.cycles.stm_work = stats.breakdown.stm_work;
-    m.cycles.gil_held = stats.breakdown.gil_held;
-    m.cycles.gil_wait = stats.breakdown.gil_wait;
-    m.cycles.blocked_io = stats.breakdown.blocked_io;
-    m.cycles.other = stats.breakdown.other;
+    m.stats = stats;
     for (auto& [yp, ym] : m.per_yield_point) {
       ym.final_length = length_table_->length(yp);
       ym.length_adjustments = length_table_->adjustments_at(yp);
@@ -540,12 +455,6 @@ void Engine::ensure_cpu_tx_free(CpuId cpu, u32 incoming_tid) {
   if (htm_ == nullptr) return;
   const i32 owner = cpu_tx_tid_[cpu];
   if (owner < 0 || owner == static_cast<i32>(incoming_tid)) return;
-  static const bool trace_kills =
-      std::getenv("GILFREE_TRACE_KILLS") != nullptr;
-  if (trace_kills) {
-    std::fprintf(stderr, "[kill] cpu=%u owner=%d incoming=%u\n", cpu, owner,
-                 incoming_tid);
-  }
   SchedThread& victim = threads_[static_cast<u32>(owner)];
   htm_->force_abort(cpu, AbortReason::kInterrupt);
   victim.tx_vanished = true;
@@ -963,7 +872,7 @@ void Engine::handle_abort(SchedThread& st, AbortReason reason) {
   // so traces and record streams compare byte-for-byte across processes).
   const u16 src_line = abort_source_line(st);
   u64 gaddr = 0;
-  if (config_.addr_mode == AddrMode::kGuest && htm_ != nullptr) {
+  if (htm_ != nullptr) {
     const LineId line = htm_->last_conflict_line(st.cpu);
     if (line != kInvalidLine && line < sim::GuestSpace::kHostLineTag)
       gaddr = line * config_.profile.htm.line_bytes;
@@ -1574,9 +1483,8 @@ vm::Value Engine::spawn_thread(vm::Value proc_val,
   ++live_count_;
   SchedThread& st = threads_.back();
   st.vm = std::make_unique<vm::VmThread>(tid, config_.stack_slots);
-  if (config_.addr_mode == AddrMode::kGuest)
-    gspace_.add_segment("stack-t" + std::to_string(tid), st.vm->stack_base(),
-                        u64{st.vm->stack_slots()} * 8);
+  gspace_.add_segment("stack-t" + std::to_string(tid), st.vm->stack_base(),
+                      u64{st.vm->stack_slots()} * 8);
   st.cpu = chosen_cpu;
 
   // Allocate the Thread object while `proc_val` is still rooted on the

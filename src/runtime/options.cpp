@@ -89,17 +89,4 @@ void apply_gc_flags(const CliFlags& flags, vm::HeapConfig& heap) {
         "--gc-arena-idle-cycles must exceed --gc-arena-hot-cycles");
 }
 
-void apply_addr_flags(const CliFlags& flags, EngineConfig& cfg) {
-  const std::string mode =
-      flags.get("addr-mode", std::string(addr_mode_name(cfg.addr_mode)));
-  if (mode == "guest") {
-    cfg.addr_mode = AddrMode::kGuest;
-  } else if (mode == "host") {
-    cfg.addr_mode = AddrMode::kHost;
-  } else {
-    throw std::invalid_argument("--addr-mode must be guest or host, got '" +
-                                mode + "'");
-  }
-}
-
 }  // namespace gilfree::runtime

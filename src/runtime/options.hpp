@@ -27,18 +27,6 @@ enum class SyncMode : u8 {
   kUnsynced,     ///< Java-NPB-like: thread-local internals, app-level sync.
 };
 
-/// Which address space the HTM/STM line tables and all address-bearing
-/// diagnostics key on. kGuest (the default) routes every simulated slab
-/// through sim::GuestSpace, so line ids, conflict histograms, and trace
-/// `gaddr` fields are identical across OS processes regardless of ASLR.
-/// kHost keeps the legacy host-pointer line space (same conflict grouping —
-/// every slab is worst-case line-aligned — but process-dependent values).
-enum class AddrMode : u8 { kGuest, kHost };
-
-constexpr std::string_view addr_mode_name(AddrMode m) {
-  return m == AddrMode::kGuest ? "guest" : "host";
-}
-
 constexpr std::string_view sync_mode_name(SyncMode m) {
   switch (m) {
     case SyncMode::kGil: return "GIL";
@@ -114,9 +102,6 @@ struct EngineConfig {
   /// Null disables observability entirely (no per-event overhead).
   obs::Sink* obs_sink = nullptr;
 
-  /// Guest vs host line addressing (see AddrMode above).
-  AddrMode addr_mode = AddrMode::kGuest;
-
   /// Record/replay decision-stream recorder (not owned, docs/DEBUGGING.md).
   /// When set, the engine appends every scheduling pick and abort/fault
   /// event, and stops early when the recorder requests a time-travel stop.
@@ -148,10 +133,5 @@ struct EngineConfig {
 /// (CliFlags' own exit-2 / throw behaviour covers malformed numbers and
 /// unknown flags via reject_unknown()).
 void apply_gc_flags(const CliFlags& flags, vm::HeapConfig& heap);
-
-/// Applies the addressing flag to an engine config:
-///   --addr-mode=guest|host   line-space selection (default guest)
-/// Strict: any other value throws std::invalid_argument.
-void apply_addr_flags(const CliFlags& flags, EngineConfig& cfg);
 
 }  // namespace gilfree::runtime

@@ -1,18 +1,22 @@
 // Aggregate statistics of one engine run — everything the paper's figures
 // report: throughput (virtual time), abort ratios by reason, the Fig. 8
-// cycle breakdown, GC and inline-cache counters.
+// cycle breakdown, GC and inline-cache counters. This is the one definition
+// of every run counter: the metrics document (obs::RunMetrics) carries a
+// RunStats and renders it directly. Header-only and built from each layer's
+// header-only stats type, so the observability layer can include it without
+// linking against the engine.
 #pragma once
 
 #include <map>
 #include <string>
 
 #include "common/types.hpp"
-#include "fault/fault_injector.hpp"
-#include "gil/gil.hpp"
-#include "htm/htm.hpp"
-#include "stm/stm.hpp"
-#include "vm/heap.hpp"
-#include "vm/interp.hpp"
+#include "fault/fault_stats.hpp"
+#include "gil/gil_stats.hpp"
+#include "htm/htm_stats.hpp"
+#include "stm/stm_stats.hpp"
+#include "vm/gc_stats.hpp"
+#include "vm/interp_stats.hpp"
 
 namespace gilfree::runtime {
 
@@ -76,6 +80,11 @@ struct RunStats {
 
   std::map<std::string, double> results;  ///< __record'ed values.
   std::string output;                     ///< puts/print output.
+
+  /// True when the STM tier saw any traffic; gates the metrics `stm` block.
+  bool stm_engaged() const {
+    return stm.begins + stm_escalations + stm_gil_fallbacks != 0;
+  }
 
   /// Abort ratio as the paper reports it: aborts / transaction begins.
   double abort_ratio() const {

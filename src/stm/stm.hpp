@@ -36,27 +36,9 @@
 #include "htm/htm.hpp"
 #include "stm/abort_cause.hpp"
 #include "stm/stm_config.hpp"
+#include "stm/stm_stats.hpp"
 
 namespace gilfree::stm {
-
-struct StmStats {
-  u64 begins = 0;
-  u64 commits = 0;
-  std::array<u64, kNumStmAbortCauses> aborts_by_cause{};
-  u64 validated_entries = 0;  ///< Markers compared (commit + incremental).
-  u64 committed_writes = 0;   ///< Buffered entries published by commits.
-  u64 zombie_kills = 0;       ///< Incremental yield-point validation catches:
-                              ///< a span that kept running past an
-                              ///< invalidating write (the lazy hazard).
-  u64 max_read_lines = 0;     ///< High-water marks across all transactions.
-  u64 max_write_entries = 0;
-
-  u64 total_aborts() const {
-    u64 t = 0;
-    for (u64 a : aborts_by_cause) t += a;
-    return t;
-  }
-};
 
 class StmEngine : public htm::MemWriteListener, public gil::AcquireListener {
  public:

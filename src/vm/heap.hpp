@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "obs/latency_hist.hpp"
+#include "vm/gc_stats.hpp"
 #include "sim/guest_space.hpp"
 #include "vm/host.hpp"
 #include "vm/object.hpp"
@@ -137,11 +137,11 @@ struct HeapConfig {
   u32 ic_table_slots = 65'536;
 
   /// Guest address space to register every heap slab with (not owned; null
-  /// keeps the legacy host-address line space). The engine wires its own
-  /// space here before constructing the heap; registration order (control
-  /// slab, then arena blocks, then spill blocks, growth in demand order) is
-  /// deterministic, which is what makes guest addresses stable across OS
-  /// processes.
+  /// in standalone heap tests, which then see host-address lines). The
+  /// engine always wires its own space here before constructing the heap;
+  /// registration order (control slab, then arena blocks, then spill
+  /// blocks, growth in demand order) is deterministic, which is what makes
+  /// guest addresses stable across OS processes.
   sim::GuestSpace* guest_space = nullptr;
 };
 
@@ -157,46 +157,6 @@ enum TcbField : u32 {
   kTcbArenaLimit = 6,       ///< One past the segment's last RVALUE.
   kTcbArenaStash = 7,       ///< Private chain of not-yet-active segments.
   kTcbMallocCacheBase = 8,  ///< Two slots (head, count) per size class.
-};
-
-struct GcStats {
-  u64 collections = 0;
-  u64 last_marked = 0;
-  u64 last_swept = 0;
-  u64 total_marked = 0;
-  u64 total_swept = 0;
-  u64 grown_blocks = 0;
-
-  // Per-thread-arena extension (zero while the feature is off).
-  u64 arena_refills = 0;      ///< Segments carved from the shared pool.
-  u64 arena_grows = 0;        ///< Adaptive segment-size doublings.
-  u64 arena_shrinks = 0;      ///< Idle attenuations.
-  u64 pool_segments = 0;      ///< Free-line runs the sweep turned into pool segments.
-  u32 segment_slots_min = 0;  ///< Smallest / largest segment carved so far.
-  u32 segment_slots_max = 0;
-
-  // Lazy incremental sweeping (zero while the feature is off).
-  u64 sweep_quanta = 0;            ///< Per-block quanta performed on slow paths.
-  Cycles sweep_quantum_cycles = 0; ///< Cycles those quanta charged.
-
-  // Generational nursery (zero while the feature is off).
-  u64 minor_collections = 0;
-  u64 nursery_promoted = 0;        ///< Young survivors promoted in place.
-  u64 nursery_freed = 0;           ///< Dead young objects recycled by minor GCs.
-
-  // Incremental marking (zero while the feature is off).
-  u64 mark_quanta = 0;             ///< Mark quanta run on slow paths.
-  Cycles mark_quantum_cycles = 0;  ///< Cycles those quanta charged.
-
-  // Cross-thread stash stealing (zero while the feature is off).
-  u64 arena_steals = 0;            ///< Successful steals (early GCs averted).
-  u64 stolen_segments = 0;         ///< Segments moved between stash chains.
-
-  // Stop-the-world pause per collection (mark+sweep when eager, mark only
-  // when lazy). The histogram feeds the metrics document's percentiles.
-  Cycles last_pause = 0;
-  Cycles max_pause = 0;
-  obs::LatencyHistogram pause_hist;
 };
 
 class Heap {

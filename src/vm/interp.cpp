@@ -29,20 +29,10 @@ void BuiltinCtx::need_args(u32 n) const {
                     " for " + std::to_string(n) + ")");
 }
 
-bool Interp::threaded_dispatch_available() {
-#ifdef GILFREE_COMPUTED_GOTO
-  return true;
-#else
-  return false;
-#endif
-}
-
 Interp::Interp(Program* program, Heap* heap, ClassRegistry* classes,
                Host* host, const VmOptions& options)
     : program_(program), heap_(heap), classes_(classes), host_(host),
-      options_(options),
-      threaded_(options.dispatch == DispatchMode::kThreaded &&
-                threaded_dispatch_available()) {
+      options_(options) {
   GILFREE_CHECK(program_ && heap_ && classes_ && host_);
   auto& sym = program_->symbols;
   sym_initialize_ = sym.intern("initialize");
@@ -846,30 +836,21 @@ inline bool yield_relevant(const Insn& in, YieldStop stop) {
 }
 }  // namespace
 
-// Dual-mode dispatch: the opcode bodies live in one switch; computed-goto
-// builds additionally attach a label to each case, and threaded mode jumps
-// straight to the body through a label table indexed by opcode (`break`
-// still exits the switch normally either way). The portable switch remains
-// the configure-time fallback, and both modes execute identical code per
-// opcode — only host-level dispatch overhead differs.
-#ifdef GILFREE_COMPUTED_GOTO
+// Direct-threaded dispatch (computed goto, a GCC/Clang extension): the
+// opcode bodies live in one switch with a label attached to each case, and
+// every instruction jumps straight to its body through a label table
+// indexed by opcode (`break` still exits the switch normally).
 #define GILFREE_OPC(Name) case Op::k##Name: L_##Name:
-#else
-#define GILFREE_OPC(Name) case Op::k##Name:
-#endif
 
 void Interp::run_span(VmThread& t, int& fuel, YieldStop stop) {
   GILFREE_CHECK(!t.finished());
   ThreadRegs& r = t.regs();
   const bool fuse = options_.fuse_superinsns;
-#ifdef GILFREE_COMPUTED_GOTO
 #define GILFREE_LABEL_ENTRY(Name) &&L_##Name,
   static const void* const kLabels[] = {
       GILFREE_FOR_EACH_OP(GILFREE_LABEL_ENTRY)};
 #undef GILFREE_LABEL_ENTRY
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kNumOps);
-  const bool threaded = threaded_;
-#endif
 
   const Insn* in = nullptr;
   i32 tail_iseq = -1;
@@ -899,9 +880,7 @@ void Interp::run_span(VmThread& t, int& fuel, YieldStop stop) {
     ++r.pc;  // Default fallthrough; control-flow ops overwrite.
     ++stats_.insns_retired;
     --fuel;
-#ifdef GILFREE_COMPUTED_GOTO
-    if (threaded) goto* kLabels[static_cast<u8>(in->op)];
-#endif
+    goto* kLabels[static_cast<u8>(in->op)];
     switch (in->op) {
       GILFREE_OPC(Nop)
         break;

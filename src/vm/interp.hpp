@@ -12,6 +12,7 @@
 #include "vm/class_registry.hpp"
 #include "vm/heap.hpp"
 #include "vm/host.hpp"
+#include "vm/interp_stats.hpp"
 #include "vm/objops.hpp"
 #include "vm/options.hpp"
 #include "vm/thread.hpp"
@@ -47,19 +48,6 @@ struct BuiltinCtx {
 
   Value arg(u32 i) const;
   void need_args(u32 n) const;
-};
-
-struct InterpStats {
-  u64 insns_retired = 0;
-  u64 sends = 0;
-  u64 ic_method_hits = 0;
-  u64 ic_method_misses = 0;
-  u64 ic_ivar_hits = 0;
-  u64 ic_ivar_misses = 0;
-  u64 allocations = 0;
-  /// Instructions executed as the tail of a fused superinstruction pair
-  /// (host-time accounting only; simulated cycles are mode-invariant).
-  u64 fused_instructions = 0;
 };
 
 /// Which instructions end an interpreter span: the engine runs its
@@ -100,15 +88,6 @@ class Interp {
   void step(VmThread& t) {
     int fuel = 1;
     run_span(t, fuel, YieldStop::kNone);
-  }
-
-  /// True when this build can execute computed-goto dispatch.
-  static bool threaded_dispatch_available();
-
-  /// Effective dispatch mode ("threaded" / "switch") after the configure-
-  /// time fallback is applied to options().dispatch.
-  const char* dispatch_mode_name() const {
-    return threaded_ ? "threaded" : "switch";
   }
 
   /// Instruction the thread will execute next.
@@ -176,7 +155,6 @@ class Interp {
   ClassRegistry* classes_;
   Host* host_;
   VmOptions options_;
-  bool threaded_ = false;  ///< Effective dispatch after build fallback.
   u64* ic_base_ = nullptr;
 
   std::vector<Value> literal_values_;

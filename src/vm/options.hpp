@@ -6,16 +6,6 @@
 
 namespace gilfree::vm {
 
-/// How the interpreter dispatches opcodes. kThreaded uses computed-goto
-/// (labels-as-values) when the build enables GILFREE_COMPUTED_GOTO and
-/// silently falls back to the portable switch otherwise; both produce
-/// bit-identical simulated cycle streams — only host time differs.
-enum class DispatchMode : u8 { kSwitch, kThreaded };
-
-constexpr const char* dispatch_mode_name(DispatchMode m) {
-  return m == DispatchMode::kThreaded ? "threaded" : "switch";
-}
-
 struct VmOptions {
   /// §4.2: treat getlocal/getinstancevariable/getclassvariable/send/
   /// opt_plus/opt_minus/opt_mult/opt_aref as additional yield points.
@@ -33,9 +23,6 @@ struct VmOptions {
   /// §4.4 (d) ivar caches: guard by ivar-table identity instead of class
   /// identity, eliminating misses across shape-compatible classes.
   bool ivar_cache_table_guard = true;
-
-  /// Opcode dispatch strategy (host-time only; see DispatchMode).
-  DispatchMode dispatch = DispatchMode::kThreaded;
 
   /// Execute compiler-annotated superinstruction pairs (getlocal+opt_*,
   /// opt_*+setlocal) back-to-back, skipping one dispatch-loop round trip.

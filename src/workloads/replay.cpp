@@ -76,8 +76,7 @@ std::vector<std::string> replay_flags(const fault::FaultConfig& fault,
     // --json, ...) stay out of the header. Fault/STM flags are already
     // covered — canonically — by the to_flags() calls above.
     for (const std::string& raw : cli->raw_args()) {
-      if (starts_with(raw, "--gc-") || starts_with(raw, "--addr-mode"))
-        out.push_back(raw);
+      if (starts_with(raw, "--gc-")) out.push_back(raw);
     }
   }
   return out;
@@ -123,7 +122,6 @@ runtime::EngineConfig config_from_recorded(const obs::RecordedRun& recorded,
   cfg.fault = fault::FaultConfig::from_flags(flags);
   cfg.stm = stm::StmConfig::from_flags(flags);
   runtime::apply_gc_flags(flags, cfg.heap);
-  runtime::apply_addr_flags(flags, cfg);
   flags.reject_unknown();
   return cfg;
 }

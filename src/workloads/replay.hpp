@@ -42,8 +42,8 @@ std::map<std::string, std::string> make_scenario(const std::string& workload,
 
 /// Builds the flag list for the header: the campaign and STM tier as
 /// canonical to_flags() strings (covering programmatically built configs),
-/// plus any --gc-* and --addr-mode flags copied verbatim from the harness
-/// command line (nullptr = none).
+/// plus any --gc-* flags copied verbatim from the harness command line
+/// (nullptr = none).
 std::vector<std::string> replay_flags(const fault::FaultConfig& fault,
                                       const stm::StmConfig& stm,
                                       const CliFlags* cli);

@@ -1,16 +1,16 @@
-// Differential test for the interpreter hot-path overhaul: dispatch mode
-// (switch vs computed-goto), superinstruction fusion, batched cycle
-// charging, and the host fast path are HOST-time optimizations only. For
-// any program, machine profile, and engine, every combination must produce
+// Differential test for the interpreter hot-path overhaul: superinstruction
+// fusion, batched cycle charging, and the host fast path are HOST-time
+// optimizations only. For any program, machine profile, and engine, every
+// combination must produce
 //
 //   - the same recorded results and program output,
 //   - the same total simulated cycles and retired-instruction counts,
 //   - a byte-identical observability trace,
-//   - the same exported metrics document once the two host-only fields
-//     (dispatch_mode, fused_instructions) are normalized away, and
+//   - the same exported metrics document once the host-only field
+//     (fused_instructions) is normalized away, and
 //   - the same per-yield-point TLE length-table state after the run
 //     (HTM engines), i.e. the §4.2 yield-point placement and the Fig. 3
-//     learning dynamics are unchanged by fusion and dispatch.
+//     learning dynamics are unchanged by fusion.
 //
 // Programs come from the seeded generator shared with test_fault, so every
 // extended-yield-point opcode family is covered.
@@ -23,12 +23,11 @@
 #include <vector>
 
 #include "htm/profile.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "runtime/engine.hpp"
 #include "testutil_programs.hpp"
-#include "vm/interp.hpp"
-#include "vm/options.hpp"
 
 namespace gilfree {
 namespace {
@@ -37,25 +36,20 @@ using runtime::EngineConfig;
 
 struct ModeConfig {
   const char* name;
-  vm::DispatchMode dispatch;
   bool fuse;
   bool batched;
   bool fast_path;
 };
 
-// The full dispatch × fusion × batching cube, plus the virtual-host
-// baseline (host_fast_path off: one virtual call per charge and access —
-// the pre-overhaul cost profile).
+// The fusion × batching square, plus the virtual-host baseline
+// (host_fast_path off: one virtual call per charge and access — the
+// pre-overhaul cost profile).
 constexpr ModeConfig kModes[] = {
-    {"switch", vm::DispatchMode::kSwitch, false, false, true},
-    {"switch+fuse", vm::DispatchMode::kSwitch, true, false, true},
-    {"switch+batched", vm::DispatchMode::kSwitch, false, true, true},
-    {"switch+fuse+batched", vm::DispatchMode::kSwitch, true, true, true},
-    {"threaded", vm::DispatchMode::kThreaded, false, false, true},
-    {"threaded+fuse", vm::DispatchMode::kThreaded, true, false, true},
-    {"threaded+batched", vm::DispatchMode::kThreaded, false, true, true},
-    {"threaded+fuse+batched", vm::DispatchMode::kThreaded, true, true, true},
-    {"virtual-host", vm::DispatchMode::kSwitch, false, false, false},
+    {"plain", false, false, true},
+    {"fuse", true, false, true},
+    {"batched", false, true, true},
+    {"fuse+batched", true, true, true},
+    {"virtual-host", false, false, false},
 };
 
 struct Observed {
@@ -65,13 +59,12 @@ struct Observed {
   std::vector<u32> lengths;  ///< Final length-table state, incl. pseudo yp.
 };
 
-/// metrics_to_json with the two host-only fields zeroed, so documents from
-/// different dispatch configurations compare equal iff everything simulated
-/// (begins, commits, aborts, cycle breakdown, per-yield-point detail, IC
-/// hit rates, ...) is identical.
+/// metrics_to_json with the host-only field zeroed, so documents from
+/// different host-path configurations compare equal iff everything
+/// simulated (begins, commits, aborts, cycle breakdown, per-yield-point
+/// detail, IC hit rates, ...) is identical.
 std::string normalized_metrics(obs::RunMetrics m) {
-  m.dispatch_mode.clear();
-  m.fused_instructions = 0;
+  m.stats.interp.fused_instructions = 0;
   return obs::metrics_to_json({std::move(m)});
 }
 
@@ -88,7 +81,6 @@ Observed run_mode(const EngineConfig& base, const ModeConfig& mc,
   {
     obs::Sink sink(oc);
     EngineConfig cfg = base;
-    cfg.vm.dispatch = mc.dispatch;
     cfg.vm.fuse_superinsns = mc.fuse;
     cfg.vm.batched_charging = mc.batched;
     cfg.vm.host_fast_path = mc.fast_path;
@@ -120,7 +112,7 @@ void expect_equivalent(const Observed& base, const Observed& other,
   EXPECT_EQ(other.lengths, base.lengths)
       << label << ": per-yield-point length-table state diverged";
   EXPECT_EQ(other.trace, base.trace)
-      << label << ": trace must be byte-identical across dispatch modes";
+      << label << ": trace must be byte-identical across host paths";
   EXPECT_EQ(normalized_metrics(other.metrics), normalized_metrics(base.metrics))
       << label << ": metrics (minus host-only fields) diverged";
 }
@@ -159,26 +151,24 @@ TEST(InterpModes, FusionFiresAndIsReportedHonestly) {
   const std::string src = testutil::random_program(7);
   const EngineConfig base = EngineConfig::gil(htm::SystemProfile::zec12());
 
-  const Observed fused = run_mode(base, {"f", vm::DispatchMode::kThreaded,
-                                         true, true, true},
-                                  src);
-  const Observed plain = run_mode(base, {"p", vm::DispatchMode::kThreaded,
-                                         false, true, true},
-                                  src);
+  const Observed fused = run_mode(base, {"f", true, true, true}, src);
+  const Observed plain = run_mode(base, {"p", false, true, true}, src);
   EXPECT_GT(fused.stats.interp.fused_instructions, 0u)
       << "compiler-annotated pairs must actually fuse";
   EXPECT_EQ(plain.stats.interp.fused_instructions, 0u);
-  EXPECT_EQ(fused.metrics.fused_instructions,
-            fused.stats.interp.fused_instructions);
 
-  // The exported dispatch mode reflects the build fallback honestly.
-  const char* expect_threaded =
-      vm::Interp::threaded_dispatch_available() ? "threaded" : "switch";
-  EXPECT_EQ(fused.metrics.dispatch_mode, expect_threaded);
-
-  const Observed sw =
-      run_mode(base, {"s", vm::DispatchMode::kSwitch, false, false, true}, src);
-  EXPECT_EQ(sw.metrics.dispatch_mode, "switch");
+  // The exported document reports the engine's count.
+  for (const Observed* o : {&fused, &plain}) {
+    const obs::JsonValue doc =
+        obs::JsonValue::parse(obs::metrics_to_json({o->metrics}));
+    EXPECT_EQ(doc.at("runs")
+                  .as_array()
+                  .at(0)
+                  .at("interp")
+                  .at("fused_instructions")
+                  .as_u64(),
+              o->stats.interp.fused_instructions);
+  }
 }
 
 }  // namespace

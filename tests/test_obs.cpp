@@ -193,10 +193,11 @@ TEST(Metrics, DocumentRoundTripsThroughParser) {
   m.labels = {{"workload", "unit"}, {"threads", "2"}};
   m.mode = "HTM";
   m.machine = "zEC12";
-  m.begins = 2;
-  m.commits = 1;
-  m.aborts_by_reason[static_cast<int>(htm::AbortReason::kConflict)] = 1;
-  m.gil_fallbacks = 1;
+  m.stats.htm.begins = 2;
+  m.stats.htm.commits = 1;
+  m.stats.htm.aborts_by_reason[static_cast<int>(htm::AbortReason::kConflict)] =
+      1;
+  m.stats.gil_fallbacks = 1;
 
   const std::string doc = obs::metrics_to_json({m});
   const JsonValue v = JsonValue::parse(doc);
@@ -388,6 +389,179 @@ TEST_F(SinkEndToEnd, DisabledSinkWritesNothingAndCostsNothing) {
   const runtime::RunStats stats = run_with_sink(sink, 3);
   EXPECT_GT(stats.htm.begins, 0u);
   EXPECT_TRUE(sink.runs().empty());
+}
+
+// --- The single export path -------------------------------------------------
+
+// Allocation-heavy threads on a small heap: short-lived rows feed nursery
+// minor collections, and the retained batches fill the heap far enough to
+// start incremental mark epochs.
+const char* kAllocating = R"RUBY(
+threads = []
+4.times do |i|
+  threads << Thread.new(i) do |tid|
+    keep = []
+    acc = []
+    1500.times do |k|
+      acc << [tid, k, "row"]
+      if acc.length > 16
+        keep << acc
+        acc = []
+      end
+    end
+    __record("len", keep.length)
+  end
+end
+threads.each do |t|
+  t.join
+end
+)RUBY";
+
+/// Sparse-map lookup: absent keys are zero counts.
+u64 count_at(const JsonValue& obj, const std::string& key) {
+  return obj.has(key) ? obj.at(key).as_u64() : 0;
+}
+
+/// Every counter the `gc` block exports equals its GcStats field.
+void expect_gc_block(const JsonValue& g, const vm::GcStats& s) {
+  EXPECT_EQ(g.at("collections").as_u64(), s.collections);
+  EXPECT_EQ(g.at("total_marked").as_u64(), s.total_marked);
+  EXPECT_EQ(g.at("total_swept").as_u64(), s.total_swept);
+  EXPECT_EQ(g.at("grown_blocks").as_u64(), s.grown_blocks);
+  EXPECT_EQ(g.at("arena_refills").as_u64(), s.arena_refills);
+  EXPECT_EQ(g.at("arena_grows").as_u64(), s.arena_grows);
+  EXPECT_EQ(g.at("arena_shrinks").as_u64(), s.arena_shrinks);
+  EXPECT_EQ(g.at("pool_segments").as_u64(), s.pool_segments);
+  EXPECT_EQ(g.at("segment_slots_min").as_u64(), s.segment_slots_min);
+  EXPECT_EQ(g.at("segment_slots_max").as_u64(), s.segment_slots_max);
+  EXPECT_EQ(g.at("sweep_quanta").as_u64(), s.sweep_quanta);
+  EXPECT_EQ(g.at("sweep_quantum_cycles").as_u64(), s.sweep_quantum_cycles);
+  EXPECT_EQ(g.at("minor_collections").as_u64(), s.minor_collections);
+  EXPECT_EQ(g.at("nursery_promoted").as_u64(), s.nursery_promoted);
+  EXPECT_EQ(g.at("nursery_freed").as_u64(), s.nursery_freed);
+  EXPECT_EQ(g.at("mark_quanta").as_u64(), s.mark_quanta);
+  EXPECT_EQ(g.at("mark_quantum_cycles").as_u64(), s.mark_quantum_cycles);
+  EXPECT_EQ(g.at("arena_steals").as_u64(), s.arena_steals);
+  EXPECT_EQ(g.at("stolen_segments").as_u64(), s.stolen_segments);
+  EXPECT_EQ(g.at("pause_max").as_u64(), s.max_pause);
+  EXPECT_EQ(g.at("pause_p50").as_u64(), s.pause_hist.percentile(50.0));
+  EXPECT_EQ(g.at("pause_p99").as_u64(), s.pause_hist.percentile(99.0));
+  EXPECT_EQ(g.at("pause_hist").as_string(), s.pause_hist.to_sparse_string());
+}
+
+/// Every counter the `stm` block exports equals its RunStats field.
+void expect_stm_block(const JsonValue& b, const runtime::RunStats& s) {
+  EXPECT_EQ(b.at("begins").as_u64(), s.stm.begins);
+  EXPECT_EQ(b.at("commits").as_u64(), s.stm.commits);
+  EXPECT_EQ(b.at("aborts").as_u64(), s.stm.total_aborts());
+  for (std::size_t c = 1; c < stm::kNumStmAbortCauses; ++c) {
+    const char* name =
+        stm::stm_abort_cause_name(static_cast<stm::StmAbortCause>(c));
+    EXPECT_EQ(count_at(b.at("aborts_by_cause"), name),
+              s.stm.aborts_by_cause[c])
+        << name;
+  }
+  EXPECT_EQ(b.at("escalations").as_u64(), s.stm_escalations);
+  EXPECT_EQ(b.at("gil_fallbacks").as_u64(), s.stm_gil_fallbacks);
+  EXPECT_EQ(b.at("validated_entries").as_u64(), s.stm.validated_entries);
+  EXPECT_EQ(b.at("committed_writes").as_u64(), s.stm.committed_writes);
+  EXPECT_EQ(b.at("zombie_kills").as_u64(), s.stm.zombie_kills);
+  EXPECT_EQ(b.at("max_read_lines").as_u64(), s.stm.max_read_lines);
+  EXPECT_EQ(b.at("max_write_entries").as_u64(), s.stm.max_write_entries);
+}
+
+/// The counters each run and the totals both export.
+void expect_shared_counters(const JsonValue& r, const runtime::RunStats& s) {
+  EXPECT_EQ(r.at("begins").as_u64(), s.htm.begins);
+  EXPECT_EQ(r.at("commits").as_u64(), s.htm.commits);
+  EXPECT_EQ(r.at("aborts").as_u64(), s.htm.total_aborts());
+  for (std::size_t reason = 1; reason < htm::kNumAbortReasons; ++reason) {
+    const std::string name(
+        htm::abort_reason_name(static_cast<htm::AbortReason>(reason)));
+    EXPECT_EQ(count_at(r.at("aborts_by_reason"), name),
+              s.htm.aborts_by_reason[reason])
+        << name;
+  }
+  EXPECT_EQ(r.at("gil_fallbacks").as_u64(), s.gil_fallbacks);
+  EXPECT_EQ(r.at("quarantine").at("enters").as_u64(), s.quarantine_enters);
+  EXPECT_EQ(r.at("quarantine").at("probes").as_u64(), s.quarantine_probes);
+  EXPECT_EQ(r.at("quarantine").at("exits").as_u64(), s.quarantine_exits);
+  EXPECT_EQ(r.at("watchdog_events").as_u64(), s.watchdog_events);
+  EXPECT_EQ(r.at("faults_injected").as_u64(), s.faults.total());
+  ASSERT_TRUE(r.has("stm"));
+  expect_stm_block(r.at("stm"), s);
+  expect_gc_block(r.at("gc"), s.gc);
+}
+
+TEST(MetricsDocument, EveryRunCounterIsExported) {
+  // One run engaging every optional block: STM tier, a persistent-abort
+  // campaign (faults + quarantine), and the generational collector with
+  // incremental marking.
+  auto cfg = runtime::EngineConfig::htm_dynamic(htm::SystemProfile::zec12());
+  cfg.seed = 5;
+  cfg.stm.enabled = true;
+  cfg.fault.persistent_all_yps = true;
+  cfg.fault.seed = 7;
+  cfg.heap.initial_slots = 20'000;
+  cfg.heap.per_thread_arenas = true;
+  cfg.heap.nursery = true;
+  cfg.heap.nursery_slots = 512;
+  cfg.heap.mark_quantum = 64;
+  obs::ObsConfig oc;
+  oc.metrics_path = ::testing::TempDir() + "obs_every_counter.json";
+  runtime::RunStats s;
+  {
+    obs::Sink sink(oc);
+    cfg.obs_sink = &sink;
+    runtime::Engine engine(std::move(cfg));
+    engine.load_program({kAllocating});
+    s = engine.run();
+  }  // destructor flushes
+  // The run must actually exercise what it claims to cover.
+  ASSERT_GT(s.stm.begins, 0u);
+  ASSERT_GT(s.stm_escalations, 0u);
+  ASSERT_GT(s.faults.total(), 0u);
+  ASSERT_GT(s.quarantine_enters, 0u);
+  ASSERT_GT(s.gc.minor_collections, 0u);
+  ASSERT_GT(s.gc.mark_quanta, 0u);
+
+  std::ifstream mf(oc.metrics_path);
+  ASSERT_TRUE(mf.good());
+  std::stringstream buf;
+  buf << mf.rdbuf();
+  std::remove(oc.metrics_path.c_str());
+  const JsonValue doc = JsonValue::parse(buf.str());
+  ASSERT_EQ(doc.at("runs").as_array().size(), 1u);
+  const JsonValue& r = doc.at("runs").as_array()[0];
+
+  expect_shared_counters(r, s);
+  EXPECT_DOUBLE_EQ(r.at("abort_ratio").as_number(), s.abort_ratio());
+  EXPECT_EQ(r.at("ctx_switch_aborts").as_u64(), s.ctx_switch_aborts);
+  EXPECT_EQ(r.at("length_adjustments").as_u64(), s.length_adjustments);
+  EXPECT_EQ(r.at("insns_retired").as_u64(), s.insns_retired);
+  EXPECT_EQ(r.at("total_cycles").as_u64(), s.total_cycles);
+  EXPECT_DOUBLE_EQ(r.at("virtual_seconds").as_number(), s.virtual_seconds);
+  EXPECT_EQ(r.at("interp").at("fused_instructions").as_u64(),
+            s.interp.fused_instructions);
+  for (std::size_t k = 0; k < fault::kNumFaultKinds; ++k) {
+    const std::string name(
+        fault::fault_kind_name(static_cast<fault::FaultKind>(k)));
+    EXPECT_EQ(count_at(r.at("faults_by_kind"), name), s.faults.injected[k])
+        << name;
+  }
+  const JsonValue& c = r.at("cycles");
+  EXPECT_EQ(c.at("begin_end").as_u64(), s.breakdown.begin_end);
+  EXPECT_EQ(c.at("tx_success").as_u64(), s.breakdown.tx_success);
+  EXPECT_EQ(c.at("tx_aborted").as_u64(), s.breakdown.tx_aborted);
+  EXPECT_EQ(c.at("stm_work").as_u64(), s.breakdown.stm_work);
+  EXPECT_EQ(c.at("gil_held").as_u64(), s.breakdown.gil_held);
+  EXPECT_EQ(c.at("gil_wait").as_u64(), s.breakdown.gil_wait);
+  EXPECT_EQ(c.at("blocked_io").as_u64(), s.breakdown.blocked_io);
+  EXPECT_EQ(c.at("other").as_u64(), s.breakdown.other);
+  EXPECT_EQ(c.at("total").as_u64(), s.breakdown.total());
+
+  // A one-run document's totals are that run's counters.
+  expect_shared_counters(doc.at("totals"), s);
 }
 
 TEST(ObsConfigFlags, ParsesUniformFlags) {

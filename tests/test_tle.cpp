@@ -356,6 +356,11 @@ struct AtomicityParam {
   unsigned threads;
 };
 
+// Without this gtest prints the raw bytes of the struct, including the
+// `name` pointer, so the listed test names would change with ASLR on every
+// run of the binary.
+void PrintTo(const AtomicityParam& p, std::ostream* os) { *os << p.name; }
+
 class Atomicity : public ::testing::TestWithParam<AtomicityParam> {};
 
 TEST_P(Atomicity, MutexCounterIsExact) {

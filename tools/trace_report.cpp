@@ -10,7 +10,7 @@
 //
 // --metrics= additionally reads a "gilfree.metrics/1" document
 // (--metrics-out= of the same binary) and prints each run's interpreter
-// hot-path summary: dispatch mode, fused superinstructions, IC hit rates.
+// hot-path summary: fused superinstructions, IC hit rates.
 //
 // The input schema is documented field-by-field in docs/OBSERVABILITY.md.
 #include <algorithm>
@@ -299,8 +299,8 @@ bool print_interp_metrics(const std::string& path, long only_run,
   // skipped table, never a crash or a silently empty report.
   try {
     std::cout << "== interpreter (" << path << ") ==\n";
-    TablePrinter table({"run", "mode", "machine", "dispatch", "fused_insns",
-                        "insns", "ic_method_hit", "ic_ivar_hit"});
+    TablePrinter table({"run", "mode", "machine", "fused_insns", "insns",
+                        "ic_method_hit", "ic_ivar_hit"});
     for (const obs::JsonValue& run : doc.at("runs").as_array()) {
       const u32 id = static_cast<u32>(run.at("run").as_u64());
       if (only_run >= 0 && id != static_cast<u32>(only_run)) continue;
@@ -311,7 +311,6 @@ bool print_interp_metrics(const std::string& path, long only_run,
           {std::to_string(id),
            run.has("mode") ? run.at("mode").as_string() : "-",
            run.has("machine") ? run.at("machine").as_string() : "-",
-           has_interp ? interp->at("dispatch_mode").as_string() : "-",
            has_interp
                ? std::to_string(interp->at("fused_instructions").as_u64())
                : "-",
