@@ -35,15 +35,24 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
-  // This probe has no Engine (raw HtmFacility, host buffer), so there is no
-  // guest space to rebase and nothing replayable; the wiring exists for the
-  // uniform strict --record-* CLI.
+  // This probe has no Engine (raw HtmFacility over one registered buffer),
+  // so there is nothing replayable; the wiring exists for the uniform strict
+  // --record-* CLI.
   const bench::RecordWiring record(flags);
   flags.reject_unknown();
 
   const auto profile = htm::SystemProfile::xeon_e3();
   sim::Machine machine(profile.machine);
-  htm::HtmFacility htm(profile.htm, &machine);
+  // A flat buffer to write transactionally (64 B lines on this profile),
+  // registered as the facility's only guest segment.
+  struct alignas(256) Buffer {
+    u64 slots[64 * 1024 / 8];
+  };
+  auto buf = std::make_unique<Buffer>();
+  u64* buffer = buf->slots;
+  sim::GuestSpace guest;
+  guest.add_segment("write-set-probe", buffer, sizeof(Buffer));
+  htm::HtmFacility htm(profile.htm, &machine, &guest);
   // This probe has no Engine, so the campaign attaches straight to the
   // facility (spurious/capacity faults perturb the learning curve).
   fault::FaultInjector injector(fault_cfg, profile.machine.num_cpus());
@@ -59,10 +68,6 @@ int main(int argc, char** argv) {
     obs = std::make_unique<obs::RunObserver>(sink.config().ring_capacity,
                                              sink.config().sample, /*seed=*/0);
   }
-
-  // A flat buffer to write transactionally (64 B lines on this profile).
-  const std::size_t buf_slots = 64 * 1024 / 8;
-  auto buffer = std::make_unique<u64[]>(buf_slots);
 
   const std::vector<u32> sizes_kb = {24, 20, 16, 12};
 

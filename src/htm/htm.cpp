@@ -6,11 +6,16 @@
 
 namespace gilfree::htm {
 
-HtmFacility::HtmFacility(const HtmConfig& config, sim::Machine* machine)
-    : config_(config), machine_(machine) {
+HtmFacility::HtmFacility(const HtmConfig& config, sim::Machine* machine,
+                         const sim::GuestSpace* guest)
+    : config_(config),
+      machine_(machine),
+      guest_(guest),
+      lines_(config.line_bytes) {
   GILFREE_CHECK(machine_ != nullptr);
-  GILFREE_CHECK_MSG(machine_->num_cpus() <= 64,
-                    "conflict table reader masks are 64-bit");
+  GILFREE_CHECK(guest_ != nullptr);
+  GILFREE_CHECK_MSG(machine_->num_cpus() <= 32,
+                    "line-table CPU masks are 32-bit");
   GILFREE_CHECK(config_.line_bytes == machine_->config().line_bytes);
   tx_.resize(machine_->num_cpus());
   stats_.resize(machine_->num_cpus());
@@ -63,8 +68,7 @@ AbortReason HtmFacility::tx_begin(CpuId cpu, i32 yp) {
   t.active = true;
   t.detached = false;
   t.doom = AbortReason::kNone;
-  t.read_lines.clear();
-  t.write_lines.clear();
+  clear_footprint(cpu, t);
   t.redo.clear();
   last_conflict_line_.at(cpu) = kInvalidLine;
 
@@ -86,10 +90,11 @@ AbortReason HtmFacility::tx_commit(CpuId cpu) {
     rollback(cpu, reason);
     return reason;
   }
-  // Commit: drain the store buffer to memory in one atomic step.
-  for (const auto& [addr, value] : t.redo) {
-    *const_cast<u64*>(addr) = value;
-    if (write_listener_ != nullptr) write_listener_->on_nontx_write(addr);
+  // Commit: drain the store buffer to memory in one atomic step, in
+  // first-store order.
+  for (const RedoLog::Entry& e : t.redo.entries()) {
+    *e.addr = e.value;
+    if (write_listener_ != nullptr) write_listener_->on_nontx_write(e.addr);
   }
   detach(cpu);
   t.active = false;
@@ -120,96 +125,40 @@ void HtmFacility::doom_all(CpuId except, AbortReason reason) {
   }
 }
 
-u64 HtmFacility::tx_load(CpuId cpu, const u64* addr, bool shared) {
-  TxState& t = tx_.at(cpu);
-  GILFREE_CHECK(t.active);
-  if (t.doom != AbortReason::kNone) abort_self(cpu, t.doom);
-  maybe_interrupt(cpu);
-  maybe_spurious(cpu);
-
-  // Read own speculative writes.
-  if (auto it = t.redo.find(addr); it != t.redo.end()) return it->second;
-
-  const LineId line = line_of(addr);
-  if (t.read_lines.insert(line).second) {
-    if (t.read_lines.size() > faulted_limit(cpu, effective_max_read(cpu))) {
-      if (injector_ && t.read_lines.size() <= effective_max_read(cpu))
-        injector_->capacity_clip(cpu, machine_->clock(cpu));
-      if (learning_) learning_->on_overflow(cpu);
-      abort_self(cpu, AbortReason::kOverflowRead);
-    }
-    if (shared) {
-      // Requester wins: a transactional writer elsewhere is invalidated.
-      const u64 victims = table_.add_reader(line, cpu);
-      if (victims) {
-        if (collect_conflicts_) ++conflict_lines_[line];
-        doom_mask(victims, AbortReason::kConflict, line);
-      }
-    }
+void HtmFacility::first_touch(CpuId cpu, LineRecord& r, sim::GuestLoc loc,
+                              bool shared, bool write) {
+  std::vector<LineRecord*>& lines =
+      write ? tx_[cpu].write_lines : tx_[cpu].read_lines;
+  (write ? r.write_fp : r.read_fp) |= bit(cpu);
+  lines.push_back(&r);
+  const u32 max = write ? effective_max_write(cpu) : effective_max_read(cpu);
+  if (lines.size() > faulted_limit(cpu, max)) {
+    if (injector_ && lines.size() <= max)
+      injector_->capacity_clip(cpu, machine_->clock(cpu));
+    if (learning_) learning_->on_overflow(cpu);
+    abort_self(cpu, write ? AbortReason::kOverflowWrite
+                          : AbortReason::kOverflowRead);
   }
-  return *addr;
+  if (!shared) return;
+  // Requester wins: a reader invalidates transactional writers elsewhere,
+  // a writer every other transactional holder.
+  const u32 victims =
+      (write ? r.tx_readers | r.tx_writers : r.tx_writers) & ~bit(cpu);
+  (write ? r.tx_writers : r.tx_readers) |= bit(cpu);
+  if (victims) conflict(victims, loc);
 }
 
-void HtmFacility::tx_store(CpuId cpu, u64* addr, u64 value, bool shared) {
-  TxState& t = tx_.at(cpu);
-  GILFREE_CHECK(t.active);
-  if (t.doom != AbortReason::kNone) abort_self(cpu, t.doom);
-  maybe_interrupt(cpu);
-  maybe_spurious(cpu);
-
-  const LineId line = line_of(addr);
-  if (t.write_lines.insert(line).second) {
-    if (t.write_lines.size() > faulted_limit(cpu, effective_max_write(cpu))) {
-      if (injector_ && t.write_lines.size() <= effective_max_write(cpu))
-        injector_->capacity_clip(cpu, machine_->clock(cpu));
-      if (learning_) learning_->on_overflow(cpu);
-      abort_self(cpu, AbortReason::kOverflowWrite);
-    }
-    if (shared) {
-      const u64 victims = table_.add_writer(line, cpu);
-      if (victims) {
-        if (collect_conflicts_) ++conflict_lines_[line];
-        doom_mask(victims, AbortReason::kConflict, line);
-      }
-    }
-  }
-  t.redo[addr] = value;
+void HtmFacility::conflict(u32 victims, sim::GuestLoc loc) {
+  const LineId line = lines_.line_id(loc);
+  if (collect_conflicts_) ++conflict_lines_[line];
+  doom_mask(victims, AbortReason::kConflict, line);
 }
 
-u64 HtmFacility::nontx_load(CpuId cpu, const u64* addr) {
-  GILFREE_CHECK(!tx_.at(cpu).active);
-  const LineId line = line_of(addr);
-  const u64 writers = table_.writer_excluding(line, cpu);
-  if (writers) {
-    if (collect_conflicts_) ++conflict_lines_[line];
-    doom_mask(writers, AbortReason::kConflict, line);
-  }
-  return *addr;
-}
-
-void HtmFacility::nontx_store(CpuId cpu, u64* addr, u64 value) {
-  GILFREE_CHECK(!tx_.at(cpu).active);
-  const LineId line = line_of(addr);
-  const u64 holders = table_.holders_excluding(line, cpu);
-  if (holders) {
-    if (collect_conflicts_) ++conflict_lines_[line];
-    doom_mask(holders, AbortReason::kConflict, line);
-  }
-  *addr = value;
-  if (write_listener_ != nullptr) write_listener_->on_nontx_write(addr);
-}
-
-void HtmFacility::check_doom(CpuId cpu) {
-  TxState& t = tx_.at(cpu);
-  if (t.active && t.doom != AbortReason::kNone) abort_self(cpu, t.doom);
-}
-
-u32 HtmFacility::read_line_count(CpuId cpu) const {
-  return static_cast<u32>(tx_.at(cpu).read_lines.size());
-}
-
-u32 HtmFacility::write_line_count(CpuId cpu) const {
-  return static_cast<u32>(tx_.at(cpu).write_lines.size());
+void HtmFacility::clear_footprint(CpuId cpu, TxState& t) {
+  for (LineRecord* r : t.read_lines) r->read_fp &= ~bit(cpu);
+  for (LineRecord* r : t.write_lines) r->write_fp &= ~bit(cpu);
+  t.read_lines.clear();
+  t.write_lines.clear();
 }
 
 u32 HtmFacility::effective_max_read(CpuId cpu) const {
@@ -230,9 +179,9 @@ HtmStats HtmFacility::total_stats() const {
   return total;
 }
 
-void HtmFacility::doom_mask(u64 mask, AbortReason reason, LineId line) {
+void HtmFacility::doom_mask(u32 mask, AbortReason reason, LineId line) {
   while (mask) {
-    const CpuId victim = static_cast<CpuId>(__builtin_ctzll(mask));
+    const CpuId victim = static_cast<CpuId>(__builtin_ctz(mask));
     mask &= mask - 1;
     TxState& t = tx_.at(victim);
     if (!t.active || t.doom != AbortReason::kNone) continue;
@@ -248,8 +197,15 @@ void HtmFacility::doom_mask(u64 mask, AbortReason reason, LineId line) {
 void HtmFacility::detach(CpuId cpu) {
   TxState& t = tx_.at(cpu);
   if (t.detached) return;
-  for (LineId line : t.read_lines) table_.remove(line, cpu);
-  for (LineId line : t.write_lines) table_.remove(line, cpu);
+  const u32 keep = ~bit(cpu);
+  for (LineRecord* r : t.read_lines) {
+    r->tx_readers &= keep;
+    r->tx_writers &= keep;
+  }
+  for (LineRecord* r : t.write_lines) {
+    r->tx_readers &= keep;
+    r->tx_writers &= keep;
+  }
   t.detached = true;
 }
 
@@ -266,19 +222,9 @@ void HtmFacility::rollback(CpuId cpu, AbortReason reason) {
   }
 }
 
-void HtmFacility::maybe_interrupt(CpuId cpu) {
-  TxState& t = tx_.at(cpu);
-  if (machine_->clock(cpu) >= t.next_interrupt) {
-    t.next_interrupt = 0;  // resampled at next tx_begin
-    abort_self(cpu, AbortReason::kInterrupt);
-  }
-}
-
-void HtmFacility::maybe_spurious(CpuId cpu) {
-  // Injected spurious aborts look like transient conflicts to the software:
-  // retryable, no footprint evidence.
-  if (injector_ && injector_->spurious_due(cpu, machine_->clock(cpu)))
-    abort_self(cpu, AbortReason::kConflict);
+void HtmFacility::interrupt(CpuId cpu, TxState& t) {
+  t.next_interrupt = 0;  // resampled at next tx_begin
+  abort_self(cpu, AbortReason::kInterrupt);
 }
 
 u32 HtmFacility::faulted_limit(CpuId cpu, u32 max) const {
@@ -294,9 +240,10 @@ void HtmFacility::abort_self(CpuId cpu, AbortReason reason) {
 }
 
 void HtmFacility::reset() {
+  // Footprint lists point into the line table: drop them before the chunks.
   for (auto& t : tx_) t = TxState{};
   for (auto& s : stats_) s = HtmStats{};
-  table_ = ConflictTable{};
+  lines_.clear();
   conflict_lines_.clear();
   last_conflict_line_.assign(last_conflict_line_.size(), kInvalidLine);
   seed_rngs();

@@ -2,7 +2,7 @@
 //
 // Design follows the zEC12 implementation the paper describes (§2.2):
 //   * eager, cache-line-granular conflict detection (tx-read/tx-dirty bits
-//     modeled by a global ConflictTable),
+//     modeled as per-line CPU masks in a guest-indexed sim::LineTable),
 //   * store buffering — speculative stores go to a per-transaction redo log
 //     (the "Gathering Store Cache") and reach memory only at TEND,
 //   * capacity limits on the distinct cache lines read and written,
@@ -15,26 +15,27 @@
 //   * optionally (Xeon profile) the TSX "learning" eager-abort behaviour.
 //
 // Memory is modeled as the host process's own memory in 8-byte slots; every
-// value the MiniRuby VM stores is one slot. Transactional accessors throw
-// TxAbort when the running transaction dies mid-bytecode; the engine unwinds
-// to its TBEGIN snapshot.
+// value the MiniRuby VM stores is one slot, and every slot the facility sees
+// lies in a registered guest segment (sim::GuestSpace), which is what keys
+// the line metadata. Transactional accessors throw TxAbort when the running
+// transaction dies mid-bytecode; the engine unwinds to its TBEGIN snapshot.
 #pragma once
 
-#include <array>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "fault/fault_injector.hpp"
 #include "htm/abort_reason.hpp"
 #include "htm/htm_config.hpp"
 #include "htm/htm_stats.hpp"
-#include "htm/conflict_table.hpp"
+#include "htm/redo_log.hpp"
 #include "htm/tsx_learning.hpp"
 #include "sim/guest_space.hpp"
+#include "sim/line_table.hpp"
 #include "sim/machine.hpp"
 
 namespace gilfree::htm {
@@ -52,7 +53,10 @@ class MemWriteListener {
 
 class HtmFacility {
  public:
-  HtmFacility(const HtmConfig& config, sim::Machine* machine);
+  /// `guest` (not owned) keys all line metadata: every address handed to
+  /// the accessors must lie in one of its segments.
+  HtmFacility(const HtmConfig& config, sim::Machine* machine,
+              const sim::GuestSpace* guest);
 
   const HtmConfig& config() const { return config_; }
 
@@ -90,26 +94,71 @@ class HtmFacility {
   /// private lines (interpreter stacks) still consume footprint but skip
   /// conflict tracking. Throws TxAbort on capacity overflow, interrupt, or a
   /// previously delivered doom.
-  u64 tx_load(CpuId cpu, const u64* addr, bool shared);
+  u64 tx_load(CpuId cpu, const u64* addr, bool shared) {
+    TxState& t = enter_access(cpu);
+    const sim::GuestLoc loc = guest_->locate(addr);
+    LineRecord& r = lines_.at(loc);
+    // Read own speculative writes; only lines this transaction wrote can
+    // hold a buffered value.
+    if (r.write_fp & bit(cpu)) {
+      if (const u64* v = t.redo.find(addr)) return *v;
+    }
+    if (!(r.read_fp & bit(cpu))) first_touch(cpu, r, loc, shared, false);
+    return *addr;
+  }
 
   /// Transactional 8-byte store into the redo log. Throws TxAbort like
   /// tx_load.
-  void tx_store(CpuId cpu, u64* addr, u64 value, bool shared);
+  void tx_store(CpuId cpu, u64* addr, u64 value, bool shared) {
+    TxState& t = enter_access(cpu);
+    const sim::GuestLoc loc = guest_->locate(addr);
+    LineRecord& r = lines_.at(loc);
+    if (!(r.write_fp & bit(cpu))) first_touch(cpu, r, loc, shared, true);
+    t.redo.put(addr, value);
+  }
 
   /// Non-transactional accessors used while holding the GIL (or before any
   /// transaction exists). They doom conflicting transactions, which is how
   /// writing GIL.acquired aborts every speculating thread (Fig. 1 line 15
-  /// relies on the GIL word being in every read set).
-  u64 nontx_load(CpuId cpu, const u64* addr);
-  void nontx_store(CpuId cpu, u64* addr, u64 value);
+  /// relies on the GIL word being in every read set). They only peek at the
+  /// line table and never allocate metadata.
+  u64 nontx_load(CpuId cpu, const u64* addr) {
+    GILFREE_CHECK(!tx_.at(cpu).active);
+    const sim::GuestLoc loc = guest_->locate(addr);
+    if (const LineRecord* r = lines_.find(loc)) {
+      const u32 writers = r->tx_writers & ~bit(cpu);
+      if (writers) conflict(writers, loc);
+    }
+    return *addr;
+  }
+
+  void nontx_store(CpuId cpu, u64* addr, u64 value) {
+    GILFREE_CHECK(!tx_.at(cpu).active);
+    const sim::GuestLoc loc = guest_->locate(addr);
+    if (const LineRecord* r = lines_.find(loc)) {
+      const u32 holders = (r->tx_readers | r->tx_writers) & ~bit(cpu);
+      if (holders) conflict(holders, loc);
+    }
+    *addr = value;
+    if (write_listener_ != nullptr) write_listener_->on_nontx_write(addr);
+  }
 
   /// Cheap doom check between bytecodes; throws TxAbort if this CPU's
   /// transaction was killed asynchronously.
-  void check_doom(CpuId cpu);
+  void check_doom(CpuId cpu) {
+    const TxState& t = tx_.at(cpu);
+    if (t.active && t.doom != AbortReason::kNone) abort_self(cpu, t.doom);
+  }
 
-  /// Current footprint, for tests and the Fig. 6a probe.
-  u32 read_line_count(CpuId cpu) const;
-  u32 write_line_count(CpuId cpu) const;
+  /// Footprint of the CPU's current transaction, or of its last one until
+  /// the next successful tx_begin (a doomed or aborted transaction keeps
+  /// reporting what it had touched), for tests and the Fig. 6a probe.
+  u32 read_line_count(CpuId cpu) const {
+    return static_cast<u32>(tx_.at(cpu).read_lines.size());
+  }
+  u32 write_line_count(CpuId cpu) const {
+    return static_cast<u32>(tx_.at(cpu).write_lines.size());
+  }
 
   /// Capacity after SMT halving (§5.4: SMT siblings share the caches).
   u32 effective_max_read(CpuId cpu) const;
@@ -125,18 +174,10 @@ class HtmFacility {
     return conflict_lines_;
   }
 
-  /// With a guest space attached, lines are guest-relative (stable across
-  /// OS processes); otherwise they derive from the host address as before.
-  LineId line_of(const void* addr) const {
-    if (guest_ != nullptr) return guest_->line_of(addr, config_.line_bytes);
-    return reinterpret_cast<std::uintptr_t>(addr) / config_.line_bytes;
-  }
+  const sim::GuestSpace& guest_space() const { return *guest_; }
 
-  /// Attaches the guest address space (not owned; null reverts to host
-  /// addressing). Must be set before any transactional activity — switching
-  /// line spaces mid-run would orphan conflict-table entries.
-  void set_guest_space(const sim::GuestSpace* guest) { guest_ = guest; }
-  const sim::GuestSpace* guest_space() const { return guest_; }
+  /// Line-table chunks allocated since construction or the last reset().
+  std::size_t line_table_chunks() const { return lines_.chunks(); }
 
   /// The line whose coherency request doomed this CPU's last conflict abort
   /// (kInvalidLine for spurious/injected conflicts, which have no line).
@@ -160,27 +201,73 @@ class HtmFacility {
   fault::FaultInjector* fault_injector() { return injector_; }
 
   /// Clears all transactional state, statistics, and diagnostics (including
-  /// the conflict-line histogram and the TSX learning model), and re-derives
-  /// the per-CPU RNG streams from the configured seed, so back-to-back runs
-  /// in one process are independent and identically distributed.
+  /// the conflict-line histogram, the TSX learning model and every
+  /// line-table chunk), and re-derives the per-CPU RNG streams from the
+  /// configured seed, so back-to-back runs in one process are independent
+  /// and identically distributed.
   void reset();
 
  private:
+  /// Per-line state, one 16-byte record per guest line. The conflict masks
+  /// model zEC12's tx-read/tx-dirty bits and hold only shared accesses of
+  /// live, undoomed transactions; the footprint masks record every line a
+  /// CPU's transaction touched (private ones too) so first-touch is a bit
+  /// test. A line first touched privately never enters conflict tracking.
+  struct LineRecord {
+    u32 tx_readers = 0;  ///< CPUs reading the line transactionally.
+    u32 tx_writers = 0;  ///< CPUs with a buffered store to the line.
+    u32 read_fp = 0;     ///< CPUs whose transaction read the line.
+    u32 write_fp = 0;    ///< CPUs whose transaction wrote the line.
+  };
+  static_assert(sizeof(LineRecord) == 16, "line metadata drives peak RSS");
+
   struct TxState {
     bool active = false;
-    bool detached = false;  ///< Lines already removed from conflict table.
+    bool detached = false;  ///< Conflict bits already cleared.
     AbortReason doom = AbortReason::kNone;
-    std::unordered_set<LineId> read_lines;
-    std::unordered_set<LineId> write_lines;
-    std::unordered_map<const u64*, u64> redo;
+    /// Records of the lines in the read and write footprints, in first-touch
+    /// order; they own this CPU's footprint bits until the next tx_begin.
+    std::vector<LineRecord*> read_lines;
+    std::vector<LineRecord*> write_lines;
+    RedoLog redo;
     Cycles next_interrupt = 0;
   };
 
-  void doom_mask(u64 mask, AbortReason reason, LineId line);
+  static u32 bit(CpuId cpu) { return u32{1} << cpu; }
+
+  /// The checks every transactional access starts with: the transaction is
+  /// live, undoomed, and no interrupt or injected spurious abort is due.
+  TxState& enter_access(CpuId cpu) {
+    TxState& t = tx_.at(cpu);
+    GILFREE_CHECK(t.active);
+    if (t.doom != AbortReason::kNone) abort_self(cpu, t.doom);
+    maybe_interrupt(cpu, t);
+    maybe_spurious(cpu);
+    return t;
+  }
+  void maybe_interrupt(CpuId cpu, TxState& t) {
+    if (machine_->clock(cpu) >= t.next_interrupt) interrupt(cpu, t);
+  }
+  void maybe_spurious(CpuId cpu) {
+    // Injected spurious aborts look like transient conflicts to the
+    // software: retryable, no footprint evidence.
+    if (injector_ && injector_->spurious_due(cpu, machine_->clock(cpu)))
+      abort_self(cpu, AbortReason::kConflict);
+  }
+  [[noreturn]] void interrupt(CpuId cpu, TxState& t);
+
+  /// First read (or write) of a line in this transaction: footprint,
+  /// capacity and, for shared lines, conflict tracking.
+  void first_touch(CpuId cpu, LineRecord& r, sim::GuestLoc loc, bool shared,
+                   bool write);
+  /// Requester wins: dooms `victims` on the line holding `loc`.
+  void conflict(u32 victims, sim::GuestLoc loc);
+  /// Drops this CPU's footprint bits and line lists (next tx_begin).
+  void clear_footprint(CpuId cpu, TxState& t);
+
+  void doom_mask(u32 mask, AbortReason reason, LineId line);
   void detach(CpuId cpu);
   void rollback(CpuId cpu, AbortReason reason);
-  void maybe_interrupt(CpuId cpu);
-  void maybe_spurious(CpuId cpu);
   void seed_rngs();
   /// Footprint limit after any injected capacity reduction (never below 1).
   u32 faulted_limit(CpuId cpu, u32 max) const;
@@ -188,7 +275,8 @@ class HtmFacility {
 
   HtmConfig config_;
   sim::Machine* machine_;
-  ConflictTable table_;
+  const sim::GuestSpace* guest_;
+  sim::LineTable<LineRecord> lines_;
   std::vector<TxState> tx_;
   std::vector<HtmStats> stats_;
   std::vector<Rng> rng_;
@@ -196,7 +284,6 @@ class HtmFacility {
   std::optional<TsxLearningModel> learning_;
   fault::FaultInjector* injector_ = nullptr;
   MemWriteListener* write_listener_ = nullptr;
-  const sim::GuestSpace* guest_ = nullptr;
   bool collect_conflicts_ = false;
   std::unordered_map<LineId, u64> conflict_lines_;
   std::vector<LineId> last_conflict_line_;  ///< Per CPU; set at doom time.

@@ -83,11 +83,10 @@ Engine::Engine(EngineConfig config)
   // independent interrupt arrivals per shard, shard 0 ≡ unsharded.
   config_.profile.htm.shard_id = config_.shard_id;
   if (config_.mode == SyncMode::kHtm) {
+    // Guest addressing: the HTM and STM line spaces key on process-stable
+    // segment:offset addresses instead of host pointers.
     htm_ = std::make_unique<htm::HtmFacility>(config_.profile.htm,
-                                              machine_.get());
-    // Guest addressing: the HTM (and through it the STM) line space keys on
-    // process-stable segment:offset addresses instead of host pointers.
-    htm_->set_guest_space(&gspace_);
+                                              machine_.get(), &gspace_);
     if (config_.fault.enabled()) {
       fault_ = std::make_unique<fault::FaultInjector>(config_.fault,
                                                       machine_->num_cpus());
@@ -99,7 +98,8 @@ Engine::Engine(EngineConfig config)
       // table routes quarantined slices to the STM tier instead of the GIL.
       config_.stm.line_bytes = config_.profile.htm.line_bytes;
       config_.tle.stm_tier = true;
-      stm_ = std::make_unique<stm::StmEngine>(config_.stm, htm_.get());
+      stm_ = std::make_unique<stm::StmEngine>(config_.stm, &gspace_,
+                                              htm_.get());
       htm_->set_write_listener(stm_.get());
     }
   }
@@ -874,8 +874,7 @@ void Engine::handle_abort(SchedThread& st, AbortReason reason) {
   u64 gaddr = 0;
   if (htm_ != nullptr) {
     const LineId line = htm_->last_conflict_line(st.cpu);
-    if (line != kInvalidLine && line < sim::GuestSpace::kHostLineTag)
-      gaddr = line * config_.profile.htm.line_bytes;
+    if (line != kInvalidLine) gaddr = line * config_.profile.htm.line_bytes;
   }
   if (obs_) {
     obs_->on_tx_abort(now_of(st.cpu), st.vm->tid(), st.cpu, st.tx_yp,

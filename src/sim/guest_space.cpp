@@ -50,39 +50,27 @@ u32 GuestSpace::add_segment(std::string name, const void* base, u64 bytes) {
   return index;
 }
 
-GuestAddr GuestSpace::translate(const void* host) const {
+GuestLoc GuestSpace::locate_slow(const void* host) const {
   const auto* p = static_cast<const std::byte*>(host);
-  if (!segments_.empty()) {
-    const Segment& hot = segments_[mru_];
-    if (p >= hot.base && p < hot.base + hot.bytes) {
-      return (static_cast<GuestAddr>(hot.index + 1) << kSegmentShift) |
-             static_cast<u64>(p - hot.base);
-    }
-  }
   // First segment whose base is > p, then step back one.
   const auto pos = std::upper_bound(
       by_base_.begin(), by_base_.end(), p,
       [this](const std::byte* q, u32 i) { return q < segments_[i].base; });
-  if (pos == by_base_.begin()) return kInvalidGuestAddr;
+  GILFREE_CHECK_MSG(pos != by_base_.begin(),
+                    "host address outside every guest segment: " << host);
   const Segment& s = segments_[*(pos - 1)];
-  if (p >= s.base + s.bytes) return kInvalidGuestAddr;
-  mru_ = s.index;
-  return (static_cast<GuestAddr>(s.index + 1) << kSegmentShift) |
-         static_cast<u64>(p - s.base);
+  GILFREE_CHECK_MSG(p < s.base + s.bytes,
+                    "host address outside every guest segment: " << host);
+  const auto h = reinterpret_cast<std::uintptr_t>(host);
+  page_cache_[(h >> kPageShift) & (kPageCacheSize - 1)] =
+      PageEntry{reinterpret_cast<std::uintptr_t>(s.base), s.bytes, s.index};
+  return GuestLoc{s.index, static_cast<u32>(p - s.base)};
 }
 
 const void* GuestSpace::to_host(GuestAddr guest) const {
   const Segment* s = segment_of(guest);
   if (s == nullptr) return nullptr;
   return s->base + (guest & ((1ull << kSegmentShift) - 1));
-}
-
-LineId GuestSpace::line_of(const void* host, u64 line_bytes) const {
-  const GuestAddr guest = translate(host);
-  if (guest != kInvalidGuestAddr) return guest / line_bytes;
-  ++unregistered_;
-  return kHostLineTag +
-         reinterpret_cast<std::uintptr_t>(host) / line_bytes;
 }
 
 const GuestSpace::Segment* GuestSpace::segment_of(GuestAddr guest) const {

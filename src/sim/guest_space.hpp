@@ -20,12 +20,13 @@
 // the line *values* become process-independent and can be emitted in traces,
 // metrics, and the record/replay stream.
 //
-// Host addresses that were never registered (only possible for memory
-// outside the simulated machine) fall back to a tagged host-derived line and
-// are counted, so a coverage gap is visible instead of silently
-// nondeterministic.
+// Every access the HTM/STM tiers track must land in a registered segment:
+// locate() fails a GILFREE_CHECK on host memory outside all of them, so a
+// coverage gap stops the run instead of producing a host-derived (and
+// therefore nondeterministic) line.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,6 +41,12 @@ using GuestAddr = u64;
 
 inline constexpr GuestAddr kInvalidGuestAddr = ~0ull;
 
+/// A registered host byte as (segment index, byte offset within it).
+struct GuestLoc {
+  u32 segment = 0;
+  u32 offset = 0;
+};
+
 class GuestSpace {
  public:
   struct Segment {
@@ -51,45 +58,71 @@ class GuestSpace {
 
   /// Each guest segment occupies a disjoint 2^32-byte guest window.
   static constexpr unsigned kSegmentShift = 32;
-  /// Fallback lines for unregistered host addresses carry this tag so they
-  /// can never collide with a genuine guest line (guest lines stay far
-  /// below 2^55 even at 64-byte granularity).
-  static constexpr LineId kHostLineTag = 1ull << 55;
 
   /// Registers a host range and returns its guest segment index. Ranges
   /// must not overlap; registration order must be deterministic (it defines
   /// the guest addresses). `bytes` must fit in 32 bits.
   u32 add_segment(std::string name, const void* base, u64 bytes);
 
-  /// Host pointer -> guest address; kInvalidGuestAddr when unregistered.
-  GuestAddr translate(const void* host) const;
+  /// Host pointer -> (segment, offset): one probe of a direct-mapped
+  /// host-page cache, with a binary search over the segments on a miss.
+  /// Fails a GILFREE_CHECK when `host` lies outside every segment.
+  GuestLoc locate(const void* host) const {
+    const auto p = reinterpret_cast<std::uintptr_t>(host);
+    const PageEntry& e = page_cache_[(p >> kPageShift) & (kPageCacheSize - 1)];
+    if (p - e.base < e.bytes)
+      return GuestLoc{e.segment, static_cast<u32>(p - e.base)};
+    return locate_slow(host);
+  }
+
+  /// Host pointer -> guest address (a GILFREE_CHECK failure when
+  /// unregistered, like locate()).
+  GuestAddr translate(const void* host) const {
+    return guest_addr(locate(host));
+  }
 
   /// Guest address -> host pointer; nullptr when out of range.
   const void* to_host(GuestAddr guest) const;
 
-  /// The line id the HTM/STM tiers key conflict detection on. Registered
-  /// addresses map to guest lines; unregistered ones to tagged host lines
-  /// (counted in unregistered_accesses()).
-  LineId line_of(const void* host, u64 line_bytes) const;
+  /// The guest line holding `host` (a GILFREE_CHECK failure when
+  /// unregistered, like locate()).
+  LineId line_of(const void* host, u64 line_bytes) const {
+    return translate(host) / line_bytes;
+  }
+
+  /// The guest address of a located byte.
+  static GuestAddr guest_addr(GuestLoc loc) {
+    return (static_cast<GuestAddr>(loc.segment + 1) << kSegmentShift) |
+           loc.offset;
+  }
 
   /// Segment owning a guest address, or nullptr.
   const Segment* segment_of(GuestAddr guest) const;
 
-  /// "name+0xOFF" for diagnostics; "unregistered" for fallback addresses.
+  /// "name+0xOFF" for diagnostics; "unregistered" for invalid addresses.
   std::string describe(GuestAddr guest) const;
 
   std::size_t segment_count() const { return segments_.size(); }
   const Segment& segment(u32 index) const { return segments_.at(index); }
 
-  /// Accesses that missed every registered segment — should stay 0 for a
-  /// correctly instrumented engine; exposed so tests can assert coverage.
-  u64 unregistered_accesses() const { return unregistered_; }
-
  private:
+  /// One direct-mapped cache slot: the extent of the segment that last
+  /// resolved an address in this host page (bytes == 0 never hits). A page
+  /// may straddle two segments; the bounds check keeps that correct.
+  struct PageEntry {
+    std::uintptr_t base = 0;
+    u64 bytes = 0;
+    u32 segment = 0;
+  };
+  static constexpr unsigned kPageShift = 12;
+  static constexpr std::size_t kPageCacheSize = 256;
+
+  /// Binary search over by_base_; refills the page's cache slot.
+  GuestLoc locate_slow(const void* host) const;
+
   std::vector<Segment> segments_;  ///< Indexed by registration order.
   std::vector<u32> by_base_;       ///< Segment indices sorted by host base.
-  mutable u32 mru_ = 0;            ///< Last segment hit (bursty accesses).
-  mutable u64 unregistered_ = 0;
+  mutable std::array<PageEntry, kPageCacheSize> page_cache_{};
 };
 
 }  // namespace gilfree::sim

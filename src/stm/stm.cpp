@@ -25,9 +25,18 @@ htm::AbortReason mapped_reason(StmAbortCause c) {
 
 }  // namespace
 
-StmEngine::StmEngine(const StmConfig& config, htm::HtmFacility* htm)
-    : config_(config), htm_(htm) {
-  GILFREE_CHECK(config_.line_bytes > 0);
+StmEngine::StmEngine(const StmConfig& config, const sim::GuestSpace* guest,
+                     htm::HtmFacility* htm)
+    : config_(config),
+      guest_(guest),
+      htm_(htm),
+      versions_(static_cast<u32>(config.line_bytes)) {
+  GILFREE_CHECK(config_.line_bytes > 0 && config_.line_bytes <= 4096);
+  GILFREE_CHECK(guest_ != nullptr);
+  GILFREE_CHECK_MSG(htm_ == nullptr ||
+                        (&htm_->guest_space() == guest_ &&
+                         htm_->config().line_bytes == config_.line_bytes),
+                    "the STM and HTM tiers must share one line space");
 }
 
 StmEngine::Tx& StmEngine::tx_at(u32 tid) {
@@ -40,11 +49,6 @@ StmEngine::Tx& StmEngine::tx_at(u32 tid) {
 
 const StmEngine::Tx* StmEngine::tx_of(u32 tid) const {
   return tid < tx_.size() ? &tx_[tid] : nullptr;
-}
-
-u64 StmEngine::version_of(LineId line) const {
-  const auto it = line_version_.find(line);
-  return it == line_version_.end() ? 0 : it->second;
 }
 
 void StmEngine::begin(u32 tid) {
@@ -170,36 +174,32 @@ StmAbortCause StmEngine::commit(u32 tid, CpuId cpu) {
   // the published line as the victim's conflict line, so the iteration
   // order here is visible in traces and record streams. Host-pointer order
   // varies with ASLR; guest order is process-stable.
-  std::vector<std::pair<u64*, BufferedWrite>> publish(t.writes.begin(),
-                                                      t.writes.end());
-  const sim::GuestSpace* gspace =
-      htm_ != nullptr ? htm_->guest_space() : nullptr;
-  const auto guest_key = [gspace](const u64* addr) {
-    if (gspace != nullptr) {
-      const sim::GuestAddr g = gspace->translate(addr);
-      if (g != sim::kInvalidGuestAddr) return g;
-    }
-    return reinterpret_cast<sim::GuestAddr>(addr);
+  struct Publish {
+    sim::GuestAddr guest;
+    u64* addr;
+    BufferedWrite w;
   };
+  std::vector<Publish> publish;
+  publish.reserve(t.writes.size());
+  for (const auto& [addr, w] : t.writes)
+    publish.push_back(Publish{guest_->translate(addr), addr, w});
   std::sort(publish.begin(), publish.end(),
-            [&guest_key](const auto& a, const auto& b) {
-              return guest_key(a.first) < guest_key(b.first);
-            });
-  for (const auto& [addr, w] : publish) {
-    if (w.shared) {
+            [](const Publish& a, const Publish& b) { return a.guest < b.guest; });
+  for (const Publish& p : publish) {
+    if (p.w.shared) {
       if (htm_ != nullptr) {
         // Dooms conflicting hardware transactions and re-enters this
         // engine through on_nontx_write, bumping the line version for
         // every other live software transaction.
-        htm_->nontx_store(cpu, addr, w.value);
+        htm_->nontx_store(cpu, p.addr, p.w.value);
       } else {
-        *addr = w.value;
-        bump(line_of(addr));
+        *p.addr = p.w.value;
+        bump(line_of(p.addr));
       }
     } else {
       // Private lines (interpreter stacks): restore-on-abort is the only
       // reason they were buffered; no conflict tracking.
-      *addr = w.value;
+      *p.addr = p.w.value;
     }
   }
   t.read_marks.clear();

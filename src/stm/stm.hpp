@@ -4,8 +4,10 @@
 // escalation path. The design is the classic timestamp-ordered STM in the
 // style of pypy-stmgc's per-thread read markers + commit-time validation:
 //
-//   * a global commit counter `clock_` and a per-line version table over
-//     the same 256-B-aligned line space the HTM conflict table uses,
+//   * a global commit counter `clock_` and a per-line version table, a
+//     sim::LineTable over the same guest line space (and the same
+//     chunked, direct-indexed layout) the HTM facility's conflict
+//     metadata uses,
 //   * per-thread read markers: line -> version observed at first read,
 //   * a write buffer: address -> buffered value; shared lines also record
 //     the version observed at first write, so two transactions that write
@@ -34,6 +36,8 @@
 #include "common/types.hpp"
 #include "gil/gil.hpp"
 #include "htm/htm.hpp"
+#include "sim/guest_space.hpp"
+#include "sim/line_table.hpp"
 #include "stm/abort_cause.hpp"
 #include "stm/stm_config.hpp"
 #include "stm/stm_stats.hpp"
@@ -42,9 +46,14 @@ namespace gilfree::stm {
 
 class StmEngine : public htm::MemWriteListener, public gil::AcquireListener {
  public:
-  /// `htm` may be null (unit tests): loads/stores then bypass the hardware
-  /// conflict table and version bumps happen locally at commit.
-  StmEngine(const StmConfig& config, htm::HtmFacility* htm);
+  /// `guest` (not owned) keys the version table; every address handed to
+  /// the accessors must lie in one of its segments. `htm` may be null (unit
+  /// tests): loads/stores then bypass the hardware conflict tracking and
+  /// version bumps happen locally at commit. With a facility attached it
+  /// must share `guest` and the line size, so both tiers use one line
+  /// space.
+  StmEngine(const StmConfig& config, const sim::GuestSpace* guest,
+            htm::HtmFacility* htm);
 
   const StmConfig& config() const { return config_; }
 
@@ -124,24 +133,24 @@ class StmEngine : public htm::MemWriteListener, public gil::AcquireListener {
 
   Tx& tx_at(u32 tid);
   const Tx* tx_of(u32 tid) const;
-  /// Both tiers must share one line space, so with an HTM facility
-  /// attached the mapping is delegated to it (guest-relative when the
-  /// engine wired a guest address space, host-derived otherwise).
   LineId line_of(const void* addr) const {
-    if (htm_ != nullptr) return htm_->line_of(addr);
-    return reinterpret_cast<std::uintptr_t>(addr) / config_.line_bytes;
+    return guest_->line_of(addr, config_.line_bytes);
   }
-  u64 version_of(LineId line) const;
-  void bump(LineId line) { line_version_[line] = ++clock_; }
+  u64 version_of(LineId line) const {
+    const u64* v = versions_.find(line);
+    return v != nullptr ? *v : 0;
+  }
+  void bump(LineId line) { versions_.at(line) = ++clock_; }
   bool marks_valid(const Tx& t);
   void rollback(u32 tid, StmAbortCause cause);
   [[noreturn]] void abort_self(u32 tid, StmAbortCause cause);
 
   StmConfig config_;
+  const sim::GuestSpace* guest_;
   htm::HtmFacility* htm_;
   const u64* gil_word_ = nullptr;
   u64 clock_ = 0;
-  std::unordered_map<LineId, u64> line_version_;
+  sim::LineTable<u64> versions_;  ///< Line -> last commit that wrote it.
   std::vector<Tx> tx_;
   std::vector<StmAbortCause> last_cause_;
   u32 active_count_ = 0;

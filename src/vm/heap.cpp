@@ -1601,7 +1601,6 @@ std::string Heap::describe_address(const void* addr) const {
 
 std::string Heap::describe_line(LineId line, u64 line_bytes) const {
   if (config_.guest_space != nullptr) {
-    if (line >= sim::GuestSpace::kHostLineTag) return "unregistered";
     const sim::GuestAddr guest = line * line_bytes;
     const void* host = config_.guest_space->to_host(guest);
     if (host == nullptr) return "other";

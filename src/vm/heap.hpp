@@ -314,12 +314,12 @@ class Heap {
   /// "free-list-head", "tcb", "ic", "arena", "spill", ...).
   std::string describe_address(const void* addr) const;
 
-  /// Same classification for a conflict-line id as produced by
-  /// HtmFacility::line_of. With a guest space wired, the line is a guest
-  /// line and is mapped back to its host slab first; without one it is
-  /// interpreted as a host-derived line (the legacy back-cast). Lines that
-  /// fall outside every registered segment (e.g. a VM-stack line, which the
-  /// heap does not own) fall back to the guest segment name itself.
+  /// Same classification for a conflict-line id as the HTM facility
+  /// reports it. With a guest space wired, the line is a guest line and is
+  /// mapped back to its host slab first; without one it is interpreted as a
+  /// host-derived line (the legacy back-cast). Lines in a registered
+  /// segment the heap does not own (e.g. a VM stack) fall back to the guest
+  /// segment name itself.
   std::string describe_line(LineId line, u64 line_bytes) const;
 
  private:

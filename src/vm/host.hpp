@@ -178,7 +178,7 @@ class Host {
 
   /// Thread-private slot access (the VM stack). Outside transactions these
   /// lines can never conflict — they are touched by exactly one thread and
-  /// never enter the HTM conflict table — so the access reduces to a cycle
+  /// never enter HTM conflict tracking — so the access reduces to a cycle
   /// charge plus a raw load/store.
   u64 priv_load(const u64* p) {
     if (fast.direct_private_mem && fast.clock != nullptr) {

@@ -96,10 +96,19 @@ struct FacilityFixture {
   explicit FacilityFixture(const FaultConfig& fc)
       : profile(htm::SystemProfile::zec12()),
         machine(profile.machine),
-        htm(profile.htm, &machine),
+        htm(profile.htm, &machine, &guest),
         injector(fc, 12) {
     htm.set_fault_injector(&injector);
   }
+  /// The facility's only guest segment: one 256-B line of words.
+  struct alignas(256) Line {
+    u64 words[32] = {};
+  } mem;
+  sim::GuestSpace guest = [this] {
+    sim::GuestSpace g;
+    g.add_segment("mem", mem.words, sizeof mem.words);
+    return g;
+  }();
   htm::SystemProfile profile;
   sim::Machine machine;
   htm::HtmFacility htm;
@@ -110,7 +119,7 @@ TEST(FaultFacility, SpuriousArrivalsAbortAsTransientConflicts) {
   FaultConfig fc;
   fc.spurious_mean_cycles = 2'000;
   FacilityFixture f(fc);
-  u64 word = 0;
+  u64& word = f.mem.words[0];
   u64 conflicts = 0;
   for (int i = 0; i < 300; ++i) {
     if (f.htm.tx_begin(0) != htm::AbortReason::kNone) continue;

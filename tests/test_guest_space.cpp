@@ -1,11 +1,12 @@
 // Guest address space unit tests (src/sim/guest_space.hpp): stable
-// segment:offset addresses, round-trips, overlap rejection, the tagged
-// fallback for unregistered host memory, and the line-grouping invariant
-// the HTM/STM rebase relies on.
+// segment:offset addresses, round-trips, overlap rejection, the check that
+// stops accesses to unregistered host memory, the page cache behind
+// locate(), and the line-grouping invariant the HTM/STM rebase relies on.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstddef>
+#include <string>
 
 #include "common/check.hpp"
 #include "sim/guest_space.hpp"
@@ -65,16 +66,18 @@ TEST(GuestSpace, ToHostRoundTrips) {
   EXPECT_EQ(gs.to_host(kInvalidGuestAddr), nullptr);
 }
 
-TEST(GuestSpace, UnregisteredHostMemoryIsInvalidAndCounted) {
+TEST(GuestSpace, UnregisteredHostMemoryIsInvalidAndFailsLocate) {
   Slab a;
   u64 outside = 0;
   GuestSpace gs;
   gs.add_segment("arena-0", a.bytes.data(), a.bytes.size());
-  EXPECT_EQ(gs.translate(&outside), kInvalidGuestAddr);
-  EXPECT_EQ(gs.unregistered_accesses(), 0u);  // translate doesn't count
-  const LineId line = gs.line_of(&outside, 256);
-  EXPECT_GE(line, GuestSpace::kHostLineTag);
-  EXPECT_EQ(gs.unregistered_accesses(), 1u);
+  // The HTM/STM tiers key on locate()/line_of(): an access outside every
+  // segment is a coverage bug and stops the run.
+  EXPECT_THROW(gs.locate(&outside), CheckFailure);
+  EXPECT_THROW(gs.translate(&outside), CheckFailure);
+  EXPECT_THROW(gs.line_of(&outside, 256), CheckFailure);
+  // Nor does a failed lookup poison the page cache for registered bytes.
+  EXPECT_EQ(gs.line_of(a.bytes.data() + 256, 256), (u64{1} << 32) / 256 + 1);
 }
 
 TEST(GuestSpace, OverlappingSegmentsAreRejected) {
@@ -117,6 +120,31 @@ TEST(GuestSpace, DescribeNamesSegmentAndOffset) {
             "nursery-t3+0x2a8");
   EXPECT_EQ(gs.describe(kInvalidGuestAddr), "unregistered");
   EXPECT_EQ(gs.describe(0), "unregistered");
+}
+
+TEST(GuestSpace, LocateResolvesSegmentsSharingAHostPage) {
+  // Small 256-aligned segments packed into one host page: the page cache
+  // holds one of them at a time and must fall back to the search for the
+  // others.
+  struct alignas(4096) Page {
+    std::array<std::byte, 4096> bytes{};
+  } page;
+  GuestSpace gs;
+  for (u32 i = 0; i < 4; ++i)
+    gs.add_segment("s" + std::to_string(i), page.bytes.data() + 1024 * i, 512);
+  for (int round = 0; round < 3; ++round) {
+    for (u32 i : {3u, 0u, 2u, 1u, 0u}) {
+      for (u64 off : {u64{0}, u64{8}, u64{504}}) {
+        const std::byte* p = page.bytes.data() + 1024 * i + off;
+        const sim::GuestLoc loc = gs.locate(p);
+        EXPECT_EQ(loc.segment, i);
+        EXPECT_EQ(loc.offset, off);
+        EXPECT_EQ(gs.translate(p), (GuestAddr{i + 1} << 32) | off);
+      }
+    }
+  }
+  // The gaps between them belong to no segment.
+  EXPECT_THROW(gs.locate(page.bytes.data() + 512), CheckFailure);
 }
 
 TEST(GuestSpace, MruCacheSurvivesInterleavedLookups) {

@@ -14,6 +14,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/check.hpp"
 #include "obs/sink.hpp"
 #include "runtime/engine.hpp"
 #include "testutil_programs.hpp"
@@ -674,11 +675,10 @@ TEST(HeapGuestRebase, ArenaStealLabelsResolveThroughGuestLines) {
   const u64 lb = 256;
   EXPECT_EQ(heap.describe_line(gs.line_of(stolen, lb), lb), "arena-steal");
 
-  // Unregistered host memory surfaces as the tagged fallback, not a bogus
-  // region label.
+  // Unregistered host memory has no guest line at all, so it can never
+  // surface as a bogus region label.
   int local = 0;
-  EXPECT_EQ(heap.describe_line(gs.line_of(&local, lb), lb), "unregistered");
-  EXPECT_GT(gs.unregistered_accesses(), 0u);
+  EXPECT_THROW(gs.line_of(&local, lb), CheckFailure);
 }
 
 // ---------------------------------------------------------------------------

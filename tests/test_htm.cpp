@@ -1,27 +1,51 @@
 // HTM facility unit tests: transactional visibility, rollback, conflict
 // resolution, capacity limits, SMT capacity halving, the learning model,
-// and the conflict table.
+// the line table, and a seeded differential test against a reference model
+// of the conflict algorithm built on ordered std containers.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdlib>
+#include <map>
 #include <memory>
+#include <set>
+#include <vector>
 
-#include "htm/conflict_table.hpp"
+#include "common/check.hpp"
+#include "common/rng.hpp"
 #include "htm/htm.hpp"
 #include "htm/profile.hpp"
+#include "sim/line_table.hpp"
 
 namespace gilfree::htm {
 namespace {
 
+/// Simulated memory for a raw facility: one 256-B-aligned slab, registered
+/// as the facility's only guest segment.
+struct alignas(256) Memory {
+  u64 slots[16 * 1024] = {};
+};
+
+sim::GuestSpace guest_over(Memory& mem) {
+  sim::GuestSpace g;
+  g.add_segment("mem", mem.slots, sizeof mem.slots);
+  return g;
+}
+
 struct Fixture {
   explicit Fixture(SystemProfile profile = SystemProfile::zec12())
-      : machine(profile.machine), htm(profile.htm, &machine) {}
+      : machine(profile.machine), htm(profile.htm, &machine, &guest) {}
+  u64* slot(std::size_t i) { return &mem->slots[i]; }
+  std::unique_ptr<Memory> mem = std::make_unique<Memory>();
+  sim::GuestSpace guest = guest_over(*mem);
   sim::Machine machine;
   HtmFacility htm;
 };
 
 TEST(Htm, CommitMakesStoresVisible) {
   Fixture f;
-  u64 word = 1;
+  u64& word = *f.slot(0);
+  word = 1;
   ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
   f.htm.tx_store(0, &word, 42, true);
   EXPECT_EQ(word, 1u) << "store must be buffered until commit";
@@ -31,7 +55,8 @@ TEST(Htm, CommitMakesStoresVisible) {
 
 TEST(Htm, ReadOwnWrites) {
   Fixture f;
-  u64 word = 1;
+  u64& word = *f.slot(0);
+  word = 1;
   ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
   f.htm.tx_store(0, &word, 7, true);
   EXPECT_EQ(f.htm.tx_load(0, &word, true), 7u);
@@ -40,7 +65,8 @@ TEST(Htm, ReadOwnWrites) {
 
 TEST(Htm, ExplicitAbortDiscardsStores) {
   Fixture f;
-  u64 word = 1;
+  u64& word = *f.slot(0);
+  word = 1;
   ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
   f.htm.tx_store(0, &word, 42, true);
   f.htm.tx_abort(0, AbortReason::kExplicit);
@@ -53,7 +79,8 @@ TEST(Htm, ExplicitAbortDiscardsStores) {
 
 TEST(Htm, WriterDoomsReaderOnRequesterWins) {
   Fixture f;
-  u64 word = 1;
+  u64& word = *f.slot(0);
+  word = 1;
   // CPU 0 reads the line transactionally.
   ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
   (void)f.htm.tx_load(0, &word, true);
@@ -68,7 +95,8 @@ TEST(Htm, WriterDoomsReaderOnRequesterWins) {
 
 TEST(Htm, ReaderDoomsSpeculativeWriter) {
   Fixture f;
-  u64 word = 1;
+  u64& word = *f.slot(0);
+  word = 1;
   ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
   f.htm.tx_store(0, &word, 9, true);
   ASSERT_EQ(f.htm.tx_begin(1), AbortReason::kNone);
@@ -82,7 +110,8 @@ TEST(Htm, ReaderDoomsSpeculativeWriter) {
 
 TEST(Htm, PrivateLinesDoNotConflict) {
   Fixture f;
-  u64 word = 1;
+  u64& word = *f.slot(0);
+  word = 1;
   ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
   f.htm.tx_store(0, &word, 9, /*shared=*/false);
   ASSERT_EQ(f.htm.tx_begin(1), AbortReason::kNone);
@@ -94,7 +123,7 @@ TEST(Htm, PrivateLinesDoNotConflict) {
 
 TEST(Htm, NontxStoreDoomsAllTransactionalHolders) {
   Fixture f;
-  u64 gil = 0;
+  u64& gil = *f.slot(0);
   ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
   (void)f.htm.tx_load(0, &gil, true);
   ASSERT_EQ(f.htm.tx_begin(1), AbortReason::kNone);
@@ -108,7 +137,7 @@ TEST(Htm, NontxStoreDoomsAllTransactionalHolders) {
 TEST(Htm, WriteCapacityOverflowIsPersistent) {
   Fixture f;  // zEC12: 32-line write set at 256 B lines
   const u32 cap = f.htm.effective_max_write(0);
-  auto buf = std::make_unique<u64[]>((cap + 4) * 32);
+  u64* buf = f.slot(0);
   ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
   bool aborted = false;
   try {
@@ -127,7 +156,7 @@ TEST(Htm, ReadCapacityOverflow) {
   auto profile = SystemProfile::zec12();
   profile.htm.max_read_lines = 8;  // shrink for the test
   Fixture f(profile);
-  auto buf = std::make_unique<u64[]>(16 * 32);
+  u64* buf = f.slot(0);
   ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
   bool aborted = false;
   try {
@@ -151,7 +180,8 @@ TEST(Htm, SmtHalvesCapacityWhenSiblingBusy) {
 
 TEST(Htm, ForceAbortAndDoomAll) {
   Fixture f;
-  u64 a = 0, b = 0;
+  u64& a = *f.slot(0);
+  u64& b = *f.slot(64);  // another line at either line size
   ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
   f.htm.tx_store(0, &a, 1, true);
   ASSERT_EQ(f.htm.tx_begin(1), AbortReason::kNone);
@@ -169,7 +199,7 @@ TEST(Htm, ForceAbortAndDoomAll) {
 
 TEST(Htm, StatsCountCommitsAndAborts) {
   Fixture f;
-  u64 w = 0;
+  u64& w = *f.slot(0);
   for (int i = 0; i < 5; ++i) {
     ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
     f.htm.tx_store(0, &w, static_cast<u64>(i), true);
@@ -187,7 +217,7 @@ TEST(Htm, InterruptsAbortLongTransactions) {
   auto profile = SystemProfile::zec12();
   profile.htm.interrupt_mean_cycles = 1'000;
   Fixture f(profile);
-  u64 w = 0;
+  u64& w = *f.slot(0);
   u32 interrupted = 0;
   for (int t = 0; t < 50; ++t) {
     if (f.htm.tx_begin(0) != AbortReason::kNone) continue;
@@ -221,7 +251,8 @@ TEST(TsxLearning, RecoversGraduallyAfterOverflows) {
 TEST(Htm, ResetClearsConflictDiagnosticsStatsAndLearning) {
   Fixture f(SystemProfile::xeon_e3());  // includes the TSX learning model
   f.htm.set_collect_conflicts(true);
-  u64 word = 1;
+  u64& word = *f.slot(0);
+  word = 1;
   ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
   (void)f.htm.tx_load(0, &word, true);
   f.htm.nontx_store(1, &word, 9);  // dooms CPU 0's transaction
@@ -244,7 +275,7 @@ TEST(Htm, ResetRederivesRngStreamsForIdenticalReplay) {
   auto profile = SystemProfile::xeon_e3();
   profile.htm.interrupt_mean_cycles = 2'000;
   Fixture f(profile);
-  u64 word = 0;
+  u64& word = *f.slot(0);
   auto drive = [&] {
     for (int t = 0; t < 400; ++t) {
       if (f.htm.tx_begin(0) != AbortReason::kNone) {
@@ -282,7 +313,7 @@ TEST(Htm, ShardRngDerivationKeepsShardZeroIdenticalAndResetStable) {
   profile.htm.interrupt_mean_cycles = 2'000;
 
   auto drive = [](Fixture& f) {
-    u64 word = 0;
+    u64& word = *f.slot(0);
     for (int t = 0; t < 400; ++t) {
       if (f.htm.tx_begin(0) != AbortReason::kNone) {
         f.machine.advance(0, 200);
@@ -331,22 +362,395 @@ TEST(Htm, ShardRngDerivationKeepsShardZeroIdenticalAndResetStable) {
       << "reset() must re-derive the shard stream for identical replay";
 }
 
-TEST(ConflictTable, ReaderWriterTracking) {
-  ConflictTable t;
-  EXPECT_EQ(t.add_reader(10, 0), 0u);
-  EXPECT_EQ(t.add_reader(10, 1), 0u);
-  // A writer sees both readers (mask bits 0 and 1).
-  EXPECT_EQ(t.add_writer(10, 2), 0b011u);
-  // A reader sees the writer.
-  EXPECT_EQ(t.add_reader(10, 3) & (1u << 2), 1u << 2);
-  EXPECT_EQ(t.holders_excluding(10, 0), 0b1110u);
-  EXPECT_EQ(t.writer_excluding(10, 2), 0u);  // own write excluded
-  t.remove(10, 2);
-  EXPECT_EQ(t.writer_excluding(10, 0), 0u);
-  t.remove(10, 0);
-  t.remove(10, 1);
-  t.remove(10, 3);
-  EXPECT_EQ(t.tracked_lines(), 0u);
+// --- line table -------------------------------------------------------------
+
+// The facility's conflict metadata is a sim::LineTable of per-line CPU
+// masks; this is the reader/writer bookkeeping it does, on the table.
+TEST(LineTable, ReaderWriterTracking) {
+  struct Masks {
+    u32 readers = 0;
+    u32 writers = 0;
+  };
+  auto mem = std::make_unique<Memory>();
+  const sim::GuestSpace gs = guest_over(*mem);
+  sim::LineTable<Masks> table(256);
+  const sim::GuestLoc loc = gs.locate(&mem->slots[10 * 32]);  // line 10
+  EXPECT_EQ(table.find(loc), nullptr) << "peeking never allocates";
+  EXPECT_EQ(table.chunks(), 0u);
+
+  const auto add_reader = [&](CpuId cpu) {
+    Masks& m = table.at(loc);
+    m.readers |= 1u << cpu;
+    return m.writers & ~(1u << cpu);
+  };
+  const auto add_writer = [&](CpuId cpu) {
+    Masks& m = table.at(loc);
+    const u32 others = (m.readers | m.writers) & ~(1u << cpu);
+    m.writers |= 1u << cpu;
+    return others;
+  };
+  EXPECT_EQ(add_reader(0), 0u);
+  EXPECT_EQ(add_reader(1), 0u);
+  EXPECT_EQ(add_writer(2), 0b011u);  // a writer sees both readers
+  EXPECT_EQ(add_reader(3), 1u << 2);  // a reader sees the writer
+  EXPECT_EQ(table.chunks(), 1u);
+
+  // Every word of the line, and its guest LineId, reach the same record.
+  const LineId line = table.line_id(loc);
+  EXPECT_EQ(line, gs.line_of(&mem->slots[10 * 32], 256));
+  EXPECT_EQ(&table.at(line), &table.at(gs.locate(&mem->slots[10 * 32 + 31])));
+  EXPECT_EQ(table.find(line)->readers, 0b1011u);
+  EXPECT_EQ(table.find(line)->writers, 0b0100u);
+
+  // Neighbouring lines get their own zeroed records in the same chunk; a
+  // line kChunkLines further on needs a second chunk.
+  EXPECT_EQ(table.at(gs.locate(&mem->slots[11 * 32])).readers, 0u);
+  EXPECT_EQ(table.chunks(), 1u);
+  (void)table.at(gs.locate(&mem->slots[(10 + 64) * 32]));
+  EXPECT_EQ(table.chunks(), 2u);
+
+  table.clear();
+  EXPECT_EQ(table.chunks(), 0u);
+  EXPECT_EQ(table.find(line), nullptr);
+}
+
+TEST(HtmLineTable, ChunksAreLazyAndResetFreesThem) {
+  constexpr std::size_t kBytes = std::size_t{32} << 20;
+  constexpr std::size_t kWords = kBytes / 8;
+  struct Free {
+    void operator()(u64* p) const { std::free(p); }
+  };
+  // Only the words the test writes are ever faulted in.
+  std::unique_ptr<u64, Free> big(
+      static_cast<u64*>(std::aligned_alloc(256, kBytes)));
+  ASSERT_NE(big, nullptr);
+  u64* words = big.get();
+  sim::GuestSpace gs;
+  gs.add_segment("big", words, kBytes);
+  const SystemProfile profile = SystemProfile::zec12();  // 256 B lines
+  sim::Machine machine(profile.machine);
+  HtmFacility htm(profile.htm, &machine, &gs);
+
+  // Untransactional traffic over the whole segment only peeks.
+  for (std::size_t i = 0; i < kWords; i += 4096) {
+    htm.nontx_store(1, &words[i], i);
+    EXPECT_EQ(htm.nontx_load(2, &words[i]), i);
+  }
+  EXPECT_EQ(htm.line_table_chunks(), 0u);
+
+  // One transaction: 8 lines a megabyte apart (one chunk each), then 8
+  // stores to consecutive lines inside the first one's chunk.
+  constexpr std::size_t kStride = (std::size_t{1} << 20) / 8;
+  ASSERT_EQ(htm.tx_begin(0), AbortReason::kNone);
+  for (std::size_t n = 0; n < 8; ++n)
+    (void)htm.tx_load(0, &words[n * kStride], /*shared=*/true);
+  EXPECT_EQ(htm.line_table_chunks(), 8u);
+  for (std::size_t n = 0; n < 8; ++n)
+    htm.tx_store(0, &words[n * 32], n, /*shared=*/true);
+  EXPECT_EQ(htm.line_table_chunks(), 8u) << "16 lines, at most 16 chunks";
+
+  // Peeks still find the transaction's lines without allocating: a load of
+  // an untouched line is free, a store to a read line dooms the reader.
+  EXPECT_EQ(htm.nontx_load(1, &words[4096]), 4096u);
+  htm.nontx_store(1, &words[3 * kStride], 7);
+  EXPECT_EQ(htm.doom(0), AbortReason::kConflict);
+  EXPECT_EQ(htm.line_table_chunks(), 8u);
+  EXPECT_EQ(htm.tx_commit(0), AbortReason::kConflict);
+
+  htm.reset();
+  EXPECT_EQ(htm.line_table_chunks(), 0u);
+  // The facility is usable again: no footprint survives into the new table.
+  ASSERT_EQ(htm.tx_begin(0), AbortReason::kNone);
+  EXPECT_EQ(htm.read_line_count(0), 0u);
+  htm.tx_store(0, &words[0], 42, /*shared=*/true);
+  EXPECT_EQ(htm.tx_commit(0), AbortReason::kNone);
+  EXPECT_EQ(words[0], 42u);
+  EXPECT_EQ(htm.line_table_chunks(), 1u);
+}
+
+// The Fig. 6a probe reads the footprint after the transaction has ended;
+// it stays readable until the CPU's next successful tx_begin.
+TEST(Htm, DoomedTransactionReportsFootprintUntilNextBegin) {
+  Fixture f;  // zEC12: 256 B lines = 32 slots
+  ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
+  for (u32 line = 0; line < 3; ++line)
+    (void)f.htm.tx_load(0, f.slot(line * 32), /*shared=*/true);
+  f.htm.tx_store(0, f.slot(3 * 32), 1, /*shared=*/true);
+  f.htm.tx_store(0, f.slot(4 * 32), 1, /*shared=*/false);
+  f.htm.nontx_store(1, f.slot(0), 9);  // dooms CPU 0
+  EXPECT_EQ(f.htm.doom(0), AbortReason::kConflict);
+  EXPECT_EQ(f.htm.read_line_count(0), 3u);
+  EXPECT_EQ(f.htm.write_line_count(0), 2u);
+  EXPECT_EQ(f.htm.tx_commit(0), AbortReason::kConflict);
+  EXPECT_FALSE(f.htm.in_tx(0));
+  EXPECT_EQ(f.htm.read_line_count(0), 3u);
+  EXPECT_EQ(f.htm.write_line_count(0), 2u);
+  ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
+  EXPECT_EQ(f.htm.read_line_count(0), 0u);
+  EXPECT_EQ(f.htm.write_line_count(0), 0u);
+  (void)f.htm.tx_commit(0);
+}
+
+// --- differential: facility vs. reference model -----------------------------
+
+constexpr CpuId kDiffCpus = 4;
+
+/// The conflict algorithm on ordered std containers: per-transaction line
+/// sets, a line -> {readers, writers} map and a redo map. It works on its
+/// own copy of memory (word indices), keyed by the facility's guest lines.
+struct RefHtm {
+  struct Tx {
+    bool active = false;
+    bool detached = false;
+    AbortReason doom = AbortReason::kNone;
+    std::set<LineId> reads, writes;
+    std::map<std::size_t, u64> redo;
+  };
+  std::vector<LineId> line;  ///< Word index -> guest line.
+  std::vector<u64> mem;
+  u32 max_read = 0, max_write = 0;
+  std::map<LineId, std::array<u32, 2>> table;  ///< {readers, writers}
+  std::array<Tx, kDiffCpus> tx;
+  std::array<LineId, kDiffCpus> last;
+
+  void detach(CpuId c) {
+    if (tx[c].detached) return;
+    for (const std::set<LineId>* lines : {&tx[c].reads, &tx[c].writes})
+      for (LineId l : *lines)
+        if (auto it = table.find(l); it != table.end()) {
+          for (u32& m : it->second) m &= ~(1u << c);
+          if (it->second == std::array<u32, 2>{}) table.erase(it);
+        }
+    tx[c].detached = true;
+  }
+  void doom_mask(u32 mask, LineId l) {
+    for (CpuId v = 0; v < kDiffCpus; ++v) {
+      if (!(mask >> v & 1) || !tx[v].active || tx[v].doom != AbortReason::kNone)
+        continue;
+      tx[v].doom = AbortReason::kConflict;
+      last[v] = l;
+      detach(v);
+    }
+  }
+  void rollback(CpuId c) {
+    detach(c);
+    tx[c].active = false;
+    tx[c].doom = AbortReason::kNone;
+    tx[c].redo.clear();
+  }
+  [[noreturn]] void abort(CpuId c, AbortReason r) {
+    rollback(c);
+    throw TxAbort{r};
+  }
+  void begin(CpuId c) {
+    tx[c] = Tx{};
+    tx[c].active = true;
+    last[c] = kInvalidLine;
+  }
+  u64 load(CpuId c, std::size_t i, bool shared) {
+    Tx& t = tx[c];
+    if (t.doom != AbortReason::kNone) abort(c, t.doom);
+    if (auto it = t.redo.find(i); it != t.redo.end()) return it->second;
+    const LineId l = line[i];
+    if (t.reads.insert(l).second) {
+      if (t.reads.size() > max_read) abort(c, AbortReason::kOverflowRead);
+      if (shared) {
+        auto& e = table[l];
+        e[0] |= 1u << c;
+        if (const u32 v = e[1] & ~(1u << c)) doom_mask(v, l);
+      }
+    }
+    return mem[i];
+  }
+  void store(CpuId c, std::size_t i, u64 value, bool shared) {
+    Tx& t = tx[c];
+    if (t.doom != AbortReason::kNone) abort(c, t.doom);
+    const LineId l = line[i];
+    if (t.writes.insert(l).second) {
+      if (t.writes.size() > max_write) abort(c, AbortReason::kOverflowWrite);
+      if (shared) {
+        auto& e = table[l];
+        const u32 v = (e[0] | e[1]) & ~(1u << c);
+        e[1] |= 1u << c;
+        if (v) doom_mask(v, l);
+      }
+    }
+    t.redo[i] = value;
+  }
+  u32 holders(CpuId c, std::size_t i, bool readers_too) const {
+    const auto it = table.find(line[i]);
+    if (it == table.end()) return 0;
+    return ((readers_too ? it->second[0] : 0) | it->second[1]) & ~(1u << c);
+  }
+  u64 nontx_load(CpuId c, std::size_t i) {
+    if (const u32 v = holders(c, i, false)) doom_mask(v, line[i]);
+    return mem[i];
+  }
+  void nontx_store(CpuId c, std::size_t i, u64 value) {
+    if (const u32 v = holders(c, i, true)) doom_mask(v, line[i]);
+    mem[i] = value;
+  }
+  AbortReason commit(CpuId c) {
+    if (const AbortReason r = tx[c].doom; r != AbortReason::kNone) {
+      rollback(c);
+      return r;
+    }
+    for (const auto& [i, v] : tx[c].redo) mem[i] = v;
+    detach(c);
+    tx[c].active = false;
+    tx[c].redo.clear();
+    return AbortReason::kNone;
+  }
+  void doom_all(CpuId except) {
+    for (CpuId c = 0; c < kDiffCpus; ++c)
+      if (c != except && tx[c].active && tx[c].doom == AbortReason::kNone) {
+        tx[c].doom = AbortReason::kConflict;
+        detach(c);
+      }
+  }
+};
+
+/// What one operation did: its value, or the abort it threw.
+struct Outcome {
+  u64 value = 0;
+  bool aborted = false;
+  AbortReason reason = AbortReason::kNone;
+  bool operator==(const Outcome& o) const {
+    return value == o.value && aborted == o.aborted && reason == o.reason;
+  }
+};
+
+template <typename F>
+Outcome outcome_of(F&& op) {
+  Outcome o;
+  try {
+    o.value = op();
+  } catch (const TxAbort& a) {
+    o.aborted = true;
+    o.reason = a.reason;
+  }
+  return o;
+}
+
+void run_differential(u64 seed, u32 line_bytes) {
+  // Two segments of 256 words; accesses hit the first four lines of each so
+  // that CPUs collide often.
+  struct alignas(256) Slab {
+    u64 words[256] = {};
+  };
+  constexpr std::size_t kWords = 256;
+  auto slabs = std::make_unique<std::array<Slab, 2>>();
+  sim::GuestSpace gs;
+  gs.add_segment("seg-a", (*slabs)[0].words, sizeof(Slab));
+  gs.add_segment("seg-b", (*slabs)[1].words, sizeof(Slab));
+  const auto word = [&](std::size_t i) {
+    return &(*slabs)[i / kWords].words[i % kWords];
+  };
+
+  Rng rng(seed);
+  SystemProfile profile = SystemProfile::zec12();
+  profile.machine.line_bytes = line_bytes;
+  profile.htm.line_bytes = line_bytes;
+  profile.htm.max_read_lines = 2 + static_cast<u32>(rng.next_below(6));
+  profile.htm.max_write_lines = 1 + static_cast<u32>(rng.next_below(4));
+  profile.htm.interrupt_mean_cycles = Cycles{1} << 40;  // clocks stay at 0
+  sim::Machine machine(profile.machine);
+  HtmFacility htm(profile.htm, &machine, &gs);
+
+  RefHtm ref;
+  ref.max_read = profile.htm.max_read_lines;
+  ref.max_write = profile.htm.max_write_lines;
+  ref.mem.assign(2 * kWords, 0);
+  ref.last.fill(kInvalidLine);
+  for (std::size_t i = 0; i < 2 * kWords; ++i)
+    ref.line.push_back(gs.line_of(word(i), line_bytes));
+
+  const std::size_t words_per_line = line_bytes / 8;
+  for (u32 step = 0; step < 200; ++step) {
+    const auto c = static_cast<CpuId>(rng.next_below(kDiffCpus));
+    const std::size_t i = rng.next_below(2) * kWords +
+                          rng.next_below(4) * words_per_line +
+                          rng.next_below(words_per_line);
+    const bool shared = rng.next_below(3) != 0;
+    const u64 value = rng.next_below(1000) + 1;
+    Outcome got, want;
+    // Idle CPUs mostly begin; running ones mostly access. Capacities are
+    // small enough that overflows are common too.
+    const u64 op = rng.next_below(20) + (htm.in_tx(c) ? 20 : 0);
+    if (op < 10) {
+      got.value = static_cast<u64>(htm.tx_begin(c));
+      ref.begin(c);
+    } else if (op < 14) {
+      got.value = htm.nontx_load(c, word(i));
+      want.value = ref.nontx_load(c, i);
+    } else if (op < 18) {
+      htm.nontx_store(c, word(i), value);
+      ref.nontx_store(c, i, value);
+    } else if (op == 18 || op == 37) {
+      htm.force_abort(c, AbortReason::kInterrupt);
+      if (ref.tx[c].active) ref.rollback(c);
+    } else if (op == 19 || op == 38) {
+      const CpuId except =
+          rng.next_below(2) == 0 ? kInvalidCpu : static_cast<CpuId>(c);
+      htm.doom_all(except, AbortReason::kConflict);
+      ref.doom_all(except);
+    } else if (op < 27 || op == 39) {
+      got = outcome_of([&] { return htm.tx_load(c, word(i), shared); });
+      want = outcome_of([&] { return ref.load(c, i, shared); });
+    } else if (op < 32) {
+      got = outcome_of([&] {
+        htm.tx_store(c, word(i), value, shared);
+        return u64{0};
+      });
+      want = outcome_of([&] {
+        ref.store(c, i, value, shared);
+        return u64{0};
+      });
+    } else if (op == 32) {
+      // A line first touched privately never enters conflict tracking.
+      got = outcome_of([&] {
+        return htm.tx_load(c, word(i), false) + htm.tx_load(c, word(i), true);
+      });
+      want = outcome_of(
+          [&] { return ref.load(c, i, false) + ref.load(c, i, true); });
+    } else if (op < 36) {
+      got.value = static_cast<u64>(htm.tx_commit(c));
+      want.value = static_cast<u64>(ref.commit(c));
+    } else {  // 36
+      htm.tx_abort(c, AbortReason::kExplicit);
+      ref.rollback(c);
+    }
+    const auto where = [&] {
+      return ::testing::Message() << "seed " << seed << " line_bytes "
+                                  << line_bytes << " step " << step << " op "
+                                  << op << " cpu " << c;
+    };
+    ASSERT_EQ(got, want) << where() << " value " << got.value << " vs "
+                         << want.value << " reason "
+                         << static_cast<int>(got.reason) << " vs "
+                         << static_cast<int>(want.reason);
+    for (CpuId k = 0; k < kDiffCpus; ++k) {
+      ASSERT_EQ(htm.in_tx(k), ref.tx[k].active) << where() << " cpu " << k;
+      ASSERT_EQ(htm.doom(k), ref.tx[k].doom) << where() << " cpu " << k;
+      ASSERT_EQ(htm.last_conflict_line(k), ref.last[k])
+          << where() << " cpu " << k;
+      ASSERT_EQ(htm.read_line_count(k), ref.tx[k].reads.size())
+          << where() << " cpu " << k;
+      ASSERT_EQ(htm.write_line_count(k), ref.tx[k].writes.size())
+          << where() << " cpu " << k;
+    }
+    for (std::size_t k = 0; k < 2 * kWords; ++k)
+      ASSERT_EQ(*word(k), ref.mem[k]) << where() << " word " << k;
+  }
+}
+
+TEST(HtmDifferential, MatchesReferenceModelOverSeededOpSequences) {
+  for (u32 line_bytes : {64u, 256u}) {
+    for (u64 seed = 1; seed <= 200; ++seed) {
+      run_differential(seed, line_bytes);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace

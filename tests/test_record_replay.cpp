@@ -159,15 +159,13 @@ TEST(RecordReplay, ConflictLinesResolveToHeapLabelsInGuestMode) {
   engine.run();
 
   const u64 line_bytes = engine.config().profile.htm.line_bytes;
-  // Every address the engine touched translated (no coverage gap), and
-  // every conflict line resolves to a named region — never the host-tagged
-  // fallback and never the catch-all.
-  EXPECT_EQ(engine.guest_space().unregistered_accesses(), 0u);
+  // Every address the engine touched translated (an unregistered access
+  // would have failed the run's GILFREE_CHECK), and every conflict line
+  // resolves to a named region, never the catch-all.
   ASSERT_FALSE(engine.htm()->conflict_lines().empty());
   for (const auto& [line, n] : engine.htm()->conflict_lines()) {
     (void)n;
     const std::string label = engine.heap().describe_line(line, line_bytes);
-    EXPECT_NE(label, "unregistered") << "line " << line;
     EXPECT_NE(label, "other") << "line " << line;
   }
 }

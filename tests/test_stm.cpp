@@ -60,6 +60,14 @@ struct alignas(256) SharedLines {
   u64 slots[128] = {};
 };
 
+/// A guest space whose only segment is `mem`: every address the engine
+/// tracks must be registered.
+sim::GuestSpace guest_over(SharedLines& mem) {
+  sim::GuestSpace g;
+  g.add_segment("shared-lines", mem.slots, sizeof mem.slots);
+  return g;
+}
+
 u64 aborts_of(const StmEngine& e, StmAbortCause c) {
   return e.stats().aborts_by_cause[static_cast<std::size_t>(c)];
 }
@@ -69,8 +77,9 @@ u64 aborts_of(const StmEngine& e, StmAbortCause c) {
 TEST(StmUnit, ConflictingWritersNeverBothCommit) {
   for (u64 seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
-    StmEngine e(unit_config(), /*htm=*/nullptr);
     SharedLines mem;
+    const sim::GuestSpace gs = guest_over(mem);
+    StmEngine e(unit_config(), &gs, /*htm=*/nullptr);
 
     e.begin(0);
     e.begin(1);
@@ -123,10 +132,11 @@ TEST(StmUnit, ConflictingWritersNeverBothCommit) {
 TEST(StmUnit, LazyZombieObservesTornStateButCannotCommit) {
   StmConfig cfg = unit_config();
   cfg.subscription = GilSubscription::kLazy;
-  StmEngine e(cfg, nullptr);
+  SharedLines mem;
+  const sim::GuestSpace gs = guest_over(mem);
+  StmEngine e(cfg, &gs, nullptr);
   u64 gil_word = 0;
   e.set_gil_word(&gil_word);
-  SharedLines mem;
   u64* a = &mem.slots[0];   // line 0
   u64* b = &mem.slots[32];  // line 1
   *a = 5;
@@ -157,8 +167,9 @@ TEST(StmUnit, LazyZombieObservesTornStateButCannotCommit) {
 TEST(StmUnit, IncrementalValidationKillsTheZombieEarly) {
   StmConfig cfg = unit_config();
   cfg.subscription = GilSubscription::kLazy;
-  StmEngine e(cfg, nullptr);
   SharedLines mem;
+  const sim::GuestSpace gs = guest_over(mem);
+  StmEngine e(cfg, &gs, nullptr);
   e.begin(0);
   (void)e.load(0, 0, &mem.slots[0], true);
   EXPECT_TRUE(e.validate(0)) << "nothing invalidated yet";
@@ -173,10 +184,11 @@ TEST(StmUnit, IncrementalValidationKillsTheZombieEarly) {
 TEST(StmUnit, LazyCommitRefusesWhileGilHeld) {
   StmConfig cfg = unit_config();
   cfg.subscription = GilSubscription::kLazy;
-  StmEngine e(cfg, nullptr);
+  SharedLines mem;
+  const sim::GuestSpace gs = guest_over(mem);
+  StmEngine e(cfg, &gs, nullptr);
   u64 gil_word = 1;  // held for the whole span
   e.set_gil_word(&gil_word);
-  SharedLines mem;
   e.begin(0);
   e.store(0, 0, &mem.slots[0], 7, true);
   EXPECT_EQ(e.commit(0, 0), StmAbortCause::kGilSubscription);
@@ -184,8 +196,9 @@ TEST(StmUnit, LazyCommitRefusesWhileGilHeld) {
 }
 
 TEST(StmUnit, EagerSubscriptionDoomsAtAcquisition) {
-  StmEngine e(unit_config(), nullptr);  // default subscription: eager
   SharedLines mem;
+  const sim::GuestSpace gs = guest_over(mem);
+  StmEngine e(unit_config(), &gs, nullptr);  // default subscription: eager
   e.begin(0);
   (void)e.load(0, 0, &mem.slots[0], true);
   e.on_gil_acquired();
@@ -196,7 +209,7 @@ TEST(StmUnit, EagerSubscriptionDoomsAtAcquisition) {
   // Lazy configuration ignores the acquisition signal entirely.
   StmConfig lazy = unit_config();
   lazy.subscription = GilSubscription::kLazy;
-  StmEngine e2(lazy, nullptr);
+  StmEngine e2(lazy, &gs, nullptr);
   e2.begin(0);
   e2.on_gil_acquired();
   EXPECT_FALSE(e2.doomed(0));
@@ -208,8 +221,9 @@ TEST(StmUnit, OverflowAbortsWithDedicatedCauses) {
   StmConfig cfg = unit_config();
   cfg.max_read_lines = 2;
   cfg.max_write_entries = 2;
-  StmEngine e(cfg, nullptr);
   SharedLines mem;
+  const sim::GuestSpace gs = guest_over(mem);
+  StmEngine e(cfg, &gs, nullptr);
 
   e.begin(0);
   (void)e.load(0, 0, &mem.slots[0], true);   // line 0
