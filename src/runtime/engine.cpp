@@ -207,9 +207,10 @@ void Engine::load_program(const std::vector<std::string>& sources) {
 u32 Engine::count_live_threads() const { return live_count_; }
 
 u32 Engine::pick_cpu() const {
+  // Only live threads load a CPU, and finished ones have left active_tids_.
   std::vector<u32> load(machine_->num_cpus(), 0);
-  for (const auto& t : threads_)
-    if (!t.vm->finished()) ++load[t.cpu];
+  for (const u32 i : active_tids_)
+    if (!threads_[i].vm->finished()) ++load[threads_[i].cpu];
   u32 best = 0;
   for (u32 c = 1; c < machine_->num_cpus(); ++c)
     if (load[c] < load[best]) best = c;
@@ -239,6 +240,13 @@ i32 Engine::pick_next() {
                              "threads, but live threads remain");
   }
   SchedThread& st = threads_[static_cast<std::size_t>(best)];
+  // A join park has no wake time of its own (only the joined thread's exit
+  // sets one), so it is the earliest candidate only when every live thread
+  // is blocked in a join.
+  GILFREE_CHECK_MSG(
+      st.status != ThreadStatus::kParked || st.join_target < 0,
+      "scheduler deadlock: every live thread is blocked in Thread#join "
+      "(thread " << best << " joins thread " << st.join_target << ")");
   if (st.status == ThreadStatus::kParked) {
     unpark(st);
     if (st.status != ThreadStatus::kRunnable) return -1;  // now kWaitGil
@@ -1197,10 +1205,12 @@ void Engine::execute_span(SchedThread& st, int& fuel, vm::YieldStop stop) {
   } catch (const TxAbort& ab) {
     handle_abort(st, ab.reason);
     return;
-  } catch (const ParkRequest& pr) {
-    // Rewind to re-execute the blocking instruction after waking; its yield
-    // point was already consumed on the way in. (Blocking instructions are
-    // sends, never fused heads, so a one-instruction rewind is exact.)
+  }
+  if (st.vm->park_requested()) {
+    // Rewind to re-execute the blocking send after waking; its yield point
+    // was already consumed on the way in. The span ended right after the
+    // send, so a one-instruction rewind is exact.
+    const ParkRequest pr = st.vm->take_park();
     GILFREE_CHECK(!st.in_tx && !st.in_stm);
     st.vm->regs().pc -= 1;
     st.skip_yield_once = true;

@@ -28,6 +28,13 @@ double as_number(BuiltinCtx& c, Value v) {
   return objops::value_to_double(c.host, v);
 }
 
+/// Leaves the send incomplete: the engine parks the caller and re-executes
+/// the send on waking. The returned value is never pushed.
+Value park(BuiltinCtx& c, const ParkRequest& pr) {
+  c.thread.request_park(pr);
+  return Value::nil();
+}
+
 // --- Kernel -------------------------------------------------------------------
 
 Value bi_puts(BuiltinCtx& c) {
@@ -228,8 +235,12 @@ Value bi_thread_new(BuiltinCtx& c) {
 Value bi_thread_join(BuiltinCtx& c) {
   RBasic* th = as_type(c, c.self, ObjType::kThread, "Thread");
   const u32 tid = static_cast<u32>(obj_load(c.host, th, 1));
+  // CRuby raises ThreadError here; waiting on its own exit would park the
+  // thread forever.
+  if (tid == c.thread.tid())
+    throw RubyError("Target thread must not be current thread");
   if (!c.host.thread_finished(tid)) {
-    throw ParkRequest{kParkPollCycles, false, static_cast<i32>(tid)};
+    return park(c, {kParkPollCycles, false, static_cast<i32>(tid)});
   }
   return c.self;
 }
@@ -252,7 +263,7 @@ Value bi_mutex_lock(BuiltinCtx& c) {
     throw RubyError("deadlock; recursive locking");
   // Contended: park and retry (CRuby releases the GIL while waiting).
   c.host.require_nontx("mutex-contended");
-  throw ParkRequest{kParkPollCycles, false};
+  return park(c, {kParkPollCycles, false});
 }
 
 Value bi_mutex_try_lock(BuiltinCtx& c) {
@@ -286,7 +297,7 @@ Value bi_condvar_wait_change(BuiltinCtx& c) {
   if (static_cast<i64>(obj_load(c.host, cv, 1)) != old_seq)
     return Value::nil();
   c.host.require_nontx("condvar-wait");
-  throw ParkRequest{kParkPollCycles, false};
+  return park(c, {kParkPollCycles, false});
 }
 
 Value bi_condvar_signal(BuiltinCtx& c) {
@@ -302,7 +313,7 @@ Value bi_accept_request(BuiltinCtx& c) {
   const i64 id = c.host.accept_request();
   if (id >= 0) return Value::fixnum(id);
   if (c.host.server_shutdown()) return Value::nil();
-  throw ParkRequest{kIoPollCycles, true};
+  return park(c, {kIoPollCycles, true});
 }
 
 Value bi_read_request(BuiltinCtx& c) {
@@ -328,7 +339,7 @@ Value bi_io_wait(BuiltinCtx& c) {
   const i64 usec = c.argc >= 1 ? as_fixnum(c.arg(0), "duration") : 100;
   if (!c.thread.io_pending) {
     c.thread.io_pending = true;
-    throw ParkRequest{static_cast<Cycles>(usec) * 3'500, true};
+    return park(c, {static_cast<Cycles>(usec) * 3'500, true});
   }
   c.thread.io_pending = false;
   return Value::nil();

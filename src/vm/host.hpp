@@ -26,11 +26,14 @@ struct GcRootSet {
   std::vector<Value> values;
 };
 
-/// Thrown by blocking builtins (Mutex contention, ConditionVariable waits,
-/// Thread#join polls, simulated I/O). The engine catches it, rewinds the pc
-/// to re-execute the send instruction after the thread wakes, releases the
-/// GIL while parked (§3.2: blocking operations release the GIL), and resumes.
-/// Blocking builtins must therefore be idempotent up to the point they throw.
+/// A blocking builtin's request to wait (Mutex contention, ConditionVariable
+/// waits, Thread#join, accept, simulated I/O). The builtin records it with
+/// VmThread::request_park and returns; the interpreter then leaves the send
+/// incomplete (arguments still on the stack, no result pushed) and ends the
+/// span right after it. The engine takes the request, rewinds the pc to
+/// re-execute the send after the thread wakes, releases the GIL while parked
+/// (§3.2: blocking operations release the GIL), and resumes. Blocking
+/// builtins must therefore be idempotent up to the point they request a park.
 struct ParkRequest {
   Cycles delay;   ///< Virtual cycles to park for before re-executing.
   bool is_io;     ///< True for real blocking I/O (GIL released in GIL mode).

@@ -379,6 +379,9 @@ void Interp::dispatch_method(VmThread& t, i32 method_index, Value recv,
                  r.fp,
                  caller_self};
   const Value result = m.fn(ctx);
+  // A blocking builtin asked to park: the send stays incomplete (receiver
+  // and arguments on the stack, nothing pushed) until it re-executes.
+  if (t.park_requested()) return;
   r.sp -= argc + 1;
   push(t, result);
 }
@@ -843,7 +846,7 @@ inline bool yield_relevant(const Insn& in, YieldStop stop) {
 #define GILFREE_OPC(Name) case Op::k##Name: L_##Name:
 
 void Interp::run_span(VmThread& t, int& fuel, YieldStop stop) {
-  GILFREE_CHECK(!t.finished());
+  GILFREE_CHECK(!t.span_stopped());
   ThreadRegs& r = t.regs();
   const bool fuse = options_.fuse_superinsns;
 #define GILFREE_LABEL_ENTRY(Name) &&L_##Name,
@@ -1114,7 +1117,7 @@ void Interp::run_span(VmThread& t, int& fuel, YieldStop stop) {
         GILFREE_CHECK(false);
     }
 
-    if (t.finished()) return;
+    if (t.span_stopped()) return;
     if (tail_iseq >= 0) {
       // The head may have grown a frame instead of completing in place (an
       // opt_ fallback dispatching a bytecode method); fuse only when

@@ -78,10 +78,14 @@ class Interp {
   /// Executes a span of instructions of `t`: the current instruction
   /// unconditionally (the caller has already run yield-point logic for it),
   /// then further instructions until the next one matching `stop`, until
-  /// `fuel` instructions have retired, or until the thread finishes. Charges
-  /// dispatch + per-opcode cycles before each instruction. Throws
-  /// htm::TxAbort and vm::ParkRequest (propagated from the Host, possibly
-  /// mid-span) and RubyError.
+  /// `fuel` instructions have retired, until the thread finishes, or until
+  /// a blocking builtin requests a park. Charges dispatch + per-opcode
+  /// cycles before each instruction. A park ends the span right after the
+  /// parking send — pc advanced past it, its fuel and insns_retired spent,
+  /// its receiver and arguments still on the stack, nothing pushed — and
+  /// leaves the request on the thread (VmThread::take_park). Throws
+  /// htm::TxAbort (propagated from the Host, possibly mid-span) and
+  /// RubyError.
   void run_span(VmThread& t, int& fuel, YieldStop stop);
 
   /// Executes exactly one instruction (a span with fuel 1).

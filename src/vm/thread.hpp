@@ -8,11 +8,17 @@
 // the redo log.
 #pragma once
 
+#include <sys/mman.h>
+
+#include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <vector>
+#include <new>
+#include <optional>
 
 #include "common/check.hpp"
 #include "common/types.hpp"
+#include "vm/host.hpp"
 #include "vm/value.hpp"
 
 namespace gilfree::vm {
@@ -49,24 +55,28 @@ class VmThread {
   /// Stack storage is aligned to the worst-case cache-line size (zEC12,
   /// 256 B) so the number of lines a frame spans — and with it the
   /// transactional footprint the simulator counts — depends only on stack
-  /// offsets, never on where malloc placed the backing array.
+  /// offsets, never on where the backing array was placed.
   static constexpr u64 kStackAlignSlots = 256 / sizeof(u64);
 
+  /// The stack is untouched anonymous memory: pages are zero-filled by the
+  /// kernel on first touch, so a thread's resident size follows the depth
+  /// it actually uses rather than `stack_slots`. Page alignment subsumes the
+  /// line alignment above.
   VmThread(u32 tid, u32 stack_slots)
       : tid_(tid), stack_slots_(stack_slots),
-        storage_(std::make_unique<u64[]>(stack_slots + kStackAlignSlots)) {
+        stack_(map_stack(stack_slots), StackUnmap{stack_slots}) {
     GILFREE_CHECK(stack_slots >= 1024);
-    auto v = reinterpret_cast<std::uintptr_t>(storage_.get());
-    v = (v + kStackAlignSlots * 8 - 1) & ~(kStackAlignSlots * 8 - 1);
-    stack_ = reinterpret_cast<u64*>(v);
+    GILFREE_CHECK(reinterpret_cast<std::uintptr_t>(stack_.get()) %
+                      (kStackAlignSlots * 8) ==
+                  0);
   }
 
   u32 tid() const { return tid_; }
   ThreadRegs& regs() { return regs_; }
   const ThreadRegs& regs() const { return regs_; }
 
-  u64* stack_base() { return stack_; }
-  const u64* stack_base() const { return stack_; }
+  u64* stack_base() { return stack_.get(); }
+  const u64* stack_base() const { return stack_.get(); }
   u32 stack_slots() const { return stack_slots_; }
 
   u64* slot(u64 index) {
@@ -86,26 +96,48 @@ class VmThread {
   }
   Value result() const { return result_; }
 
+  /// Called by a blocking builtin instead of completing: the interpreter
+  /// ends the span right after the send, and the engine takes the request.
+  void request_park(const ParkRequest& pr) { park_ = pr; }
+  bool park_requested() const { return park_.has_value(); }
+  ParkRequest take_park() {
+    const ParkRequest pr = *park_;
+    park_.reset();
+    return pr;
+  }
+
+  /// True when the span must end after the current instruction: the thread
+  /// finished or a blocking builtin asked to park.
+  bool span_stopped() const { return finished_ || park_.has_value(); }
+
   /// The thread's Thread object (roots it for GC; nil for the main thread
   /// until registered).
   Value thread_object = Value::nil();
 
-  /// Set while the thread executes a blocking builtin with the GIL released
-  /// (§3.2: I/O releases the GIL).
-  bool in_blocking_region = false;
-
   /// One-outstanding-I/O flag used by io_wait's two-phase (initiate → park →
-  /// complete) protocol under ParkRequest re-execution.
+  /// complete) protocol under park-and-re-execute.
   bool io_pending = false;
 
  private:
+  struct StackUnmap {
+    u32 slots;
+    void operator()(u64* p) const { ::munmap(p, std::size_t{slots} * 8); }
+  };
+
+  static u64* map_stack(u32 slots) {
+    void* p = ::mmap(nullptr, std::size_t{slots} * 8, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<u64*>(p);
+  }
+
   u32 tid_;
   u32 stack_slots_;
-  std::unique_ptr<u64[]> storage_;
-  u64* stack_ = nullptr;  ///< Line-aligned start within storage_.
+  std::unique_ptr<u64[], StackUnmap> stack_;
   ThreadRegs regs_;
   bool finished_ = false;
   Value result_ = Value::nil();
+  std::optional<ParkRequest> park_;
 };
 
 }  // namespace gilfree::vm

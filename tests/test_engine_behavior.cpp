@@ -3,7 +3,18 @@
 // comparators.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/check.hpp"
+#include "httpsim/cluster/supervisor.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "runtime/engine.hpp"
+#include "vm/interp.hpp"
 
 namespace gilfree {
 namespace {
@@ -220,6 +231,209 @@ end
 __record("woke", $woke)
 )");
   EXPECT_DOUBLE_EQ(stats.results.at("woke"), 3.0);
+}
+
+// --- Blocking builtins and the park path ------------------------------------
+
+/// Runs `src` under GIL and HTM-dynamic. Each run must fail fast with an
+/// `E` whose message contains `needle`, instead of hanging.
+template <typename E>
+void expect_fails_fast(const std::string& src, const std::string& needle) {
+  const auto zec12 = htm::SystemProfile::zec12();
+  for (auto& [name, cfg] :
+       std::vector<std::pair<std::string, EngineConfig>>{
+           {"gil", EngineConfig::gil(zec12)},
+           {"htm-dynamic", EngineConfig::htm_dynamic(zec12)}}) {
+    SCOPED_TRACE(name);
+    cfg.max_insns = 10'000'000;
+    try {
+      run_cfg(cfg, src);
+      ADD_FAILURE() << "run completed";
+    } catch (const E& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(EngineBehavior, SelfJoinRaisesInsteadOfHanging) {
+  // CRuby raises ThreadError; waiting for its own exit would park the
+  // thread forever.
+  expect_fails_fast<vm::RubyError>(R"(
+$t = Thread.new do
+  io_wait(10)
+  $t.join
+end
+$t.join
+)",
+                                   "current thread");
+}
+
+TEST(EngineBehavior, JoinCycleFailsTheDeadlockCheck) {
+  // Two threads join each other and main joins the first: no thread can
+  // ever wake, so the scheduler reports the deadlock instead of spinning
+  // the clock toward the join-park horizon.
+  expect_fails_fast<CheckFailure>(R"(
+$a = Thread.new do
+  io_wait(10)
+  $b.join
+end
+$b = Thread.new do
+  io_wait(10)
+  $a.join
+end
+$a.join
+)",
+                                  "blocked in Thread#join");
+}
+
+/// Serves `n` requests, one arriving every `gap` cycles, each echoed back.
+class ScriptedPort : public runtime::ServerPort {
+ public:
+  ScriptedPort(i64 n, Cycles gap) : n_(n), gap_(gap) {}
+  i64 accept(Cycles now) override {
+    if (next_ < n_ && now >= static_cast<Cycles>(next_) * gap_) return next_++;
+    return -1;
+  }
+  std::string payload(i64 id) override { return "GET /" + std::to_string(id); }
+  void respond(i64, std::string_view body, Cycles now) override {
+    ++done_;
+    log_ += std::string(body) + "@" + std::to_string(now) + "\n";
+  }
+  bool shutdown(Cycles) override { return next_ == n_ && done_ == n_; }
+  const std::string& log() const { return log_; }
+
+ private:
+  i64 n_;
+  Cycles gap_;
+  i64 next_ = 0;
+  i64 done_ = 0;
+  std::string log_;
+};
+
+/// Reaches four park sites in every engine: io_wait, contended Mutex#lock
+/// (a holder blocks in io_wait), ConditionVariable#wait, and Thread#join.
+const char* const kParkThreadsSrc = R"(
+$m = Mutex.new
+$cv = ConditionVariable.new
+$count = 0
+ts = []
+4.times do |i|
+  ts << Thread.new(i) do |tid|
+    io_wait(2 + tid)
+    $m.lock
+    io_wait(1)
+    $count += 1
+    $cv.signal
+    $m.unlock
+    k = 0
+    s = 0
+    while k < 3000
+      s += k * tid
+      k += 1
+    end
+    __record("s" + tid.to_s, s)
+  end
+end
+$m.lock
+while $count < 4
+  $cv.wait($m)
+end
+$m.unlock
+ts.each do |t|
+  t.join
+end
+__record("count", $count)
+)";
+
+/// Adds the fifth, accept_request: the acceptor parks until each request
+/// arrives, and overlapping handlers contend on a mutex held across
+/// blocking I/O.
+const char* const kParkServerSrc = R"(
+$m = Mutex.new
+$served = 0
+$workers = []
+req = accept_request()
+while !(req == nil)
+  $workers << Thread.new(req) do |rid|
+    raw = read_request(rid)
+    io_wait(4)
+    $m.lock
+    io_wait(2)
+    $served += 1
+    $m.unlock
+    send_response(rid, "ok " + raw)
+  end
+  req = accept_request()
+end
+$workers.each do |t|
+  t.join
+end
+__record("served", $served)
+)";
+
+/// FNV-1a of the run's metrics document (every RunStats counter plus the
+/// per-yield-point detail), its recorded results, program output and, for
+/// server runs, the response log with completion times.
+std::string park_digest(EngineConfig cfg, const std::string& src, bool server,
+                        const std::string& key) {
+  obs::ObsConfig oc;
+  // The sink writes this file on flush; keyed so concurrent ctest processes
+  // never share it.
+  oc.metrics_path = ::testing::TempDir() + "park_golden_" +
+                    std::to_string(httpsim::cluster::fnv1a64(key)) + ".json";
+  std::string all;
+  {
+    obs::Sink sink(oc);
+    cfg.obs_sink = &sink;
+    cfg.heap.initial_slots = 80'000;
+    cfg.max_insns = 10'000'000;
+    ScriptedPort port(12, 4'000);
+    Engine engine(std::move(cfg));
+    if (server) engine.attach_server(&port);
+    engine.load_program({src});
+    const RunStats stats = engine.run();
+    all = obs::metrics_to_json(sink.runs());
+    for (const auto& [k, v] : stats.results)
+      all += k + "=" + std::to_string(v) + "\n";
+    all += stats.output;
+    all += port.log();
+  }
+  std::remove(oc.metrics_path.c_str());
+  return std::to_string(httpsim::cluster::fnv1a64(all));
+}
+
+TEST(EngineBehavior, ParkPathGoldenDigests) {
+  // How a blocking builtin hands its park to the engine is host-side
+  // only: these values pin every simulated counter, cycle and output byte
+  // of runs that park at all five sites, and move only when a change
+  // re-baselines simulated output on purpose.
+  const std::map<std::string, std::string> golden = {
+      {"threads/gil", "14391381438901522111"},
+      {"threads/htm-dynamic", "8320160780265732206"},
+      {"threads/htm-dynamic-stm", "15261781112051584523"},
+      {"server/gil", "7112801237137344763"},
+      {"server/htm-dynamic", "5219341304971080623"},
+      {"server/htm-dynamic-stm", "11334723771024435866"},
+  };
+  const auto zec12 = htm::SystemProfile::zec12();
+  // Persistent aborts at every yield point push spans onto the STM tier.
+  EngineConfig stm = EngineConfig::htm_dynamic(zec12);
+  stm.stm.enabled = true;
+  stm.fault.persistent_all_yps = true;
+  stm.fault.seed = 1;
+  const std::vector<std::pair<std::string, EngineConfig>> engines = {
+      {"gil", EngineConfig::gil(zec12)},
+      {"htm-dynamic", EngineConfig::htm_dynamic(zec12)},
+      {"htm-dynamic-stm", stm}};
+  for (const auto& [name, cfg] : engines) {
+    for (const bool server : {false, true}) {
+      const std::string key = (server ? "server/" : "threads/") + name;
+      const std::string d = park_digest(
+          cfg, server ? kParkServerSrc : kParkThreadsSrc, server, key);
+      EXPECT_EQ(d, golden.at(key)) << key;
+    }
+  }
 }
 
 }  // namespace
