@@ -1,7 +1,7 @@
 // NPB evaluation driver: run any of the seven kernels on any machine and
-// engine configuration.
+// engine configuration. For example (one command line):
 //
-//   $ ./build/examples/npb_runner --benchmark=FT --machine=zec12 \
+//   $ ./build/examples/npb_runner --benchmark=FT --machine=zec12
 //        --engine=dynamic --threads=12 --scale=1
 //
 // Engines: gil | htm-1 | htm-16 | htm-256 | dynamic | fine | unsynced.

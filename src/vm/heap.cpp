@@ -18,6 +18,12 @@ u64* align_up(u64* p, u64 bytes) {
   return reinterpret_cast<u64*>(v);
 }
 
+/// Slots per spill block (32 MB); larger only for an oversized request.
+constexpr u64 kSpillBlockSlots = 4ull << 20;
+
+// Zero-page slabs rely on an all-zero RVALUE being a free object.
+static_assert(static_cast<u64>(ObjType::kFree) == 0);
+
 /// Slots per thread for the core TCB region when padded (one zEC12 line).
 constexpr u32 kPaddedTcbStride = 32;
 /// When unpadded, TCBs are packed back to back (4 per zEC12 line).
@@ -91,14 +97,10 @@ Heap::Heap(const HeapConfig& config) : config_(config) {
       tcb_malloc_slots + config_.global_table_slots * 2 +
       config_.ic_table_slots + 64;
 
-  control_storage_ = std::make_unique<u64[]>(total + kLineAlign / 8);
-  std::memset(control_storage_.get(), 0, (total + kLineAlign / 8) * 8);
-  u64* p = align_up(control_storage_.get(), kLineAlign);
-  if (config_.guest_space != nullptr) {
-    const u64 usable =
-        static_cast<u64>(control_storage_.get() + total + kLineAlign / 8 - p);
-    config_.guest_space->add_segment("heap-control", p, usable * 8);
-  }
+  control_storage_ = ZeroPages<u64>(total);
+  u64* p = control_storage_.get();
+  if (config_.guest_space != nullptr)
+    config_.guest_space->add_segment("heap-control", p, total * 8);
 
   // Dedicated lines: GIL word, global free head/count, current-thread
   // global, spill class heads (one line each so they never false-share).
@@ -129,38 +131,44 @@ Heap::Heap(const HeapConfig& config) : config_(config) {
   ic_base_ = cursor;
 
   // ---- arena ----
+  // Per-thread arenas publish a block with a few stores. The list modes'
+  // per-object chain is linked on demand instead: the head, the count and
+  // the frontier say everything the eager walk would have written.
   u32 remaining = config_.initial_slots;
   while (remaining > 0) {
     const u32 n = std::min(remaining, config_.block_slots);
-    add_arena_block(n);
+    if (config_.per_thread_arenas) {
+      add_arena_block(n);
+    } else {
+      virgin_top_ = &map_arena_block(n).base[n - 1];
+      virgin_block_ = static_cast<u32>(blocks_.size() - 1);
+      virgin_index_ = n - 1;
+    }
     remaining -= n;
+  }
+  if (virgin_top_ != nullptr) {
+    *global_free_head_ = reinterpret_cast<u64>(virgin_top_);
+    *global_free_count_ = total_objects_;
   }
 
   // ---- spill region ----
-  const u64 first_spill_slots = 4ull << 20;  // 32 MB
-  spill_blocks_.push_back(std::make_unique<u64[]>(first_spill_slots + 32));
-  spill_bump_ = align_up(spill_blocks_.back().get(), kLineAlign);
-  spill_end_ = spill_blocks_.back().get() + first_spill_slots;
-  if (config_.guest_space != nullptr) {
-    config_.guest_space->add_segment(
-        "spill-0", spill_bump_,
-        static_cast<u64>(spill_end_ - spill_bump_) * 8);
-  }
+  spill_blocks_.emplace_back(kSpillBlockSlots);
+  spill_bump_ = spill_blocks_.back().get();
+  spill_end_ = spill_bump_ + kSpillBlockSlots;
+  if (config_.guest_space != nullptr)
+    config_.guest_space->add_segment("spill-0", spill_bump_,
+                                     kSpillBlockSlots * 8);
 }
 
 Heap::~Heap() = default;
 
-void Heap::add_arena_block(u32 rvalues) {
+Heap::ArenaBlock& Heap::map_arena_block(u32 rvalues) {
   ArenaBlock block;
-  // Over-allocate and align the block to the worst-case line size: which
-  // RVALUEs share a cache line must depend on their arena offsets only, not
-  // on where malloc happened to place the block, or the simulated conflict
-  // pattern (and the trace it produces) would vary with host addresses.
-  const u32 pad = static_cast<u32>(kLineAlign / sizeof(RBasic)) + 1;
-  block.storage = std::make_unique<RBasic[]>(rvalues + pad);
-  auto base = reinterpret_cast<std::uintptr_t>(block.storage.get());
-  base = (base + kLineAlign - 1) & ~(kLineAlign - 1);
-  block.base = reinterpret_cast<RBasic*>(base);
+  // Zero pages: every header already reads kFree (0), and the page-aligned
+  // base makes which RVALUEs share a cache line depend on arena offsets
+  // only, never on where the block was mapped.
+  block.storage = ZeroPages<RBasic>(rvalues);
+  block.base = block.storage.get();
   block.count = rvalues;
   block.mark.assign(rvalues, false);
   if (config_.guest_space != nullptr) {
@@ -172,43 +180,59 @@ void Heap::add_arena_block(u32 rvalues) {
   }
   if (track_line_owners_)
     block.line_owner.assign((rvalues + kObjsPerLine - 1) / kObjsPerLine, -1);
+  total_objects_ += rvalues;
+  owner_block_cache_ = nullptr;  // blocks_ may reallocate below
+  blocks_.push_back(std::move(block));
+  ++gc_stats_.grown_blocks;
+  return blocks_.back();
+}
 
+void Heap::add_arena_block(u32 rvalues) {
+  RBasic* base = map_arena_block(rvalues).base;
   // Publish the fresh objects (direct stores: the arena is grown at
   // construction time or under the GIL during GC).
   if (config_.per_thread_arenas) {
     // The whole line-aligned portion of the block becomes one pool segment
     // (three stores) instead of a per-object chain.
-    for (u32 i = 0; i < rvalues; ++i)
-      block.base[i].slots[0] = RBasic::make_header(ObjType::kFree, 0);
     const u32 seg = rvalues & ~(kObjsPerLine - 1);
     if (seg > 0) {
-      RBasic* s = block.base;
-      s->slots[1] = *arena_pool_head_;
-      s->slots[2] = seg;
-      *arena_pool_head_ = reinterpret_cast<u64>(s);
+      base->slots[1] = *arena_pool_head_;
+      base->slots[2] = seg;
+      *arena_pool_head_ = reinterpret_cast<u64>(base);
       *arena_pool_count_ += seg;
       ++gc_stats_.pool_segments;
     }
     for (u32 i = seg; i < rvalues; ++i) {  // partial tail line, if any
-      RBasic* o = &block.base[i];
-      o->slots[1] = *global_free_head_;
-      *global_free_head_ = reinterpret_cast<u64>(o);
+      base[i].slots[1] = *global_free_head_;
+      *global_free_head_ = reinterpret_cast<u64>(&base[i]);
       ++*global_free_count_;
     }
   } else {
     // Link every RVALUE into the global free list.
     for (u32 i = 0; i < rvalues; ++i) {
-      RBasic* o = &block.base[i];
-      o->slots[0] = RBasic::make_header(ObjType::kFree, 0);
-      o->slots[1] = *global_free_head_;
-      *global_free_head_ = reinterpret_cast<u64>(o);
+      base[i].slots[1] = *global_free_head_;
+      *global_free_head_ = reinterpret_cast<u64>(&base[i]);
     }
     *global_free_count_ += rvalues;
   }
-  total_objects_ += rvalues;
-  owner_block_cache_ = nullptr;  // blocks_ may reallocate below
-  blocks_.push_back(std::move(block));
-  ++gc_stats_.grown_blocks;
+}
+
+void Heap::link_virgin_chunk() {
+  // Store the eager constructor's links for the next kLinkChunk objects of
+  // its chain, walking down a block and on into the one below it. Block 0
+  // object 0 ends the chain; its zero-page link already reads 0.
+  for (u32 n = 0; n < kLinkChunk && virgin_top_ != nullptr; ++n) {
+    if (virgin_index_ == 0) {
+      if (virgin_block_ == 0) {
+        virgin_top_ = nullptr;
+        break;
+      }
+      virgin_index_ = blocks_[--virgin_block_].count;
+    }
+    RBasic* next = &blocks_[virgin_block_].base[--virgin_index_];
+    virgin_top_->slots[1] = reinterpret_cast<u64>(next);
+    virgin_top_ = next;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +307,7 @@ RBasic* Heap::alloc_rvalue(Host& host, ObjType type, ClassId klass) {
       GILFREE_CHECK(head != 0);
     }
     obj = reinterpret_cast<RBasic*>(head);
-    const u64 next = host.mem_load(&obj->slots[1], true);
+    const u64 next = load_free_next(host, head);
     host.mem_store(global_free_head_, next, true);
     host.mem_store(global_free_count_,
                    host.mem_load(global_free_count_, true) - 1, true);
@@ -318,14 +342,12 @@ bool Heap::splice_global_to_local(Host& host, u32 tid) {
   u64 tail = ghead;
   u64 moved = 1;
   while (moved < config_.free_list_refill) {
-    const u64 next =
-        host.mem_load(&reinterpret_cast<RBasic*>(tail)->slots[1], true);
+    const u64 next = load_free_next(host, tail);
     if (next == 0) break;
     tail = next;
     ++moved;
   }
-  const u64 rest =
-      host.mem_load(&reinterpret_cast<RBasic*>(tail)->slots[1], true);
+  const u64 rest = load_free_next(host, tail);
   host.mem_store(global_free_head_, rest, true);
   host.mem_store(global_free_count_,
                  host.mem_load(global_free_count_, true) - moved, true);
@@ -760,14 +782,14 @@ void Heap::grow_spill_region(Host& host, u32 needed_slots) {
   // Growing swaps C++-level pointers that a transaction rollback could not
   // undo, so it must happen outside transactions.
   host.require_nontx("malloc-grow");
-  const u64 slots = std::max<u64>(4ull << 20, u64{needed_slots} + 32);
-  spill_blocks_.push_back(std::make_unique<u64[]>(slots + 32));
-  spill_bump_ = align_up(spill_blocks_.back().get(), kLineAlign);
-  spill_end_ = spill_blocks_.back().get() + slots;
+  const u64 slots = std::max<u64>(kSpillBlockSlots, needed_slots);
+  spill_blocks_.emplace_back(slots);
+  spill_bump_ = spill_blocks_.back().get();
+  spill_end_ = spill_bump_ + slots;
   if (config_.guest_space != nullptr) {
     config_.guest_space->add_segment(
         "spill-" + std::to_string(spill_blocks_.size() - 1), spill_bump_,
-        static_cast<u64>(spill_end_ - spill_bump_) * 8);
+        slots * 8);
   }
 }
 
@@ -1463,6 +1485,9 @@ Cycles Heap::run_gc(const RootSet& roots) {
   }
   *global_free_head_ = 0;
   *global_free_count_ = 0;
+  // The sweep relinks every free object from its header, and objects the
+  // on-demand linking never reached already read kFree: drop the frontier.
+  virgin_top_ = nullptr;
   *arena_pool_head_ = 0;
   *arena_pool_count_ = 0;
   deal_next_ = 0;
@@ -1594,7 +1619,7 @@ std::string Heap::describe_address(const void* addr) const {
     return "arena";
   }
   for (const auto& blk : spill_blocks_) {
-    if (p >= blk.get() && p < blk.get() + (4ull << 20) + 32) return "spill";
+    if (p >= blk.get() && p < blk.get() + blk.size()) return "spill";
   }
   return "other";
 }

@@ -14,6 +14,9 @@
 //   * Thread control blocks hold the per-thread fields the paper added
 //     (yield_point_counter, local free-list head...) and are optionally
 //     padded to dedicated cache lines to avoid false sharing (§4.4).
+//   * Every slab is zero pages (common/zero_pages.hpp) and the
+//     constructor's free list is linked on demand, so building a heap costs
+//     only the memory a run touches, not the pre-sized arena (§4.4(c)).
 //   * The §7 future-work directions are implemented as opt-in extensions:
 //     per-thread allocation arenas (bump segments carved from a shared
 //     pool, size adapted to each thread's allocation rate), line-mate-aware
@@ -21,12 +24,12 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
+#include "common/zero_pages.hpp"
 #include "vm/gc_stats.hpp"
 #include "sim/guest_space.hpp"
 #include "vm/host.hpp"
@@ -161,6 +164,9 @@ enum TcbField : u32 {
 
 class Heap {
  public:
+  /// Objects of the constructor's free list linked per on-demand step.
+  static constexpr u32 kLinkChunk = 512;
+
   explicit Heap(const HeapConfig& config);
   ~Heap();
 
@@ -324,8 +330,8 @@ class Heap {
 
  private:
   struct ArenaBlock {
-    std::unique_ptr<RBasic[]> storage;
-    RBasic* base = nullptr;  ///< Line-aligned start.
+    ZeroPages<RBasic> storage;
+    RBasic* base = nullptr;  ///< storage.get() (page-, hence line-aligned).
     u32 count = 0;
     std::vector<bool> mark;
     /// Last thread to allocate each cache line of the block (-1 = never;
@@ -338,7 +344,22 @@ class Heap {
 
   static constexpr u32 kNumSpillClasses = 18;  ///< 32 B .. 4 MB chunks.
 
+  /// Maps and registers a zero-page block (every object reads as kFree)
+  /// without publishing its objects anywhere.
+  ArenaBlock& map_arena_block(u32 rvalues);
+  /// Maps a block and publishes its objects eagerly (growth blocks, and
+  /// every block in per-thread-arena mode).
   void add_arena_block(u32 rvalues);
+  /// Transactional load of a global-list node's next link. When `node` is
+  /// the unlinked frontier of the constructor's chain, the next chunk of
+  /// that chain is linked first, with exactly the links the eager
+  /// constructor would have stored.
+  u64 load_free_next(Host& host, u64 node) {
+    RBasic* o = reinterpret_cast<RBasic*>(node);
+    if (o == virgin_top_) link_virgin_chunk();
+    return host.mem_load(&o->slots[1], true);
+  }
+  void link_virgin_chunk();
   void collect_for_allocation(Host& host);
   /// Splices up to free_list_refill objects from the global list onto
   /// `tid`'s local list; false when the global list is empty.
@@ -395,8 +416,18 @@ class Heap {
   std::vector<ArenaBlock> blocks_;
   u64 total_objects_ = 0;
 
-  // Raw line-aligned slabs for control state; addresses are stable.
-  std::unique_ptr<u64[]> control_storage_;
+  // The constructor's free list in list modes, linked on demand. Its eager
+  // order is fixed (block descending, then index descending; block 0
+  // object 0 ends it), so one frontier describes it: every object from
+  // virgin_top_ on in that order still has its zero-page slots[1], and
+  // virgin_top_ is the only one of them a list can reach. Null once fully
+  // linked, and dropped by run_gc, whose sweep relinks from headers.
+  RBasic* virgin_top_ = nullptr;
+  u32 virgin_block_ = 0;
+  u32 virgin_index_ = 0;
+
+  // Zero-page slab for control state; addresses are stable.
+  ZeroPages<u64> control_storage_;
   u64* gil_word_ = nullptr;
   u64* global_free_head_ = nullptr;
   u64* global_free_count_ = nullptr;
@@ -414,7 +445,7 @@ class Heap {
   u32 num_constants_ = 0;
 
   // Spill backing store: grows in blocks; addresses stable.
-  std::vector<std::unique_ptr<u64[]>> spill_blocks_;
+  std::vector<ZeroPages<u64>> spill_blocks_;
   u64* spill_bump_ = nullptr;
   u64* spill_end_ = nullptr;
   u64 spill_slots_allocated_ = 0;

@@ -8,16 +8,13 @@
 // the redo log.
 #pragma once
 
-#include <sys/mman.h>
-
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <optional>
 
 #include "common/check.hpp"
 #include "common/types.hpp"
+#include "common/zero_pages.hpp"
 #include "vm/host.hpp"
 #include "vm/value.hpp"
 
@@ -58,13 +55,10 @@ class VmThread {
   /// offsets, never on where the backing array was placed.
   static constexpr u64 kStackAlignSlots = 256 / sizeof(u64);
 
-  /// The stack is untouched anonymous memory: pages are zero-filled by the
-  /// kernel on first touch, so a thread's resident size follows the depth
-  /// it actually uses rather than `stack_slots`. Page alignment subsumes the
-  /// line alignment above.
-  VmThread(u32 tid, u32 stack_slots)
-      : tid_(tid), stack_slots_(stack_slots),
-        stack_(map_stack(stack_slots), StackUnmap{stack_slots}) {
+  /// The stack is zero pages (common/zero_pages.hpp): a thread's resident
+  /// size follows the depth it actually uses rather than `stack_slots`.
+  /// Page alignment subsumes the line alignment above.
+  VmThread(u32 tid, u32 stack_slots) : tid_(tid), stack_(stack_slots) {
     GILFREE_CHECK(stack_slots >= 1024);
     GILFREE_CHECK(reinterpret_cast<std::uintptr_t>(stack_.get()) %
                       (kStackAlignSlots * 8) ==
@@ -77,10 +71,10 @@ class VmThread {
 
   u64* stack_base() { return stack_.get(); }
   const u64* stack_base() const { return stack_.get(); }
-  u32 stack_slots() const { return stack_slots_; }
+  u32 stack_slots() const { return static_cast<u32>(stack_.size()); }
 
   u64* slot(u64 index) {
-    GILFREE_CHECK_MSG(index < stack_slots_, "VM stack overflow");
+    GILFREE_CHECK_MSG(index < stack_.size(), "VM stack overflow");
     return &stack_[index];
   }
 
@@ -119,21 +113,8 @@ class VmThread {
   bool io_pending = false;
 
  private:
-  struct StackUnmap {
-    u32 slots;
-    void operator()(u64* p) const { ::munmap(p, std::size_t{slots} * 8); }
-  };
-
-  static u64* map_stack(u32 slots) {
-    void* p = ::mmap(nullptr, std::size_t{slots} * 8, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    return static_cast<u64*>(p);
-  }
-
   u32 tid_;
-  u32 stack_slots_;
-  std::unique_ptr<u64[], StackUnmap> stack_;
+  ZeroPages<u64> stack_;
   ThreadRegs regs_;
   bool finished_ = false;
   Value result_ = Value::nil();

@@ -86,7 +86,7 @@ TEST(GuestSpace, OverlappingSegmentsAreRejected) {
   gs.add_segment("arena-0", a.bytes.data(), a.bytes.size());
   EXPECT_THROW(gs.add_segment("overlap", a.bytes.data() + 256, 256),
                CheckFailure);
-  EXPECT_THROW(gs.add_segment("empty", a.bytes.data() + 8192, 0),
+  EXPECT_THROW(gs.add_segment("empty", a.bytes.data() + a.bytes.size(), 0),
                CheckFailure);
 }
 

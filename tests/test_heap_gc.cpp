@@ -2,15 +2,17 @@
 // classes, mark & sweep reachability, heap growth, region classification,
 // per-thread arena carving/conservation, sweep-deal line invariants, lazy
 // incremental sweeping, the generational nursery (promotion, conservation,
-// write barrier), incremental marking, stash stealing, and a
-// trace-differential test pinning the default configuration to the seed
-// allocator's behaviour.
+// write barrier), incremental marking, stash stealing, zero-page slabs
+// (the on-demand initial free list keeps the eager order, construction
+// touches almost nothing, overruns fault), and a trace-differential test
+// pinning the default configuration to the seed allocator's behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 
@@ -18,6 +20,7 @@
 #include "obs/sink.hpp"
 #include "runtime/engine.hpp"
 #include "testutil_programs.hpp"
+#include "testutil_rss.hpp"
 #include "vm/heap.hpp"
 #include "vm/objops.hpp"
 
@@ -781,6 +784,164 @@ TEST(Heap, PaddingChangesTcbStride) {
   };
   EXPECT_GE(dist(padded), 256u) << "padded TCBs get whole zEC12 lines";
   EXPECT_LT(dist(packed), 256u) << "packed TCBs share lines (false sharing)";
+}
+
+
+// --- Zero-page slabs and the on-demand initial free list -------------------
+
+/// A small multi-block heap whose constructor chain spans several link
+/// chunks and crosses block boundaries (blocks of 1024, 1024 and 952). A
+/// refill one longer than a chunk makes splices meet the unlinked frontier
+/// both inside the walk and at its final `rest` read.
+HeapConfig lazy_link_config(bool thread_local_lists) {
+  HeapConfig c = small_config();
+  c.initial_slots = 3000;
+  c.thread_local_free_lists = thread_local_lists;
+  c.free_list_refill = Heap::kLinkChunk + 1;
+  return c;
+}
+
+/// The order the eager constructor linked the initial objects in: block
+/// descending, then index descending (read from the guest segments).
+std::vector<const RBasic*> eager_chain_order(const sim::GuestSpace& gs) {
+  std::vector<const RBasic*> order;
+  for (u32 i = static_cast<u32>(gs.segment_count()); i-- > 0;) {
+    const auto& seg = gs.segment(i);
+    if (seg.name.rfind("arena-", 0) != 0) continue;
+    const auto* base = reinterpret_cast<const RBasic*>(seg.base);
+    for (u64 j = seg.bytes / sizeof(RBasic); j-- > 0;)
+      order.push_back(base + j);
+  }
+  return order;
+}
+
+void check_lazy_chain_matches_eager(bool thread_local_lists) {
+  sim::GuestSpace gs;
+  HeapConfig cfg = lazy_link_config(thread_local_lists);
+  cfg.guest_space = &gs;
+  Heap heap(cfg);
+  DirectHost host;
+  host.heap = &heap;
+  const std::vector<const RBasic*> expect = eager_chain_order(gs);
+  const u64 total = heap.total_objects();
+  ASSERT_EQ(expect.size(), total);
+  ASSERT_GT(total, 2u * Heap::kLinkChunk);
+  EXPECT_EQ(*heap.global_free_count(), total);
+
+  for (u64 i = 0; i < total; ++i) {
+    const RBasic* o = heap.alloc_rvalue(host, ObjType::kFloat, kClassFloat);
+    ASSERT_EQ(o, expect[i]) << "allocation " << i << " left the eager order";
+    ASSERT_EQ(heap.free_objects(), total - i - 1);
+    if (!thread_local_lists) {
+      ASSERT_EQ(*heap.global_free_count(), total - i - 1);
+    }
+  }
+  EXPECT_EQ(*heap.global_free_head(), 0u) << "the chain must end at 0";
+  EXPECT_EQ(*heap.global_free_count(), 0u);
+  EXPECT_EQ(*heap.tcb_slot(0, kTcbFreeListHead), 0u);
+  EXPECT_EQ(host.gc_calls, 0u);
+}
+
+TEST(HeapLazyLinks, ThreadLocalListsAllocateInEagerOrder) {
+  check_lazy_chain_matches_eager(/*thread_local_lists=*/true);
+}
+
+TEST(HeapLazyLinks, GlobalListAllocatesInEagerOrder) {
+  check_lazy_chain_matches_eager(/*thread_local_lists=*/false);
+}
+
+/// A collection in the middle of the on-demand chain: the sweep relinks
+/// every free object (linked or not) and no object is handed out twice.
+/// Lazy sweeping frees block 0 first, so allocation runs ahead of the old
+/// frontier's eager order there: a frontier that survived the collection
+/// would link those objects a second time.
+void check_gc_mid_chain(bool thread_local_lists, bool lazy_sweep) {
+  SCOPED_TRACE(lazy_sweep ? "lazy sweep" : "eager sweep");
+  HeapConfig cfg = lazy_link_config(thread_local_lists);
+  cfg.lazy_sweep = lazy_sweep;
+  Heap heap(cfg);
+  DirectHost host;
+  host.heap = &heap;
+  std::set<const RBasic*> live;
+  for (u32 i = 0; i < Heap::kLinkChunk + 200; ++i) {
+    const Value v = heap.new_float(host, i);
+    if (i % 3 == 0) {
+      host.roots.values.push_back(v);
+      live.insert(v.obj());
+    }
+  }
+  heap.run_gc(host.roots);
+  const u64 total = heap.total_objects();
+  if (!lazy_sweep) {
+    EXPECT_EQ(heap.free_objects() + live.size(), total);
+  }
+
+  const u64 gc_before = host.gc_calls;
+  std::set<const RBasic*> seen;
+  for (u64 i = 0; i < total - live.size(); ++i) {
+    const RBasic* o = heap.alloc_rvalue(host, ObjType::kFloat, kClassFloat);
+    ASSERT_EQ(live.count(o), 0u) << "live object handed out at " << i;
+    ASSERT_TRUE(seen.insert(o).second) << "object handed out twice at " << i;
+  }
+  EXPECT_EQ(host.gc_calls, gc_before);
+  EXPECT_EQ(heap.free_objects(), 0u);
+  EXPECT_EQ(heap.lazy_blocks_pending(), 0u);
+}
+
+TEST(HeapLazyLinks, ThreadLocalListsSurviveGcMidChain) {
+  for (const bool lazy : {false, true})
+    check_gc_mid_chain(/*thread_local_lists=*/true, lazy);
+}
+
+TEST(HeapLazyLinks, GlobalListSurvivesGcMidChain) {
+  for (const bool lazy : {false, true})
+    check_gc_mid_chain(/*thread_local_lists=*/false, lazy);
+}
+
+TEST(HeapZeroPages, ConstructionTouchesAlmostNothing) {
+  const HeapConfig cfg;  // the pre-sized 1M-slot default
+  // What the eager constructor zeroed: the arena plus the first spill block.
+  const u64 eager = u64{cfg.initial_slots} * sizeof(RBasic) + (32ull << 20);
+  const u64 before = testutil::resident_bytes();
+  ASSERT_GT(before, 0u) << "/proc/self/statm unreadable";
+  auto heap = std::make_unique<Heap>(cfg);
+  const u64 grown = testutil::resident_bytes() - before;
+  EXPECT_LT(grown, eager / 16) << "constructing a heap must not touch it";
+
+  // Allocating touches pages on demand; destroying the heap unmaps them.
+  DirectHost host;
+  host.heap = heap.get();
+  constexpr u32 kTouched = 200'000;  // 12.8 MB of RVALUEs
+  for (u32 i = 0; i < kTouched; ++i)
+    (void)heap->alloc_rvalue(host, ObjType::kFloat, kClassFloat);
+  const u64 used = testutil::resident_bytes();
+  EXPECT_GT(used - before, u64{kTouched} * sizeof(RBasic) / 2);
+  heap.reset();
+  const auto left = static_cast<i64>(testutil::resident_bytes()) -
+                    static_cast<i64>(before);
+  EXPECT_LT(left, static_cast<i64>(eager / 16))
+      << "destroying a heap must return its pages";
+}
+
+TEST(HeapZeroPagesDeathTest, SlabOverrunFaults) {
+  sim::GuestSpace gs;
+  HeapConfig cfg = small_config();
+  cfg.guest_space = &gs;
+  Heap heap(cfg);
+  const auto past_end = [&](const std::string& name) {
+    for (u32 i = 0; i < gs.segment_count(); ++i) {
+      const auto& seg = gs.segment(i);
+      if (seg.name == name)
+        return reinterpret_cast<volatile u64*>(
+            const_cast<std::byte*>(seg.base + seg.bytes));
+    }
+    ADD_FAILURE() << "no segment " << name;
+    return static_cast<volatile u64*>(nullptr);
+  };
+  volatile u64* spill_end = past_end("spill-0");
+  volatile u64* arena_end = past_end("arena-1");
+  EXPECT_DEATH(*spill_end = 1, "") << "one slot past a spill block";
+  EXPECT_DEATH(*arena_end = 1, "") << "one slot past an arena block";
 }
 
 }  // namespace

@@ -11,13 +11,11 @@
 //     a fresh stack reads as zero.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "testutil_rss.hpp"
 #include "vm/builtins.hpp"
 #include "vm/compiler.hpp"
 #include "vm/heap.hpp"
@@ -187,15 +185,7 @@ __record("unreachable", x)
   EXPECT_EQ(h.thread.take_park().delay, kTestParkDelay);
 }
 
-u64 resident_bytes() {
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  unsigned long size = 0, resident = 0;
-  const int n = std::fscanf(f, "%lu %lu", &size, &resident);
-  std::fclose(f);
-  return n == 2 ? u64{resident} * static_cast<u64>(::sysconf(_SC_PAGESIZE))
-                : 0;
-}
+using testutil::resident_bytes;
 
 TEST(VmThreadStack, IsZeroOnDemand) {
   constexpr u32 kThreads = 2'000;
