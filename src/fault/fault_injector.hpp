@@ -56,6 +56,14 @@ class FaultInjector {
   /// abort arrival passed on this CPU (the facility aborts with kConflict).
   bool spurious_due(CpuId cpu, Cycles now);
 
+  /// The cycle at which spurious_due(cpu, ·) next can return true (it
+  /// resamples the arrival then), or ~0 when the spurious campaign is off.
+  /// Lets the facility fold this check into one clock compare per access.
+  Cycles next_spurious(CpuId cpu) const {
+    return config_.spurious_mean_cycles == 0 ? ~Cycles{0}
+                                             : next_spurious_.at(cpu);
+  }
+
   /// Interrupt-arrival mean under the campaign: `base` outside a storm
   /// window, the storm mean inside one. Counts one storm activation per
   /// in-window sample.

@@ -17,6 +17,8 @@ HtmFacility::HtmFacility(const HtmConfig& config, sim::Machine* machine,
   GILFREE_CHECK_MSG(machine_->num_cpus() <= 32,
                     "line-table CPU masks are 32-bit");
   GILFREE_CHECK(config_.line_bytes == machine_->config().line_bytes);
+  GILFREE_CHECK(config_.line_bytes >= 8);
+  window_line_shift_ = static_cast<u32>(__builtin_ctz(config_.line_bytes / 8));
   tx_.resize(machine_->num_cpus());
   stats_.resize(machine_->num_cpus());
   last_conflict_line_.assign(machine_->num_cpus(), kInvalidLine);
@@ -40,7 +42,7 @@ void HtmFacility::seed_rngs() {
   learning_seed_ = seeder.next_u64();
 }
 
-AbortReason HtmFacility::tx_begin(CpuId cpu, i32 yp) {
+AbortReason HtmFacility::tx_begin(CpuId cpu, i32 yp, PrivateWindow window) {
   TxState& t = tx_.at(cpu);
   GILFREE_CHECK_MSG(!t.active, "nested transactions are not supported");
   ++stats_.at(cpu).begins;
@@ -70,6 +72,7 @@ AbortReason HtmFacility::tx_begin(CpuId cpu, i32 yp) {
   t.doom = AbortReason::kNone;
   clear_footprint(cpu, t);
   t.redo.clear();
+  open_window(t, window);
   last_conflict_line_.at(cpu) = kInvalidLine;
 
   const Cycles now = machine_->clock(cpu);
@@ -79,6 +82,7 @@ AbortReason HtmFacility::tx_begin(CpuId cpu, i32 yp) {
     t.next_interrupt = now + static_cast<Cycles>(rng_.at(cpu).next_exponential(
                                  static_cast<double>(mean)));
   }
+  arm_events(cpu, t);
   return AbortReason::kNone;
 }
 
@@ -96,8 +100,10 @@ AbortReason HtmFacility::tx_commit(CpuId cpu) {
     *e.addr = e.value;
     if (write_listener_ != nullptr) write_listener_->on_nontx_write(e.addr);
   }
+  close_window(t, /*publish=*/true);
   detach(cpu);
   t.active = false;
+  t.next_event = 0;
   t.redo.clear();
   ++stats_.at(cpu).commits;
   if (learning_) learning_->on_non_overflow(cpu);
@@ -120,32 +126,75 @@ void HtmFacility::doom_all(CpuId except, AbortReason reason) {
     TxState& t = tx_[c];
     if (t.active && t.doom == AbortReason::kNone) {
       t.doom = reason;
+      t.next_event = 0;
       detach(c);
     }
   }
 }
 
 void HtmFacility::first_touch(CpuId cpu, LineRecord& r, sim::GuestLoc loc,
-                              bool shared, bool write) {
-  std::vector<LineRecord*>& lines =
-      write ? tx_[cpu].write_lines : tx_[cpu].read_lines;
+                              bool write) {
+  TxState& t = tx_[cpu];
   (write ? r.write_fp : r.read_fp) |= bit(cpu);
-  lines.push_back(&r);
-  const u32 max = write ? effective_max_write(cpu) : effective_max_read(cpu);
-  if (lines.size() > faulted_limit(cpu, max)) {
-    if (injector_ && lines.size() <= max)
-      injector_->capacity_clip(cpu, machine_->clock(cpu));
-    if (learning_) learning_->on_overflow(cpu);
-    abort_self(cpu, write ? AbortReason::kOverflowWrite
-                          : AbortReason::kOverflowRead);
-  }
-  if (!shared) return;
+  (write ? t.write_lines : t.read_lines).push_back(&r);
+  check_capacity(cpu, t, write);
   // Requester wins: a reader invalidates transactional writers elsewhere,
   // a writer every other transactional holder.
   const u32 victims =
       (write ? r.tx_readers | r.tx_writers : r.tx_writers) & ~bit(cpu);
   (write ? r.tx_writers : r.tx_readers) |= bit(cpu);
   if (victims) conflict(victims, loc);
+}
+
+void HtmFacility::first_touch_private(CpuId cpu, u32 line, bool write) {
+  TxState& t = tx_[cpu];
+  (write ? t.win.write_fp : t.win.read_fp)[line >> 6] |= u64{1}
+                                                         << (line & 63);
+  (write ? t.win.write_lines : t.win.read_lines).push_back(line);
+  check_capacity(cpu, t, write);
+}
+
+void HtmFacility::check_capacity(CpuId cpu, const TxState& t, bool write) {
+  const std::size_t lines =
+      write ? t.write_lines.size() + t.win.write_lines.size()
+            : t.read_lines.size() + t.win.read_lines.size();
+  const u32 max = write ? effective_max_write(cpu) : effective_max_read(cpu);
+  if (lines <= faulted_limit(cpu, max)) return;
+  if (injector_ && lines <= max)
+    injector_->capacity_clip(cpu, machine_->clock(cpu));
+  if (learning_) learning_->on_overflow(cpu);
+  abort_self(cpu,
+             write ? AbortReason::kOverflowWrite : AbortReason::kOverflowRead);
+}
+
+void HtmFacility::open_window(TxState& t, PrivateWindow w) {
+  WindowTx& win = t.win;
+  win.base = w.base;
+  win.slots = w.slots;
+  if (w.slots == 0) return;
+  // Line indices are slot offsets shifted: the window must start a line of
+  // one registered segment and end inside it.
+  const sim::GuestLoc first = guest_->locate(w.base);
+  GILFREE_CHECK_MSG((first.offset & (config_.line_bytes - 1)) == 0,
+                    "private window must start a guest line");
+  GILFREE_CHECK(guest_->locate(w.base + (w.slots - 1)).segment ==
+                first.segment);
+  if (w.slots <= win.values.size()) return;
+  GILFREE_CHECK(win.stored.empty());
+  win.values = ZeroPages<u64>(w.slots);
+  win.written.assign((w.slots + 63) / 64, 0);
+  const u32 lines = ((w.slots - 1) >> window_line_shift_) + 1;
+  win.read_fp.assign((lines + 63) / 64, 0);
+  win.write_fp.assign((lines + 63) / 64, 0);
+}
+
+void HtmFacility::close_window(TxState& t, bool publish) {
+  WindowTx& win = t.win;
+  for (const u32 slot : win.stored) {
+    if (publish) win.base[slot] = win.values[slot];
+    win.written[slot >> 6] &= ~(u64{1} << (slot & 63));
+  }
+  win.stored.clear();
 }
 
 void HtmFacility::conflict(u32 victims, sim::GuestLoc loc) {
@@ -159,6 +208,11 @@ void HtmFacility::clear_footprint(CpuId cpu, TxState& t) {
   for (LineRecord* r : t.write_lines) r->write_fp &= ~bit(cpu);
   t.read_lines.clear();
   t.write_lines.clear();
+  WindowTx& win = t.win;
+  for (const u32 l : win.read_lines) win.read_fp[l >> 6] = 0;
+  for (const u32 l : win.write_lines) win.write_fp[l >> 6] = 0;
+  win.read_lines.clear();
+  win.write_lines.clear();
 }
 
 u32 HtmFacility::effective_max_read(CpuId cpu) const {
@@ -186,6 +240,7 @@ void HtmFacility::doom_mask(u32 mask, AbortReason reason, LineId line) {
     TxState& t = tx_.at(victim);
     if (!t.active || t.doom != AbortReason::kNone) continue;
     t.doom = reason;
+    t.next_event = 0;
     last_conflict_line_.at(victim) = line;
     // Detach immediately: the coherency request has invalidated the victim's
     // speculative lines, so they no longer participate in detection. The
@@ -214,12 +269,25 @@ void HtmFacility::rollback(CpuId cpu, AbortReason reason) {
   detach(cpu);
   t.active = false;
   t.doom = AbortReason::kNone;
+  t.next_event = 0;
   t.redo.clear();
+  close_window(t, /*publish=*/false);
   ++stats_.at(cpu).aborts_by_reason[static_cast<int>(reason)];
   if (learning_ && reason != AbortReason::kOverflowRead &&
       reason != AbortReason::kOverflowWrite) {
     learning_->on_non_overflow(cpu);
   }
+}
+
+void HtmFacility::access_event(CpuId cpu, TxState& t) {
+  GILFREE_CHECK(t.active);
+  if (t.doom != AbortReason::kNone) abort_self(cpu, t.doom);
+  if (machine_->clock(cpu) >= t.next_interrupt) interrupt(cpu, t);
+  // Injected spurious aborts look like transient conflicts to the
+  // software: retryable, no footprint evidence.
+  if (injector_ && injector_->spurious_due(cpu, machine_->clock(cpu)))
+    abort_self(cpu, AbortReason::kConflict);
+  arm_events(cpu, t);
 }
 
 void HtmFacility::interrupt(CpuId cpu, TxState& t) {

@@ -4,7 +4,9 @@
 //   * eager, cache-line-granular conflict detection (tx-read/tx-dirty bits
 //     modeled as per-line CPU masks in a guest-indexed sim::LineTable),
 //   * store buffering — speculative stores go to a per-transaction redo log
-//     (the "Gathering Store Cache") and reach memory only at TEND,
+//     (the "Gathering Store Cache") and reach memory only at TEND; stores to
+//     the thread-private window (the interpreter stack) go to a slot-indexed
+//     buffer of their own,
 //   * capacity limits on the distinct cache lines read and written,
 //   * requester-wins resolution: the CPU whose access hits somebody else's
 //     transactional line dooms that transaction (the coherency request
@@ -21,6 +23,8 @@
 // transaction dies mid-bytecode; the engine unwinds to its TBEGIN snapshot.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -28,6 +32,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "common/zero_pages.hpp"
 #include "fault/fault_injector.hpp"
 #include "htm/abort_reason.hpp"
 #include "htm/htm_config.hpp"
@@ -40,15 +45,24 @@
 
 namespace gilfree::htm {
 
-/// Observes every write that reaches simulated memory outside transactional
-/// speculation: non-transactional stores and the redo-log drain of a
-/// committing hardware transaction. The tier-2 software-transaction engine
-/// registers here so commit-time validation can detect writes it did not
-/// perform itself (docs/TIERS.md).
+/// Observes every write that reaches shared simulated memory outside
+/// transactional speculation: non-transactional stores and the redo-log
+/// drain of a committing hardware transaction. Private-window stores a
+/// commit publishes are not reported: no other thread can read them. The
+/// tier-2 software-transaction engine registers here so commit-time
+/// validation can detect writes it did not perform itself (docs/TIERS.md).
 class MemWriteListener {
  public:
   virtual ~MemWriteListener() = default;
   virtual void on_nontx_write(const u64* addr) = 0;
+};
+
+/// The slots a transaction may touch with shared=false: the running
+/// thread's interpreter stack. Registered guest memory whose first slot
+/// starts a guest line, inside one segment.
+struct PrivateWindow {
+  u64* base = nullptr;
+  u32 slots = 0;
 };
 
 class HtmFacility {
@@ -66,8 +80,9 @@ class HtmFacility {
   /// reason, exactly like the fallback path of XBEGIN. `yp` is the yield
   /// point the TLE layer starts this transaction at (-1 = thread entry /
   /// unknown); it only targets fault-injection campaigns — the hardware
-  /// model itself ignores it.
-  AbortReason tx_begin(CpuId cpu, i32 yp = -1);
+  /// model itself ignores it. `window` is the transaction's private window
+  /// (empty: every shared=false access fails a GILFREE_CHECK).
+  AbortReason tx_begin(CpuId cpu, i32 yp = -1, PrivateWindow window = {});
 
   /// TEND/XEND. On success applies the redo log to memory and returns kNone;
   /// if the transaction was doomed in the meantime, rolls back and returns
@@ -91,11 +106,12 @@ class HtmFacility {
   AbortReason doom(CpuId cpu) const { return tx_.at(cpu).doom; }
 
   /// Transactional 8-byte load. `shared` marks lines other threads can touch;
-  /// private lines (interpreter stacks) still consume footprint but skip
-  /// conflict tracking. Throws TxAbort on capacity overflow, interrupt, or a
-  /// previously delivered doom.
+  /// private ones must lie in the transaction's window and still consume
+  /// footprint but skip conflict tracking. Throws TxAbort on capacity
+  /// overflow, interrupt, or a previously delivered doom.
   u64 tx_load(CpuId cpu, const u64* addr, bool shared) {
     TxState& t = enter_access(cpu);
+    if (!shared) return load_private(cpu, t, addr);
     const sim::GuestLoc loc = guest_->locate(addr);
     LineRecord& r = lines_.at(loc);
     // Read own speculative writes; only lines this transaction wrote can
@@ -103,18 +119,31 @@ class HtmFacility {
     if (r.write_fp & bit(cpu)) {
       if (const u64* v = t.redo.find(addr)) return *v;
     }
-    if (!(r.read_fp & bit(cpu))) first_touch(cpu, r, loc, shared, false);
+    if (!(r.read_fp & bit(cpu))) first_touch(cpu, r, loc, false);
     return *addr;
   }
 
-  /// Transactional 8-byte store into the redo log. Throws TxAbort like
-  /// tx_load.
+  /// Transactional 8-byte store into the redo log (shared) or the window's
+  /// store buffer (private). Throws TxAbort like tx_load.
   void tx_store(CpuId cpu, u64* addr, u64 value, bool shared) {
     TxState& t = enter_access(cpu);
+    if (!shared) {
+      store_private(cpu, t, addr, value);
+      return;
+    }
     const sim::GuestLoc loc = guest_->locate(addr);
     LineRecord& r = lines_.at(loc);
-    if (!(r.write_fp & bit(cpu))) first_touch(cpu, r, loc, shared, true);
+    if (!(r.write_fp & bit(cpu))) first_touch(cpu, r, loc, true);
     t.redo.put(addr, value);
+  }
+
+  /// The value a shared tx_load of `addr` would return right now, with no
+  /// side effect: no footprint, conflict, fault or interrupt check, no
+  /// TxAbort. Lets the interpreter read the TCB yield counter before
+  /// deciding whether a yield point needs the engine.
+  u64 tx_peek(CpuId cpu, const u64* addr) const {
+    if (const u64* v = tx_.at(cpu).redo.find(addr)) return *v;
+    return *addr;
   }
 
   /// Non-transactional accessors used while holding the GIL (or before any
@@ -143,21 +172,17 @@ class HtmFacility {
     if (write_listener_ != nullptr) write_listener_->on_nontx_write(addr);
   }
 
-  /// Cheap doom check between bytecodes; throws TxAbort if this CPU's
-  /// transaction was killed asynchronously.
-  void check_doom(CpuId cpu) {
-    const TxState& t = tx_.at(cpu);
-    if (t.active && t.doom != AbortReason::kNone) abort_self(cpu, t.doom);
-  }
-
   /// Footprint of the CPU's current transaction, or of its last one until
   /// the next successful tx_begin (a doomed or aborted transaction keeps
   /// reporting what it had touched), for tests and the Fig. 6a probe.
+  /// Shared and private lines together.
   u32 read_line_count(CpuId cpu) const {
-    return static_cast<u32>(tx_.at(cpu).read_lines.size());
+    const TxState& t = tx_.at(cpu);
+    return static_cast<u32>(t.read_lines.size() + t.win.read_lines.size());
   }
   u32 write_line_count(CpuId cpu) const {
-    return static_cast<u32>(tx_.at(cpu).write_lines.size());
+    const TxState& t = tx_.at(cpu);
+    return static_cast<u32>(t.write_lines.size() + t.win.write_lines.size());
   }
 
   /// Capacity after SMT halving (§5.4: SMT siblings share the caches).
@@ -208,11 +233,11 @@ class HtmFacility {
   void reset();
 
  private:
-  /// Per-line state, one 16-byte record per guest line. The conflict masks
-  /// model zEC12's tx-read/tx-dirty bits and hold only shared accesses of
-  /// live, undoomed transactions; the footprint masks record every line a
-  /// CPU's transaction touched (private ones too) so first-touch is a bit
-  /// test. A line first touched privately never enters conflict tracking.
+  /// Per-line state, one 16-byte record per shared guest line. The conflict
+  /// masks model zEC12's tx-read/tx-dirty bits and hold only accesses of
+  /// live, undoomed transactions; the footprint masks record every shared
+  /// line a CPU's transaction touched so first-touch is a bit test.
+  /// Private-window lines have no record (see WindowTx).
   struct LineRecord {
     u32 tx_readers = 0;  ///< CPUs reading the line transactionally.
     u32 tx_writers = 0;  ///< CPUs with a buffered store to the line.
@@ -221,45 +246,110 @@ class HtmFacility {
   };
   static_assert(sizeof(LineRecord) == 16, "line metadata drives peak RSS");
 
+  /// A transaction's private window. Only the owning thread can touch these
+  /// lines, so they need no conflict tracking and no line-table record:
+  /// footprint is a per-line bitmap, and stores go to a buffer indexed by
+  /// slot, published at commit and dropped at rollback. Speculative stack
+  /// stores must not reach memory early — the incremental marker scans the
+  /// stacks of speculating threads. Buffers only grow, so a CPU reuses them
+  /// across transactions and windows; pages it never wrote stay unmapped.
+  struct WindowTx {
+    u64* base = nullptr;
+    u32 slots = 0;
+    ZeroPages<u64> values;       ///< Buffered stores, by slot.
+    std::vector<u64> written;    ///< Bit per slot: values[] holds a store.
+    std::vector<u32> stored;     ///< Written slots, first-store order.
+    std::vector<u64> read_fp;    ///< Bit per window line.
+    std::vector<u64> write_fp;
+    /// Lines whose footprint bit is set, in first-touch order; their sizes
+    /// are the private part of the footprint until the next tx_begin.
+    std::vector<u32> read_lines;
+    std::vector<u32> write_lines;
+  };
+
   struct TxState {
     bool active = false;
     bool detached = false;  ///< Conflict bits already cleared.
     AbortReason doom = AbortReason::kNone;
-    /// Records of the lines in the read and write footprints, in first-touch
-    /// order; they own this CPU's footprint bits until the next tx_begin.
+    /// Records of the shared lines in the read and write footprints, in
+    /// first-touch order; they own this CPU's footprint bits until the next
+    /// tx_begin.
     std::vector<LineRecord*> read_lines;
     std::vector<LineRecord*> write_lines;
-    RedoLog redo;
+    RedoLog redo;  ///< Shared stores only.
+    WindowTx win;
     Cycles next_interrupt = 0;
+    /// Clock at which enter_access must leave its one-compare fast path:
+    /// the earlier of the next interrupt and the next spurious-fault
+    /// arrival, or 0 while doomed or inactive.
+    Cycles next_event = 0;
   };
 
   static u32 bit(CpuId cpu) { return u32{1} << cpu; }
+  static bool test_bit(const std::vector<u64>& bits, u32 i) {
+    return (bits[i >> 6] >> (i & 63)) & 1;
+  }
 
-  /// The checks every transactional access starts with: the transaction is
-  /// live, undoomed, and no interrupt or injected spurious abort is due.
+  /// The checks every transactional access starts with — the transaction is
+  /// live, undoomed, and no interrupt or injected spurious abort is due —
+  /// folded into one clock compare against next_event.
   TxState& enter_access(CpuId cpu) {
-    TxState& t = tx_.at(cpu);
-    GILFREE_CHECK(t.active);
-    if (t.doom != AbortReason::kNone) abort_self(cpu, t.doom);
-    maybe_interrupt(cpu, t);
-    maybe_spurious(cpu);
+    const Cycles now = machine_->clock(cpu);  // bounds-checks cpu
+    TxState& t = tx_[cpu];
+    if (now >= t.next_event) access_event(cpu, t);
     return t;
   }
-  void maybe_interrupt(CpuId cpu, TxState& t) {
-    if (machine_->clock(cpu) >= t.next_interrupt) interrupt(cpu, t);
-  }
-  void maybe_spurious(CpuId cpu) {
-    // Injected spurious aborts look like transient conflicts to the
-    // software: retryable, no footprint evidence.
-    if (injector_ && injector_->spurious_due(cpu, machine_->clock(cpu)))
-      abort_self(cpu, AbortReason::kConflict);
+  /// enter_access's slow path: the checks in order, then re-arm next_event.
+  void access_event(CpuId cpu, TxState& t);
+  /// next_event for a live, undoomed transaction.
+  void arm_events(CpuId cpu, TxState& t) {
+    t.next_event = t.next_interrupt;
+    if (injector_)
+      t.next_event = std::min(t.next_event, injector_->next_spurious(cpu));
   }
   [[noreturn]] void interrupt(CpuId cpu, TxState& t);
 
-  /// First read (or write) of a line in this transaction: footprint,
-  /// capacity and, for shared lines, conflict tracking.
-  void first_touch(CpuId cpu, LineRecord& r, sim::GuestLoc loc, bool shared,
-                   bool write);
+  /// Slot of `addr` in the window; fails a GILFREE_CHECK outside it.
+  u32 window_slot(const TxState& t, const u64* addr) const {
+    const std::uintptr_t off = reinterpret_cast<std::uintptr_t>(addr) -
+                               reinterpret_cast<std::uintptr_t>(t.win.base);
+    GILFREE_CHECK_MSG(off / 8 < t.win.slots,
+                      "private access outside the transaction's window");
+    return static_cast<u32>(off / 8);
+  }
+  u64 load_private(CpuId cpu, TxState& t, const u64* addr) {
+    const u32 slot = window_slot(t, addr);
+    if (test_bit(t.win.written, slot)) return t.win.values[slot];
+    const u32 line = slot >> window_line_shift_;
+    if (!test_bit(t.win.read_fp, line)) first_touch_private(cpu, line, false);
+    return *addr;
+  }
+  void store_private(CpuId cpu, TxState& t, u64* addr, u64 value) {
+    const u32 slot = window_slot(t, addr);
+    const u32 line = slot >> window_line_shift_;
+    if (!test_bit(t.win.write_fp, line)) first_touch_private(cpu, line, true);
+    u64& w = t.win.written[slot >> 6];
+    const u64 m = u64{1} << (slot & 63);
+    if (!(w & m)) {
+      w |= m;
+      t.win.stored.push_back(slot);
+    }
+    t.win.values[slot] = value;
+  }
+
+  /// First read (or write) of a shared line in this transaction: footprint,
+  /// capacity and conflict tracking.
+  void first_touch(CpuId cpu, LineRecord& r, sim::GuestLoc loc, bool write);
+  /// The same for a private-window line: footprint and capacity only.
+  void first_touch_private(CpuId cpu, u32 line, bool write);
+  /// Aborts when the footprint (shared lines plus private lines) exceeds
+  /// the capacity, after a first touch grew it.
+  void check_capacity(CpuId cpu, const TxState& t, bool write);
+  /// Points the CPU's window at `w`, growing its buffers if needed.
+  void open_window(TxState& t, PrivateWindow w);
+  /// Writes the window's buffered stores to memory (commit) or drops them
+  /// (rollback); either way the buffer is empty afterwards.
+  void close_window(TxState& t, bool publish);
   /// Requester wins: dooms `victims` on the line holding `loc`.
   void conflict(u32 victims, sim::GuestLoc loc);
   /// Drops this CPU's footprint bits and line lists (next tx_begin).
@@ -277,6 +367,7 @@ class HtmFacility {
   sim::Machine* machine_;
   const sim::GuestSpace* guest_;
   sim::LineTable<LineRecord> lines_;
+  u32 window_line_shift_ = 0;  ///< log2(slots per line).
   std::vector<TxState> tx_;
   std::vector<HtmStats> stats_;
   std::vector<Rng> rng_;

@@ -75,6 +75,8 @@ Engine::Engine(EngineConfig config)
   // charge_fast falls back to the virtual charge() with the same amounts.
   fast.mem_access_cost = config_.profile.machine.cost.mem_access;
   fast.dispatch_cost = config_.profile.machine.cost.dispatch;
+  fast.yield_cost = config_.profile.machine.cost.yield_check +
+                    config_.profile.machine.cost.tls_access;
   GILFREE_CHECK_MSG(config_.shard_id < std::max<u32>(config_.shard_count, 1),
                     "shard_id " << config_.shard_id
                                 << " out of range for shard_count "
@@ -779,7 +781,9 @@ bool Engine::attempt_tx(SchedThread& st) {
     obs_->on_tx_begin(now_of(st.cpu), st.vm->tid(), st.cpu, st.tx_yp,
                       st.tx_length);
   }
-  const AbortReason begin_result = htm_->tx_begin(st.cpu, st.tx_yp);
+  // The thread's stack is the transaction's private window.
+  const AbortReason begin_result = htm_->tx_begin(
+      st.cpu, st.tx_yp, {st.vm->stack_base(), st.vm->stack_slots()});
   if (begin_result != AbortReason::kNone) {
     handle_abort(st, begin_result);
     return false;
@@ -901,6 +905,7 @@ void Engine::handle_abort(SchedThread& st, AbortReason reason) {
     st.in_tx = false;
     if (cpu_tx_tid_[st.cpu] == static_cast<i32>(st.vm->tid()))
       cpu_tx_tid_[st.cpu] = -1;
+    sync_fastpath();  // out of the transaction: no direct facility calls
   }
   // Execution resumes at the TBEGIN snapshot, i.e. at the yield-point
   // instruction whose yield was already consumed.
@@ -1331,6 +1336,17 @@ void Engine::sync_fastpath() {
   // transactions a thread-private line can never conflict. Software
   // transactions must buffer even private stores for rollback.
   fast.direct_private_mem = (htm_ == nullptr) || (!st.in_tx && !st.in_stm);
+  // Inside a hardware transaction the interpreter calls the facility
+  // directly, and handles yield points whose only work is the counter
+  // decrement (transaction_yield's else-branch) without leaving the span.
+  // With one live thread, or deadline shedding on, every yield point needs
+  // the engine.
+  fast.htm = st.in_tx ? htm_.get() : nullptr;
+  fast.cpu = st.cpu;
+  fast.yield_counter =
+      (st.in_tx && count_live_threads() > 1 && !shed_requests_)
+          ? heap_->tcb_slot(st.vm->tid(), vm::kTcbYieldCounter)
+          : nullptr;
 }
 
 void Engine::charge_bucket(SchedThread& st, Bucket b, Cycles c) {
@@ -1373,7 +1389,7 @@ void Engine::charge(Cycles c) {
   }
 }
 
-u64 Engine::mem_load(const u64* p, bool shared) {
+u64 Engine::host_load(const u64* p, bool shared) {
   charge(config_.profile.machine.cost.mem_access);
   SchedThread& st = cur();
   if (htm_ && st.in_tx) return htm_->tx_load(st.cpu, p, shared);
@@ -1385,7 +1401,7 @@ u64 Engine::mem_load(const u64* p, bool shared) {
   return *p;
 }
 
-void Engine::mem_store(u64* p, u64 v, bool shared) {
+void Engine::host_store(u64* p, u64 v, bool shared) {
   charge(config_.profile.machine.cost.mem_access);
   SchedThread& st = cur();
   if (htm_ && st.in_tx) {

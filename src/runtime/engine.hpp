@@ -5,7 +5,8 @@
 // One Engine = one program run on one machine configuration. The engine is
 // the vm::Host: every interpreter memory access flows through it and is
 // routed directly (GIL / FineGrained / Unsynced modes) or transactionally
-// (HTM mode, inside transactions).
+// (HTM mode, inside transactions — there the fast path it wires calls the
+// facility straight from the interpreter).
 #pragma once
 
 #include <deque>
@@ -119,8 +120,8 @@ class Engine final : public vm::Host, public fault::FaultListener {
   void on_fault_injected(fault::FaultKind kind, CpuId cpu, Cycles t) override;
 
   // --- vm::Host --------------------------------------------------------------
-  u64 mem_load(const u64* p, bool shared) override;
-  void mem_store(u64* p, u64 v, bool shared) override;
+  u64 host_load(const u64* p, bool shared) override;
+  void host_store(u64* p, u64 v, bool shared) override;
   void charge(Cycles c) override;
   void require_nontx(const char* why) override;
   void full_gc() override;

@@ -26,4 +26,14 @@ void Host::collect_gc_roots(GcRootSet&) {}
 
 bool Host::in_speculation() { return false; }
 
+u64 Host::tx_mem_load(const u64* p, bool shared) {
+  charge_fast(fast.mem_access_cost);
+  return fast.htm->tx_load(fast.cpu, p, shared);
+}
+
+void Host::tx_mem_store(u64* p, u64 v, bool shared) {
+  charge_fast(fast.mem_access_cost);
+  fast.htm->tx_store(fast.cpu, p, v, shared);
+}
+
 }  // namespace gilfree::vm

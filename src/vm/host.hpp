@@ -1,7 +1,8 @@
 // The interface through which the VM touches simulated memory and machine
 // services. The runtime engine implements it; in GIL mode accesses go
 // straight to memory with cycle accounting, in HTM mode they are routed
-// through the transactional facility (and may throw htm::TxAbort).
+// through the transactional facility (and may throw htm::TxAbort) — inside
+// a hardware transaction by a direct call, with no virtual dispatch.
 #pragma once
 
 #include <cstddef>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "htm/htm.hpp"
 #include "vm/value.hpp"
 
 namespace gilfree::vm {
@@ -44,9 +46,9 @@ struct ParkRequest {
 };
 
 /// Non-virtual fast-path state the engine wires into its Host after boot.
-/// Plain pointers into the simulated machine keep this header free of sim
-/// dependencies while letting the interpreter charge cycles and touch
-/// thread-private memory without a virtual call per access.
+/// Plain pointers into the simulated machine let the interpreter charge
+/// cycles, touch thread-private memory and run transactional accesses
+/// without a virtual call per access.
 ///
 /// Inactive (clock == nullptr, the default) every helper falls back to the
 /// virtual interface, so mock hosts in tests need no wiring.
@@ -63,6 +65,16 @@ struct HostFastPath {
   /// entirely. Engine-maintained: false inside transactions, where accesses
   /// must grow the footprint and sample the interrupt model.
   bool direct_private_mem = false;
+  /// The facility, non-null exactly while the running thread is in a
+  /// hardware transaction (engine-maintained): mem_load/mem_store then
+  /// charge and call tx_load/tx_store on `cpu` directly.
+  htm::HtmFacility* htm = nullptr;
+  CpuId cpu = 0;
+  /// The running transaction's TCB yield counter while the interpreter may
+  /// handle yield points itself (span_yield); null when every yield point
+  /// must return to the engine.
+  u64* yield_counter = nullptr;
+  Cycles yield_cost = 0;          ///< yield_check + tls_access.
   Cycles pending = 0;             ///< Deferred, already-inflated cycles.
   Cycles mem_access_cost = 3;
   Cycles dispatch_cost = 14;
@@ -72,13 +84,10 @@ class Host {
  public:
   virtual ~Host() = default;
 
-  /// 8-byte slot load. `shared` is false for lines only the current thread
-  /// can touch (its interpreter stack); those still consume transaction
-  /// footprint but skip conflict tracking.
-  virtual u64 mem_load(const u64* p, bool shared) = 0;
-
-  /// 8-byte slot store.
-  virtual void mem_store(u64* p, u64 v, bool shared) = 0;
+  /// The memory seam behind mem_load/mem_store for every access the
+  /// in-transaction fast path does not take.
+  virtual u64 host_load(const u64* p, bool shared) = 0;
+  virtual void host_store(u64* p, u64 v, bool shared) = 0;
 
   /// Charge `c` cycles of non-memory work to the current CPU.
   virtual void charge(Cycles c) = 0;
@@ -158,6 +167,48 @@ class Host {
   /// Fast-path state; engines activate it, mock hosts leave it inactive.
   HostFastPath fast;
 
+  /// 8-byte slot load. `shared` is false for lines only the current thread
+  /// can touch (its interpreter stack); those still consume transaction
+  /// footprint but skip conflict tracking.
+  u64 mem_load(const u64* p, bool shared) {
+    if (fast.htm != nullptr) return tx_mem_load(p, shared);
+    return host_load(p, shared);
+  }
+
+  /// 8-byte slot store.
+  void mem_store(u64* p, u64 v, bool shared) {
+    if (fast.htm != nullptr) {
+      tx_mem_store(p, v, shared);
+      return;
+    }
+    host_store(p, v, shared);
+  }
+
+  /// A yield point reached mid-span inside a hardware transaction (Fig. 2
+  /// lines 8-16). When the TCB yield counter is above 1 the yield point is
+  /// only its bookkeeping — charge the check, decrement the counter
+  /// transactionally — and the span goes on; returns true. Returns false,
+  /// having charged and touched nothing, when the engine must run the
+  /// yield point: counter expiry, or no counter wired (one live thread,
+  /// request shedding, STM, GIL). An abort at the counter access costs one
+  /// unit of `fuel`, the scheduling slot the engine's own yield step
+  /// would have spent, and propagates.
+  bool span_yield(int& fuel) {
+    if (fast.yield_counter == nullptr ||
+        fast.htm->tx_peek(fast.cpu, fast.yield_counter) <= 1) {
+      return false;
+    }
+    charge_fast(fast.yield_cost);
+    try {
+      const u64 cnt = tx_mem_load(fast.yield_counter, true);
+      tx_mem_store(fast.yield_counter, cnt - 1, true);
+    } catch (const htm::TxAbort&) {
+      --fuel;
+      throw;
+    }
+    return true;
+  }
+
   /// Charge `c` cycles without a virtual call. Replicates
   /// sim::Machine::advance exactly: per-charge SMT inflation with the same
   /// double→integer truncation, so batched and eager charging produce
@@ -199,6 +250,15 @@ class Host {
     }
     mem_store(p, v, /*shared=*/false);
   }
+
+ private:
+  /// mem_load/mem_store inside a hardware transaction: the memory-access
+  /// charge, then tx_load/tx_store — the order host_load/host_store use.
+  /// One direct call with the facility's model inlined behind it; kept out
+  /// of line so each of the interpreter's many access sites stays a
+  /// compare and a call.
+  u64 tx_mem_load(const u64* p, bool shared);
+  void tx_mem_store(u64* p, u64 v, bool shared);
 };
 
 }  // namespace gilfree::vm

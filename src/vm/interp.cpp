@@ -864,7 +864,10 @@ void Interp::run_span(VmThread& t, int& fuel, YieldStop stop) {
     GILFREE_CHECK_MSG(r.pc < seq.insns.size(),
                       "pc out of range in " << seq.name);
     in = &seq.insns[r.pc];
-    if (!first && yield_relevant(*in, stop)) return;
+    // A yield point ends the span unless the host handles it in place
+    // (inside a hardware transaction, when only the counter needs work).
+    if (!first && yield_relevant(*in, stop) && !host_->span_yield(fuel))
+      return;
     first = false;
 
     // Superinstruction pair: execute head and tail back to back, skipping

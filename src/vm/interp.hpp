@@ -77,7 +77,8 @@ class Interp {
 
   /// Executes a span of instructions of `t`: the current instruction
   /// unconditionally (the caller has already run yield-point logic for it),
-  /// then further instructions until the next one matching `stop`, until
+  /// then further instructions until the next one matching `stop` that the
+  /// host does not handle in place (Host::span_yield), until
   /// `fuel` instructions have retired, until the thread finishes, or until
   /// a blocking builtin requests a park. Charges dispatch + per-opcode
   /// cycles before each instruction. A park ends the span right after the

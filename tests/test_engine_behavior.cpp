@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -433,6 +435,132 @@ TEST(EngineBehavior, ParkPathGoldenDigests) {
           cfg, server ? kParkServerSrc : kParkThreadsSrc, server, key);
       EXPECT_EQ(d, golden.at(key)) << key;
     }
+  }
+}
+
+/// A racy program for the transactional access path: threads share an
+/// array, a counter and a hash without locks, and recurse so that stack
+/// (private-window) lines make up a good part of every footprint.
+const char* const kAccessPathSrc = R"(
+def deep(x, n)
+  if n == 0
+    x
+  else
+    deep(x + 1, n - 1) + 1
+  end
+end
+$a = [0, 0, 0, 0, 0, 0, 0, 0]
+$h = {}
+$count = 0
+ts = []
+6.times do |i|
+  ts << Thread.new(i) do |tid|
+    mine = [0, 0, 0, 0, 0, 0, 0, 0]
+    k = 0
+    s = 0
+    while k < 400
+      mine[k % 8] = mine[(k + 3) % 8] + deep(tid, 2 + k % 6)
+      s += mine[k % 8] % 7
+      if k % 12 == tid
+        $a[k % 8] = $a[(k + tid) % 8] + tid
+        $count += 1
+        $h[k % 4] = s
+      end
+      k += 1
+    end
+    __record("s" + tid.to_s, s)
+  end
+end
+ts.each do |t|
+  t.join
+end
+__record("count", $count)
+__record("a", $a[0] + $a[3] + $a[7])
+)";
+
+/// FNV-1a of the run's metrics document, its trace, recorded results and
+/// program output.
+std::string access_path_digest(EngineConfig cfg, const std::string& key) {
+  obs::ObsConfig oc;
+  const std::string stem =
+      ::testing::TempDir() + "access_golden_" +
+      std::to_string(httpsim::cluster::fnv1a64(key));
+  oc.metrics_path = stem + ".json";
+  oc.trace_path = stem + ".jsonl";
+  std::string all;
+  {
+    obs::Sink sink(oc);
+    cfg.obs_sink = &sink;
+    cfg.heap.initial_slots = 80'000;
+    cfg.max_insns = 10'000'000;
+    Engine engine(std::move(cfg));
+    engine.load_program({kAccessPathSrc});
+    const RunStats stats = engine.run();
+    sink.flush();
+    all = obs::metrics_to_json(sink.runs());
+    for (const auto& [k, v] : stats.results)
+      all += k + "=" + std::to_string(v) + "\n";
+    all += stats.output;
+  }
+  std::ifstream trace(oc.trace_path);
+  std::stringstream buf;
+  buf << trace.rdbuf();
+  all += buf.str();
+  std::remove(oc.metrics_path.c_str());
+  std::remove(oc.trace_path.c_str());
+  return std::to_string(httpsim::cluster::fnv1a64(all));
+}
+
+TEST(EngineBehavior, HtmAccessPathGoldenDigests) {
+  // How a transactional access reaches the facility, how the facility
+  // tracks private (stack) lines and checks for due events, and where yield
+  // points run are host-side only: these values pin every simulated
+  // counter, cycle, trace event and output byte across the machine
+  // profiles, capacity regimes and fault campaigns the access path
+  // branches on, and move only when a change re-baselines simulated output
+  // on purpose.
+  const std::map<std::string, std::string> golden = {
+      {"zec12/htm-fixed", "9535708653243162322"},
+      {"zec12/htm-dynamic", "9847349727154399261"},
+      {"xeon/htm-dynamic", "12690000229998060354"},
+      {"xeon/smt-capacity", "9341782687404022639"},
+      {"zec12/capacity-factor", "16373670448587567039"},
+      {"zec12/spurious", "17227743816739148674"},
+      {"zec12/interrupt-storm", "9409142119595609085"},
+      {"zec12/stm", "18340028328285772752"},
+  };
+  const auto zec12 = htm::SystemProfile::zec12();
+  const auto xeon = htm::SystemProfile::xeon_e3();
+  std::vector<std::pair<std::string, EngineConfig>> engines = {
+      {"zec12/htm-fixed", EngineConfig::htm_fixed(zec12, 16)},
+      {"zec12/htm-dynamic", EngineConfig::htm_dynamic(zec12)},
+      {"xeon/htm-dynamic", EngineConfig::htm_dynamic(xeon)},
+  };
+  // Xeon cores run two SMT threads each; with more live threads than cores
+  // the halved write capacity overflows on stack and heap lines together.
+  auto smt = xeon;
+  smt.htm.max_write_lines = 24;
+  engines.emplace_back("xeon/smt-capacity", EngineConfig::htm_dynamic(smt));
+  EngineConfig capacity = EngineConfig::htm_dynamic(zec12);
+  capacity.fault.seed = 7;
+  capacity.fault.capacity_factor = 0.15;
+  engines.emplace_back("zec12/capacity-factor", capacity);
+  EngineConfig spurious = EngineConfig::htm_dynamic(zec12);
+  spurious.fault.seed = 7;
+  spurious.fault.spurious_mean_cycles = 20'000;
+  engines.emplace_back("zec12/spurious", spurious);
+  EngineConfig storm = EngineConfig::htm_dynamic(zec12);
+  storm.fault.seed = 7;
+  storm.fault.interrupt_storm_mean_cycles = 30'000;
+  engines.emplace_back("zec12/interrupt-storm", storm);
+  // Overflow aborts under a tight capacity escalate spans to the STM tier.
+  EngineConfig stm = EngineConfig::htm_dynamic(zec12);
+  stm.stm.enabled = true;
+  stm.fault.seed = 7;
+  stm.fault.capacity_factor = 0.15;
+  engines.emplace_back("zec12/stm", stm);
+  for (const auto& [key, cfg] : engines) {
+    EXPECT_EQ(access_path_digest(cfg, key), golden.at(key)) << key;
   }
 }
 

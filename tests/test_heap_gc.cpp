@@ -30,8 +30,8 @@ namespace {
 /// Direct-memory host: no transactions, no cycle accounting.
 class DirectHost : public Host {
  public:
-  u64 mem_load(const u64* p, bool) override { return *p; }
-  void mem_store(u64* p, u64 v, bool) override { *p = v; }
+  u64 host_load(const u64* p, bool) override { return *p; }
+  void host_store(u64* p, u64 v, bool) override { *p = v; }
   void charge(Cycles c) override { charged += c; }
   void require_nontx(const char*) override {}
   void full_gc() override {

@@ -112,13 +112,35 @@ TEST(Htm, PrivateLinesDoNotConflict) {
   Fixture f;
   u64& word = *f.slot(0);
   word = 1;
-  ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
+  const PrivateWindow window{f.slot(0), 64};
+  ASSERT_EQ(f.htm.tx_begin(0, -1, window), AbortReason::kNone);
   f.htm.tx_store(0, &word, 9, /*shared=*/false);
-  ASSERT_EQ(f.htm.tx_begin(1), AbortReason::kNone);
+  ASSERT_EQ(f.htm.tx_begin(1, -1, window), AbortReason::kNone);
   f.htm.tx_store(1, &word, 10, /*shared=*/false);
+  EXPECT_EQ(f.htm.tx_load(1, &word, /*shared=*/false), 10u);
+  EXPECT_EQ(word, 1u) << "private stores are buffered until commit";
   EXPECT_EQ(f.htm.doom(0), AbortReason::kNone);
   EXPECT_EQ(f.htm.tx_commit(0), AbortReason::kNone);
+  EXPECT_EQ(word, 9u);
   EXPECT_EQ(f.htm.tx_commit(1), AbortReason::kNone);
+  EXPECT_EQ(word, 10u);
+}
+
+TEST(Htm, PrivateAccessOutsideTheWindowFailsTheCheck) {
+  Fixture f;  // zEC12: 256 B lines = 32 slots
+  const PrivateWindow window{f.slot(64), 64};
+  ASSERT_EQ(f.htm.tx_begin(0, -1, window), AbortReason::kNone);
+  EXPECT_THROW((void)f.htm.tx_load(0, f.slot(63), false), CheckFailure);
+  EXPECT_THROW(f.htm.tx_store(0, f.slot(128), 1, false), CheckFailure);
+  f.htm.tx_store(0, f.slot(127), 1, false);  // last slot: inside
+  EXPECT_EQ(f.htm.tx_commit(0), AbortReason::kNone);
+  EXPECT_EQ(*f.slot(127), 1u);
+  // Without a window every private access is outside it.
+  ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
+  EXPECT_THROW((void)f.htm.tx_load(0, f.slot(64), false), CheckFailure);
+  f.htm.tx_abort(0, AbortReason::kExplicit);
+  // A window must start a guest line.
+  EXPECT_THROW((void)f.htm.tx_begin(0, -1, {f.slot(65), 8}), CheckFailure);
 }
 
 TEST(Htm, NontxStoreDoomsAllTransactionalHolders) {
@@ -472,7 +494,7 @@ TEST(HtmLineTable, ChunksAreLazyAndResetFreesThem) {
 // it stays readable until the CPU's next successful tx_begin.
 TEST(Htm, DoomedTransactionReportsFootprintUntilNextBegin) {
   Fixture f;  // zEC12: 256 B lines = 32 slots
-  ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
+  ASSERT_EQ(f.htm.tx_begin(0, -1, {f.slot(4 * 32), 32}), AbortReason::kNone);
   for (u32 line = 0; line < 3; ++line)
     (void)f.htm.tx_load(0, f.slot(line * 32), /*shared=*/true);
   f.htm.tx_store(0, f.slot(3 * 32), 1, /*shared=*/true);
@@ -483,6 +505,7 @@ TEST(Htm, DoomedTransactionReportsFootprintUntilNextBegin) {
   EXPECT_EQ(f.htm.write_line_count(0), 2u);
   EXPECT_EQ(f.htm.tx_commit(0), AbortReason::kConflict);
   EXPECT_FALSE(f.htm.in_tx(0));
+  EXPECT_EQ(*f.slot(4 * 32), 0u) << "rollback drops private stores";
   EXPECT_EQ(f.htm.read_line_count(0), 3u);
   EXPECT_EQ(f.htm.write_line_count(0), 2u);
   ASSERT_EQ(f.htm.tx_begin(0), AbortReason::kNone);
@@ -496,15 +519,24 @@ TEST(Htm, DoomedTransactionReportsFootprintUntilNextBegin) {
 constexpr CpuId kDiffCpus = 4;
 
 /// The conflict algorithm on ordered std containers: per-transaction line
-/// sets, a line -> {readers, writers} map and a redo map. It works on its
-/// own copy of memory (word indices), keyed by the facility's guest lines.
+/// sets, a line -> {readers, writers} map and a redo map, each kept apart
+/// for shared and private (window) accesses; capacity counts both. It
+/// works on its own copy of memory (word indices), keyed by the facility's
+/// guest lines.
 struct RefHtm {
   struct Tx {
     bool active = false;
     bool detached = false;
     AbortReason doom = AbortReason::kNone;
     std::set<LineId> reads, writes;
-    std::map<std::size_t, u64> redo;
+    std::set<LineId> private_reads, private_writes;
+    std::map<std::size_t, u64> redo, private_redo;
+    std::size_t read_lines() const {
+      return reads.size() + private_reads.size();
+    }
+    std::size_t write_lines() const {
+      return writes.size() + private_writes.size();
+    }
   };
   std::vector<LineId> line;  ///< Word index -> guest line.
   std::vector<u64> mem;
@@ -537,6 +569,7 @@ struct RefHtm {
     tx[c].active = false;
     tx[c].doom = AbortReason::kNone;
     tx[c].redo.clear();
+    tx[c].private_redo.clear();
   }
   [[noreturn]] void abort(CpuId c, AbortReason r) {
     rollback(c);
@@ -550,10 +583,11 @@ struct RefHtm {
   u64 load(CpuId c, std::size_t i, bool shared) {
     Tx& t = tx[c];
     if (t.doom != AbortReason::kNone) abort(c, t.doom);
-    if (auto it = t.redo.find(i); it != t.redo.end()) return it->second;
+    auto& redo = shared ? t.redo : t.private_redo;
+    if (auto it = redo.find(i); it != redo.end()) return it->second;
     const LineId l = line[i];
-    if (t.reads.insert(l).second) {
-      if (t.reads.size() > max_read) abort(c, AbortReason::kOverflowRead);
+    if ((shared ? t.reads : t.private_reads).insert(l).second) {
+      if (t.read_lines() > max_read) abort(c, AbortReason::kOverflowRead);
       if (shared) {
         auto& e = table[l];
         e[0] |= 1u << c;
@@ -566,8 +600,8 @@ struct RefHtm {
     Tx& t = tx[c];
     if (t.doom != AbortReason::kNone) abort(c, t.doom);
     const LineId l = line[i];
-    if (t.writes.insert(l).second) {
-      if (t.writes.size() > max_write) abort(c, AbortReason::kOverflowWrite);
+    if ((shared ? t.writes : t.private_writes).insert(l).second) {
+      if (t.write_lines() > max_write) abort(c, AbortReason::kOverflowWrite);
       if (shared) {
         auto& e = table[l];
         const u32 v = (e[0] | e[1]) & ~(1u << c);
@@ -575,7 +609,7 @@ struct RefHtm {
         if (v) doom_mask(v, l);
       }
     }
-    t.redo[i] = value;
+    (shared ? t.redo : t.private_redo)[i] = value;
   }
   u32 holders(CpuId c, std::size_t i, bool readers_too) const {
     const auto it = table.find(line[i]);
@@ -596,9 +630,11 @@ struct RefHtm {
       return r;
     }
     for (const auto& [i, v] : tx[c].redo) mem[i] = v;
+    for (const auto& [i, v] : tx[c].private_redo) mem[i] = v;
     detach(c);
     tx[c].active = false;
     tx[c].redo.clear();
+    tx[c].private_redo.clear();
     return AbortReason::kNone;
   }
   void doom_all(CpuId except) {
@@ -633,18 +669,30 @@ Outcome outcome_of(F&& op) {
 }
 
 void run_differential(u64 seed, u32 line_bytes) {
-  // Two segments of 256 words; accesses hit the first four lines of each so
-  // that CPUs collide often.
+  // Two shared segments of 256 words; shared accesses hit the first four
+  // lines of each so that CPUs collide often. A third segment holds one
+  // four-line private window per CPU (its "stack"); private accesses stay
+  // inside the accessing CPU's window.
   struct alignas(256) Slab {
     u64 words[256] = {};
   };
   constexpr std::size_t kWords = 256;
-  auto slabs = std::make_unique<std::array<Slab, 2>>();
+  constexpr std::size_t kShared = 2 * kWords;
+  const std::size_t words_per_line = line_bytes / 8;
+  const std::size_t window_words = 4 * words_per_line;
+  auto slabs = std::make_unique<std::array<Slab, 4>>();
   sim::GuestSpace gs;
   gs.add_segment("seg-a", (*slabs)[0].words, sizeof(Slab));
   gs.add_segment("seg-b", (*slabs)[1].words, sizeof(Slab));
+  gs.add_segment("stacks", (*slabs)[2].words, 2 * sizeof(Slab));
+  const std::size_t total = kShared + kDiffCpus * window_words;
+  ASSERT_LE(total, 4 * kWords);
   const auto word = [&](std::size_t i) {
     return &(*slabs)[i / kWords].words[i % kWords];
+  };
+  const auto window = [&](CpuId c) {
+    return PrivateWindow{word(kShared + c * window_words),
+                         static_cast<u32>(window_words)};
   };
 
   Rng rng(seed);
@@ -660,32 +708,35 @@ void run_differential(u64 seed, u32 line_bytes) {
   RefHtm ref;
   ref.max_read = profile.htm.max_read_lines;
   ref.max_write = profile.htm.max_write_lines;
-  ref.mem.assign(2 * kWords, 0);
+  ref.mem.assign(total, 0);
   ref.last.fill(kInvalidLine);
-  for (std::size_t i = 0; i < 2 * kWords; ++i)
+  for (std::size_t i = 0; i < total; ++i)
     ref.line.push_back(gs.line_of(word(i), line_bytes));
 
-  const std::size_t words_per_line = line_bytes / 8;
   for (u32 step = 0; step < 200; ++step) {
     const auto c = static_cast<CpuId>(rng.next_below(kDiffCpus));
-    const std::size_t i = rng.next_below(2) * kWords +
-                          rng.next_below(4) * words_per_line +
-                          rng.next_below(words_per_line);
+    const std::size_t si = rng.next_below(2) * kWords +
+                           rng.next_below(4) * words_per_line +
+                           rng.next_below(words_per_line);
     const bool shared = rng.next_below(3) != 0;
+    // Transactional accesses touch a shared word or a slot of the CPU's
+    // own window; untransactional ones only shared words.
+    const std::size_t i =
+        shared ? si : kShared + c * window_words + rng.next_below(window_words);
     const u64 value = rng.next_below(1000) + 1;
     Outcome got, want;
     // Idle CPUs mostly begin; running ones mostly access. Capacities are
     // small enough that overflows are common too.
     const u64 op = rng.next_below(20) + (htm.in_tx(c) ? 20 : 0);
     if (op < 10) {
-      got.value = static_cast<u64>(htm.tx_begin(c));
+      got.value = static_cast<u64>(htm.tx_begin(c, -1, window(c)));
       ref.begin(c);
     } else if (op < 14) {
-      got.value = htm.nontx_load(c, word(i));
-      want.value = ref.nontx_load(c, i);
+      got.value = htm.nontx_load(c, word(si));
+      want.value = ref.nontx_load(c, si);
     } else if (op < 18) {
-      htm.nontx_store(c, word(i), value);
-      ref.nontx_store(c, i, value);
+      htm.nontx_store(c, word(si), value);
+      ref.nontx_store(c, si, value);
     } else if (op == 18 || op == 37) {
       htm.force_abort(c, AbortReason::kInterrupt);
       if (ref.tx[c].active) ref.rollback(c);
@@ -707,12 +758,15 @@ void run_differential(u64 seed, u32 line_bytes) {
         return u64{0};
       });
     } else if (op == 32) {
-      // A line first touched privately never enters conflict tracking.
+      // Read own writes, of a private slot or a shared word.
       got = outcome_of([&] {
-        return htm.tx_load(c, word(i), false) + htm.tx_load(c, word(i), true);
+        htm.tx_store(c, word(i), value, shared);
+        return htm.tx_load(c, word(i), shared);
       });
-      want = outcome_of(
-          [&] { return ref.load(c, i, false) + ref.load(c, i, true); });
+      want = outcome_of([&] {
+        ref.store(c, i, value, shared);
+        return ref.load(c, i, shared);
+      });
     } else if (op < 36) {
       got.value = static_cast<u64>(htm.tx_commit(c));
       want.value = static_cast<u64>(ref.commit(c));
@@ -734,12 +788,14 @@ void run_differential(u64 seed, u32 line_bytes) {
       ASSERT_EQ(htm.doom(k), ref.tx[k].doom) << where() << " cpu " << k;
       ASSERT_EQ(htm.last_conflict_line(k), ref.last[k])
           << where() << " cpu " << k;
-      ASSERT_EQ(htm.read_line_count(k), ref.tx[k].reads.size())
+      ASSERT_EQ(htm.read_line_count(k), ref.tx[k].read_lines())
           << where() << " cpu " << k;
-      ASSERT_EQ(htm.write_line_count(k), ref.tx[k].writes.size())
+      ASSERT_EQ(htm.write_line_count(k), ref.tx[k].write_lines())
           << where() << " cpu " << k;
     }
-    for (std::size_t k = 0; k < 2 * kWords; ++k)
+    // Shared words and every window: a private store reaches memory only
+    // when its own transaction commits, never on a peer's doom.
+    for (std::size_t k = 0; k < total; ++k)
       ASSERT_EQ(*word(k), ref.mem[k]) << where() << " word " << k;
   }
 }

@@ -145,6 +145,23 @@ TEST(InterpModes, HtmEngineIsHostModeInvariant) {
     run_cube(EngineConfig::htm_dynamic(profile), src,
              std::string("HTM/") + profile.machine.name);
   }
+  // Fault campaigns make transactional accesses abort, yield-point counter
+  // accesses included: the fast path handles those yield points inside the
+  // span, the virtual-host mode returns each one to the engine.
+  const auto zec12 = htm::SystemProfile::zec12();
+  EngineConfig spurious = EngineConfig::htm_dynamic(zec12);
+  spurious.fault.seed = 11;
+  spurious.fault.spurious_mean_cycles = 5'000;
+  run_cube(spurious, testutil::random_program(seed++), "HTM/spurious");
+  EngineConfig storm = EngineConfig::htm_dynamic(zec12);
+  storm.fault.seed = 11;
+  storm.fault.interrupt_storm_mean_cycles = 8'000;
+  run_cube(storm, testutil::random_program(seed++), "HTM/interrupt-storm");
+  EngineConfig stm = EngineConfig::htm_dynamic(zec12);
+  stm.stm.enabled = true;
+  stm.fault.seed = 11;
+  stm.fault.persistent_all_yps = true;
+  run_cube(stm, testutil::random_program(seed++), "HTM/stm-persistent");
 }
 
 TEST(InterpModes, FusionFiresAndIsReportedHonestly) {
