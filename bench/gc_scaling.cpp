@@ -1,6 +1,6 @@
 // Allocator-scaling matrix (§5.6 residual conflicts, §7 future work):
-// {global free list, bulk refill, round-robin deal, line-mate deal,
-// per-thread arenas} × {eager, lazy sweep} on one allocation-heavy NPB
+// {global free list, bulk refill, line-mate deal, per-thread arenas,
+// nursery} × {eager, lazy sweep} on one allocation-heavy NPB
 // kernel under GC pressure. For every variant the harness reports speedup
 // vs 1-thread GIL, conflict aborts, GC count, the allocation-machinery
 // share of non-GIL conflict sites (arena* + free-list-head +
@@ -22,7 +22,6 @@ struct Variant {
   const char* name;
   bool local_lists;
   u32 deal_threads;  ///< 0 = no dealing; otherwise threads to deal to.
-  vm::HeapConfig::SweepDeal policy;
   bool arenas;
   // Generational extensions (PR 8); defaulted so the pre-nursery variants
   // keep their positional initializers.
@@ -103,17 +102,12 @@ int main(int argc, char** argv) {
       pressured(make_config(profile, {"GIL", 0}, fault_cfg, stm_cfg)), w, 1, scale);
 
   const Variant variants[] = {
-      {"global-list", false, 0, vm::HeapConfig::SweepDeal::kRoundRobin, false},
-      {"bulk-refill", true, 0, vm::HeapConfig::SweepDeal::kRoundRobin, false},
-      {"rr-deal", true, threads, vm::HeapConfig::SweepDeal::kRoundRobin,
-       false},
-      {"linemate-deal", true, threads, vm::HeapConfig::SweepDeal::kLineMate,
-       false},
-      {"arenas", true, threads, vm::HeapConfig::SweepDeal::kLineMate, true},
-      {"nursery", true, threads, vm::HeapConfig::SweepDeal::kLineMate, true,
-       true, 0, false},
-      {"nursery-mark", true, threads, vm::HeapConfig::SweepDeal::kLineMate,
-       true, true, 1024, true},
+      {"global-list", false, 0, false},
+      {"bulk-refill", true, 0, false},
+      {"linemate-deal", true, threads, false},
+      {"arenas", true, threads, true},
+      {"nursery", true, threads, true, true, 0, false},
+      {"nursery-mark", true, threads, true, true, 1024, true},
   };
 
   std::vector<Row> rows;
@@ -125,7 +119,6 @@ int main(int argc, char** argv) {
       auto cfg = pressured(make_config(profile, {"HTM-16", 16}, fault_cfg, stm_cfg));
       cfg.heap.thread_local_free_lists = v.local_lists;
       cfg.heap.sweep_deal_threads = v.deal_threads;
-      cfg.heap.sweep_deal_policy = v.policy;
       cfg.heap.per_thread_arenas = v.arenas;
       cfg.heap.lazy_sweep = lazy;
       cfg.heap.nursery = v.nursery;

@@ -11,8 +11,8 @@
 //   4. The same campaign with --stm (eager GIL subscription): spans escalate
 //      HTM → STM and commit concurrently instead of serializing.
 //   5. The same campaign with lazy GIL subscription (--gil-subscription=
-//      lazy): the GIL word is checked at commit-time validation instead of
-//      joining the read set up front.
+//      lazy): the GIL word is checked at commit instead of joining the read
+//      set up front.
 //
 // Gates (exit code, for CI):
 //   * the STM tier engages under the campaign (commits and escalations > 0);

@@ -49,8 +49,8 @@ namespace gilfree::htm {
 /// transactional speculation: non-transactional stores and the redo-log
 /// drain of a committing hardware transaction. Private-window stores a
 /// commit publishes are not reported: no other thread can read them. The
-/// tier-2 software-transaction engine registers here so commit-time
-/// validation can detect writes it did not perform itself (docs/TIERS.md).
+/// tier-2 software-transaction engine registers here to doom the software
+/// transactions holding a written line (docs/TIERS.md).
 class MemWriteListener {
  public:
   virtual ~MemWriteListener() = default;

@@ -1043,9 +1043,11 @@ void Engine::stm_begin(SchedThread& st, i32 yp, bool entering) {
   // Eager subscription reads the GIL word up front, like Fig. 1 lines
   // 14-15: begin under a held GIL is pointless (the acquisition listener
   // would doom us immediately), so serialize right away. Lazy subscription
-  // skips this check and validates the word at commit instead.
-  if (config_.stm.subscription == stm::GilSubscription::kEager &&
-      gil_->is_acquired()) {
+  // skips this check and validates the word at commit instead. With every
+  // STM slot live the span serializes the same way.
+  if ((config_.stm.subscription == stm::GilSubscription::kEager &&
+       gil_->is_acquired()) ||
+      !stm_->can_begin()) {
     stm_to_gil(st);
     return;
   }
@@ -1067,19 +1069,6 @@ void Engine::stm_begin(SchedThread& st, i32 yp, bool entering) {
 void Engine::stm_yield(SchedThread& st, i32 yp) {
   if (st.stm_yields_left > 1 && count_live_threads() > 1) {
     --st.stm_yields_left;
-    if (config_.stm.yield_validation) {
-      // Incremental validation bounds zombie execution to one slice gap:
-      // a transaction whose read set was overwritten keeps running on torn
-      // state only until its next yield point.
-      const u32 tid = st.vm->tid();
-      charge_bucket(st, Bucket::kStmWork,
-                    config_.stm.validate_per_entry *
-                        (stm_->read_marker_count(tid) +
-                         stm_->write_marker_count(tid)));
-      if (!stm_->validate(tid)) {
-        handle_stm_abort(st, stm_->last_cause(tid));
-      }
-    }
     return;
   }
   // Slice over: commit, then hand routing back to the escalation entry
@@ -1100,8 +1089,7 @@ void Engine::stm_end(SchedThread& st) {
   charge_bucket(st, Bucket::kBeginEnd,
                 config_.stm.commit_base_cost +
                     config_.stm.validate_per_entry *
-                        (stm_->read_marker_count(tid) +
-                         stm_->write_marker_count(tid)) +
+                        stm_->held_line_count(tid) +
                     config_.stm.publish_per_entry *
                         stm_->write_entry_count(tid));
   const stm::StmAbortCause outcome = stm_->commit(tid, st.cpu);

@@ -37,21 +37,6 @@ void apply_gc_flags(const CliFlags& flags, vm::HeapConfig& heap) {
   if (deal < 0) throw std::invalid_argument("--gc-sweep-deal must be >= 0");
   heap.sweep_deal_threads = static_cast<u32>(deal);
 
-  const std::string policy = flags.get(
-      "gc-sweep-policy", heap.sweep_deal_policy ==
-                                 vm::HeapConfig::SweepDeal::kLineMate
-                             ? "linemate"
-                             : "rr");
-  if (policy == "linemate") {
-    heap.sweep_deal_policy = vm::HeapConfig::SweepDeal::kLineMate;
-  } else if (policy == "rr") {
-    heap.sweep_deal_policy = vm::HeapConfig::SweepDeal::kRoundRobin;
-  } else {
-    throw std::invalid_argument(
-        "--gc-sweep-policy must be \"linemate\" or \"rr\" (got \"" + policy +
-        "\")");
-  }
-
   heap.nursery = flags.get_bool("gc-nursery", heap.nursery);
   heap.nursery_slots =
       positive_u32(flags, "gc-nursery-slots", heap.nursery_slots);

@@ -124,7 +124,6 @@ struct EngineConfig {
 ///   --gc-lazy-sweep[=bool]       mark-only GC + per-block sweep quanta
 ///   --gc-sweep-quantum=N         blocks swept per slow-path quantum
 ///   --gc-sweep-deal=N            per-thread sweep dealing to N threads
-///   --gc-sweep-policy=linemate|rr  how dealt frees are placed
 ///   --gc-nursery[=bool]          generational nursery (needs --gc-arena)
 ///   --gc-nursery-slots=N         young allocations between minor GCs
 ///   --gc-mark-quantum=N          incremental-mark objects per quantum (0=off)

@@ -1,6 +1,6 @@
 // Direct-indexed per-line metadata over the guest address space.
 //
-// The HTM conflict masks and footprint bits and the STM line versions are
+// The HTM conflict masks and footprint bits and the STM holder masks are
 // all "one small record per cache line of simulated memory". Guest
 // addresses are dense per-segment windows (guest_space.hpp), so the record
 // of a line is found by arithmetic — segment index, then line index within

@@ -11,9 +11,9 @@ namespace gilfree::stm {
 
 enum class StmAbortCause : u8 {
   kNone = 0,
-  /// Commit-time (or incremental yield-point) validation found a read or
-  /// written line whose version moved since the transaction first touched
-  /// it: some other thread committed a conflicting write.
+  /// Another thread published a write (a software or hardware commit, or
+  /// a non-transactional store) to a line this transaction had read or
+  /// written, dooming it.
   kValidation,
   /// GIL subscription fired. Eager mode: a thread acquired the GIL while
   /// this transaction was live, dooming it immediately. Lazy mode: the

@@ -30,7 +30,7 @@ StmEngine::StmEngine(const StmConfig& config, const sim::GuestSpace* guest,
     : config_(config),
       guest_(guest),
       htm_(htm),
-      versions_(static_cast<u32>(config.line_bytes)) {
+      lines_(static_cast<u32>(config.line_bytes)) {
   GILFREE_CHECK(config_.line_bytes > 0 && config_.line_bytes <= 4096);
   GILFREE_CHECK(guest_ != nullptr);
   GILFREE_CHECK_MSG(htm_ == nullptr ||
@@ -54,10 +54,12 @@ const StmEngine::Tx* StmEngine::tx_of(u32 tid) const {
 void StmEngine::begin(u32 tid) {
   Tx& t = tx_at(tid);
   GILFREE_CHECK_MSG(!t.active, "nested software transaction on tid " << tid);
+  GILFREE_CHECK_MSG(can_begin(), "all " << kMaxLive << " STM slots are live");
   t.active = true;
-  t.lazy = config_.subscription == GilSubscription::kLazy;
+  t.slot = static_cast<u32>(__builtin_ctzll(~live_));
   t.doom = StmAbortCause::kNone;
-  ++active_count_;
+  live_ |= u64{1} << t.slot;
+  slot_tid_[t.slot] = tid;
   ++stats_.begins;
 }
 
@@ -71,23 +73,33 @@ bool StmEngine::doomed(u32 tid) const {
   return t != nullptr && t->active && t->doom != StmAbortCause::kNone;
 }
 
-u64 StmEngine::load(u32 tid, CpuId cpu, const u64* addr, bool shared) {
+StmEngine::Tx& StmEngine::enter_access(u32 tid) {
   Tx& t = tx_at(tid);
-  GILFREE_CHECK_MSG(t.active, "stm load outside a transaction on tid " << tid);
-  if (t.doom != StmAbortCause::kNone) abort_self(tid, t.doom);
-  // Read-own-writes: the buffer is the newest value for this transaction.
-  if (const auto it = t.writes.find(const_cast<u64*>(addr));
-      it != t.writes.end()) {
-    return it->second.value;
+  GILFREE_CHECK_MSG(t.active, "stm access outside a transaction on tid " << tid);
+  if (t.doom != StmAbortCause::kNone) {
+    // A publish invalidated a line this transaction holds (or GC / eager
+    // subscription doomed it): stop before it reads anything else.
+    ++stats_.zombie_kills;
+    abort_self(tid, t.doom);
   }
+  return t;
+}
+
+u64 StmEngine::load(u32 tid, CpuId cpu, const u64* addr, bool shared) {
+  Tx& t = enter_access(tid);
+  // Read-own-writes: the buffer is the newest value for this transaction.
+  if (const u64* v = (shared ? t.shared_writes : t.private_writes).find(addr))
+    return *v;
   if (!shared) return *addr;
-  const LineId line = line_of(addr);
-  if (t.read_marks.find(line) == t.read_marks.end()) {
-    if (t.read_marks.size() >= config_.max_read_lines)
+  Holders& h = lines_.at(guest_->locate(addr));
+  const u64 bit = u64{1} << t.slot;
+  if ((h.readers & bit) == 0) {
+    if (t.read_lines.size() >= config_.max_read_lines)
       abort_self(tid, StmAbortCause::kOverflowRead);
-    t.read_marks.emplace(line, version_of(line));
+    h.readers |= bit;
+    t.read_lines.push_back(&h);
     stats_.max_read_lines =
-        std::max<u64>(stats_.max_read_lines, t.read_marks.size());
+        std::max<u64>(stats_.max_read_lines, t.read_lines.size());
   }
   // Route through the hardware's non-transactional load so a concurrent
   // HTM writer of this line is doomed (requester wins), matching what a
@@ -97,55 +109,30 @@ u64 StmEngine::load(u32 tid, CpuId cpu, const u64* addr, bool shared) {
 
 void StmEngine::store(u32 tid, CpuId cpu, u64* addr, u64 value, bool shared) {
   (void)cpu;  // Publishing happens at commit; stores have no bus traffic.
-  Tx& t = tx_at(tid);
-  GILFREE_CHECK(t.active);
-  if (t.doom != StmAbortCause::kNone) abort_self(tid, t.doom);
+  Tx& t = enter_access(tid);
   if (shared) {
-    const LineId line = line_of(addr);
-    // First shared write records the line version like a read mark: if any
-    // other transaction commits a write to this line first, validation
-    // fails — so two writers of one line can never both commit, even when
-    // neither ever read it (blind stores).
-    if (t.write_marks.find(line) == t.write_marks.end())
-      t.write_marks.emplace(line, version_of(line));
+    // Holding the line as a writer makes any other publish to it doom this
+    // transaction — so two writers of one line can never both commit, even
+    // when neither ever read it (blind stores).
+    Holders& h = lines_.at(guest_->locate(addr));
+    const u64 bit = u64{1} << t.slot;
+    if ((h.writers & bit) == 0) {
+      h.writers |= bit;
+      t.write_lines.push_back(&h);
+    }
   }
-  if (t.writes.find(addr) == t.writes.end() &&
-      t.writes.size() >= config_.max_write_entries) {
+  htm::RedoLog& log = shared ? t.shared_writes : t.private_writes;
+  if (log.find(addr) == nullptr && entry_count(t) >= config_.max_write_entries)
     abort_self(tid, StmAbortCause::kOverflowWrite);
-  }
-  t.writes[addr] = BufferedWrite{value, shared};
+  log.put(addr, value);
   stats_.max_write_entries =
-      std::max<u64>(stats_.max_write_entries, t.writes.size());
-}
-
-bool StmEngine::marks_valid(const Tx& t) {
-  stats_.validated_entries += t.read_marks.size() + t.write_marks.size();
-  for (const auto& [line, version] : t.read_marks)
-    if (version_of(line) != version) return false;
-  for (const auto& [line, version] : t.write_marks)
-    if (version_of(line) != version) return false;
-  return true;
-}
-
-bool StmEngine::validate(u32 tid) {
-  Tx& t = tx_at(tid);
-  GILFREE_CHECK(t.active);
-  if (t.doom != StmAbortCause::kNone) {
-    const StmAbortCause cause = t.doom;
-    rollback(tid, cause);
-    return false;
-  }
-  if (!marks_valid(t)) {
-    ++stats_.zombie_kills;
-    rollback(tid, StmAbortCause::kValidation);
-    return false;
-  }
-  return true;
+      std::max<u64>(stats_.max_write_entries, entry_count(t));
 }
 
 StmAbortCause StmEngine::commit(u32 tid, CpuId cpu) {
   Tx& t = tx_at(tid);
   GILFREE_CHECK(t.active);
+  stats_.validated_entries += t.read_lines.size() + t.write_lines.size();
   if (t.doom != StmAbortCause::kNone) {
     const StmAbortCause cause = t.doom;
     rollback(tid, cause);
@@ -154,57 +141,33 @@ StmAbortCause StmEngine::commit(u32 tid, CpuId cpu) {
   // Lazy GIL subscription: the one and only point where the GIL word is
   // consulted. A held GIL means a thread is mutating memory outside any
   // transaction right now; committing would interleave with it.
-  if (t.lazy && gil_word_ != nullptr && *gil_word_ != 0) {
+  if (config_.subscription == GilSubscription::kLazy && gil_word_ != nullptr &&
+      *gil_word_ != 0) {
     rollback(tid, StmAbortCause::kGilSubscription);
     return StmAbortCause::kGilSubscription;
   }
-  if (!marks_valid(t)) {
-    rollback(tid, StmAbortCause::kValidation);
-    return StmAbortCause::kValidation;
-  }
-  // Validated: this transaction is now logically committed. Retire it
-  // before publishing so the version bumps triggered by its own writes
-  // invalidate *other* live transactions, not itself.
-  t.active = false;
-  --active_count_;
+  // Undoomed: no other publish touched a held line, so this transaction is
+  // logically committed. Release its bits before publishing so its own
+  // writes doom *other* holders, not itself.
   ++stats_.commits;
-  stats_.committed_writes += t.writes.size();
-  // Publish in guest-address order, not buffer-hash order: the doom each
-  // shared publish inflicts on a conflicting hardware transaction records
-  // the published line as the victim's conflict line, so the iteration
-  // order here is visible in traces and record streams. Host-pointer order
-  // varies with ASLR; guest order is process-stable.
-  struct Publish {
-    sim::GuestAddr guest;
-    u64* addr;
-    BufferedWrite w;
-  };
-  std::vector<Publish> publish;
-  publish.reserve(t.writes.size());
-  for (const auto& [addr, w] : t.writes)
-    publish.push_back(Publish{guest_->translate(addr), addr, w});
-  std::sort(publish.begin(), publish.end(),
-            [](const Publish& a, const Publish& b) { return a.guest < b.guest; });
-  for (const Publish& p : publish) {
-    if (p.w.shared) {
-      if (htm_ != nullptr) {
-        // Dooms conflicting hardware transactions and re-enters this
-        // engine through on_nontx_write, bumping the line version for
-        // every other live software transaction.
-        htm_->nontx_store(cpu, p.addr, p.w.value);
-      } else {
-        *p.addr = p.w.value;
-        bump(line_of(p.addr));
-      }
+  stats_.committed_writes += entry_count(t);
+  release(t);
+  for (const htm::RedoLog::Entry& e : t.shared_writes.entries()) {
+    if (htm_ != nullptr) {
+      // Dooms conflicting hardware transactions and re-enters this engine
+      // through on_nontx_write for the software holders.
+      htm_->nontx_store(cpu, e.addr, e.value);
     } else {
-      // Private lines (interpreter stacks): restore-on-abort is the only
-      // reason they were buffered; no conflict tracking.
-      *p.addr = p.w.value;
+      *e.addr = e.value;
+      on_nontx_write(e.addr);
     }
   }
-  t.read_marks.clear();
-  t.write_marks.clear();
-  t.writes.clear();
+  // Private lines (interpreter stacks): restore-on-abort is the only
+  // reason they were buffered; no conflict tracking.
+  for (const htm::RedoLog::Entry& e : t.private_writes.entries())
+    *e.addr = e.value;
+  t.shared_writes.clear();
+  t.private_writes.clear();
   last_cause_[tid] = StmAbortCause::kNone;
   return StmAbortCause::kNone;
 }
@@ -215,19 +178,21 @@ void StmEngine::abort(u32 tid, StmAbortCause cause) {
   abort_self(tid, cause);
 }
 
-void StmEngine::doom_all(StmAbortCause cause) {
-  if (active_count_ == 0) return;
-  for (Tx& t : tx_)
-    if (t.active && t.doom == StmAbortCause::kNone) t.doom = cause;
+void StmEngine::doom_all(StmAbortCause cause) { doom(live_, cause); }
+
+void StmEngine::doom(u64 slots, StmAbortCause cause) {
+  // A transaction keeps the cause of its first doom.
+  for (; slots != 0; slots &= slots - 1) {
+    Tx& t = tx_[slot_tid_[__builtin_ctzll(slots)]];
+    if (t.doom == StmAbortCause::kNone) t.doom = cause;
+  }
 }
 
 void StmEngine::on_nontx_write(const u64* addr) {
-  // With no live software transaction nobody holds a marker, and any later
-  // transaction's first access records whatever version the line has then
-  // — skipping the bump is safe and keeps the version table from growing
-  // during STM-free phases.
-  if (active_count_ == 0) return;
-  bump(line_of(addr));
+  // With no live software transaction no line has a holder.
+  if (live_ == 0) return;
+  if (const Holders* h = lines_.find(guest_->locate(addr)))
+    doom(h->readers | h->writers, StmAbortCause::kValidation);
 }
 
 void StmEngine::on_gil_acquired() {
@@ -239,29 +204,34 @@ StmAbortCause StmEngine::last_cause(u32 tid) const {
   return tid < last_cause_.size() ? last_cause_[tid] : StmAbortCause::kNone;
 }
 
-u32 StmEngine::read_marker_count(u32 tid) const {
+u32 StmEngine::held_line_count(u32 tid) const {
   const Tx* t = tx_of(tid);
-  return t != nullptr ? static_cast<u32>(t->read_marks.size()) : 0;
-}
-
-u32 StmEngine::write_marker_count(u32 tid) const {
-  const Tx* t = tx_of(tid);
-  return t != nullptr ? static_cast<u32>(t->write_marks.size()) : 0;
+  return t != nullptr
+             ? static_cast<u32>(t->read_lines.size() + t->write_lines.size())
+             : 0;
 }
 
 u32 StmEngine::write_entry_count(u32 tid) const {
   const Tx* t = tx_of(tid);
-  return t != nullptr ? static_cast<u32>(t->writes.size()) : 0;
+  return t != nullptr ? entry_count(*t) : 0;
+}
+
+void StmEngine::release(Tx& t) {
+  const u64 bit = u64{1} << t.slot;
+  for (Holders* h : t.read_lines) h->readers &= ~bit;
+  for (Holders* h : t.write_lines) h->writers &= ~bit;
+  t.read_lines.clear();
+  t.write_lines.clear();
+  live_ &= ~bit;
+  t.active = false;
+  t.doom = StmAbortCause::kNone;
 }
 
 void StmEngine::rollback(u32 tid, StmAbortCause cause) {
   Tx& t = tx_at(tid);
-  t.active = false;
-  t.doom = StmAbortCause::kNone;
-  t.read_marks.clear();
-  t.write_marks.clear();
-  t.writes.clear();
-  --active_count_;
+  release(t);
+  t.shared_writes.clear();
+  t.private_writes.clear();
   ++stats_.aborts_by_cause[static_cast<std::size_t>(cause)];
   last_cause_[tid] = cause;
 }

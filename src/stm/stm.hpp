@@ -1,41 +1,38 @@
 // Tier-2 software transaction engine (docs/TIERS.md).
 //
 // Sits between HTM retry exhaustion and GIL acquisition in the engine's
-// escalation path. The design is the classic timestamp-ordered STM in the
-// style of pypy-stmgc's per-thread read markers + commit-time validation:
+// escalation path. Conflicts are detected the way the HTM model detects
+// them, with visible readers and doom at publish:
 //
-//   * a global commit counter `clock_` and a per-line version table, a
-//     sim::LineTable over the same guest line space (and the same
-//     chunked, direct-indexed layout) the HTM facility's conflict
-//     metadata uses,
-//   * per-thread read markers: line -> version observed at first read,
-//   * a write buffer: address -> buffered value; shared lines also record
-//     the version observed at first write, so two transactions that write
-//     the same line can never both commit (writer-writer conflicts fail
-//     validation no matter which order they interleaved),
-//   * commit = validate every marker against the current version table
-//     (plus the GIL word under lazy subscription), then publish the buffer
-//     through the HTM facility's non-transactional store path, which dooms
-//     conflicting hardware transactions and bumps line versions for every
-//     other live software transaction.
+//   * each live transaction owns one of kMaxLive slots; a sim::LineTable
+//     over the guest line space (the same chunked, direct-indexed layout
+//     the HTM facility's conflict metadata uses) keeps per-line reader and
+//     writer masks over those slots, and a transaction's first touch of a
+//     line is a test of its bit,
+//   * stores go to a redo log (shared and private lines apart), so a
+//     transaction never writes memory before it commits,
+//   * every publish to a line — a GIL holder's store, an HTM commit
+//     draining its redo log, another software commit — dooms every live
+//     transaction holding that line. A doomed transaction is stopped at its
+//     next load or store, before it can read anything else, and at commit.
 //
-// The engine learns about non-transactional writes (GIL holders, HTM
-// commits draining their redo logs) by registering as the HTM facility's
-// MemWriteListener: every such write bumps the written line's version, so
-// validation catches any software transaction that read it.
+// Commit therefore needs no validation walk: it checks the doom flag (and
+// the GIL word under lazy subscription), releases its own bits, and
+// publishes its log through the HTM facility's non-transactional store
+// path, which dooms conflicting hardware transactions and re-enters this
+// engine through MemWriteListener to doom the other software holders.
 //
-// Everything is deterministic: versions come from one global counter,
-// validation is an order-independent conjunction of equalities, and no
-// decision depends on host iteration order of the unordered containers.
+// Everything is deterministic: slots are handed out lowest-first, and logs
+// publish in first-store order.
 #pragma once
 
 #include <array>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
 #include "gil/gil.hpp"
 #include "htm/htm.hpp"
+#include "htm/redo_log.hpp"
 #include "sim/guest_space.hpp"
 #include "sim/line_table.hpp"
 #include "stm/abort_cause.hpp"
@@ -46,12 +43,15 @@ namespace gilfree::stm {
 
 class StmEngine : public htm::MemWriteListener, public gil::AcquireListener {
  public:
-  /// `guest` (not owned) keys the version table; every address handed to
-  /// the accessors must lie in one of its segments. `htm` may be null (unit
+  /// Live transactions at once: one bit each in the per-line masks.
+  static constexpr u32 kMaxLive = 64;
+
+  /// `guest` (not owned) keys the line table; every address handed to the
+  /// accessors must lie in one of its segments. `htm` may be null (unit
   /// tests): loads/stores then bypass the hardware conflict tracking and
-  /// version bumps happen locally at commit. With a facility attached it
-  /// must share `guest` and the line size, so both tiers use one line
-  /// space.
+  /// commit dooms other software holders directly. With a facility
+  /// attached it must share `guest` and the line size, so both tiers use
+  /// one line space.
   StmEngine(const StmConfig& config, const sim::GuestSpace* guest,
             htm::HtmFacility* htm);
 
@@ -60,6 +60,9 @@ class StmEngine : public htm::MemWriteListener, public gil::AcquireListener {
   /// The slot holding GIL.acquired; wired by the engine once the heap
   /// exists. Required for lazy subscription's commit-time check.
   void set_gil_word(const u64* word) { gil_word_ = word; }
+
+  /// False while all kMaxLive slots are live; begin() requires true.
+  bool can_begin() const { return live_ != ~u64{0}; }
 
   /// Starts a software transaction for `tid`. The caller must have
   /// checkpointed VM registers; rollback is the caller's job (this class
@@ -77,12 +80,6 @@ class StmEngine : public htm::MemWriteListener, public gil::AcquireListener {
   u64 load(u32 tid, CpuId cpu, const u64* addr, bool shared);
   void store(u32 tid, CpuId cpu, u64* addr, u64 value, bool shared);
 
-  /// Revalidates the read/write markers without committing. Returns true
-  /// when the transaction is still consistent; otherwise the transaction
-  /// has been rolled back (cause recorded, retrievable via last_cause) and
-  /// the caller must unwind. Bounds the zombie window to one yield burst.
-  bool validate(u32 tid);
-
   /// Attempts to commit. Returns kNone on success (buffer published);
   /// otherwise the transaction has been rolled back and the returned cause
   /// says why. Never throws.
@@ -98,7 +95,8 @@ class StmEngine : public htm::MemWriteListener, public gil::AcquireListener {
   void doom_all(StmAbortCause cause);
 
   /// htm::MemWriteListener: a non-transactional store (GIL holder, runtime
-  /// bookkeeping) or an HTM commit published `addr`.
+  /// bookkeeping) or an HTM commit published `addr`; every live software
+  /// transaction holding its line is doomed with kValidation.
   void on_nontx_write(const u64* addr) override;
 
   /// gil::AcquireListener: eager subscription — the acquisition write
@@ -109,39 +107,41 @@ class StmEngine : public htm::MemWriteListener, public gil::AcquireListener {
   /// Cause of the most recent abort of `tid`'s transaction.
   StmAbortCause last_cause(u32 tid) const;
 
-  u32 read_marker_count(u32 tid) const;
-  u32 write_marker_count(u32 tid) const;
+  /// Shared lines `tid`'s transaction read plus lines it wrote (a line
+  /// both read and written counts twice), and its buffered stores.
+  u32 held_line_count(u32 tid) const;
   u32 write_entry_count(u32 tid) const;
 
   const StmStats& stats() const { return stats_; }
-  u64 clock() const { return clock_; }
 
  private:
-  struct BufferedWrite {
-    u64 value = 0;
-    bool shared = false;
+  /// Per-line holder masks, one bit per live-transaction slot.
+  struct Holders {
+    u64 readers = 0;
+    u64 writers = 0;
   };
   struct Tx {
     bool active = false;
-    bool lazy = false;
+    u32 slot = 0;
     StmAbortCause doom = StmAbortCause::kNone;
-    /// line -> version at first read / first shared write.
-    std::unordered_map<LineId, u64> read_marks;
-    std::unordered_map<LineId, u64> write_marks;
-    std::unordered_map<u64*, BufferedWrite> writes;
+    /// Records whose mask carries this transaction's bit, in first-touch
+    /// order.
+    std::vector<Holders*> read_lines;
+    std::vector<Holders*> write_lines;
+    htm::RedoLog shared_writes;
+    htm::RedoLog private_writes;
   };
 
+  static u32 entry_count(const Tx& t) {
+    return static_cast<u32>(t.shared_writes.entries().size() +
+                            t.private_writes.entries().size());
+  }
   Tx& tx_at(u32 tid);
   const Tx* tx_of(u32 tid) const;
-  LineId line_of(const void* addr) const {
-    return guest_->line_of(addr, config_.line_bytes);
-  }
-  u64 version_of(LineId line) const {
-    const u64* v = versions_.find(line);
-    return v != nullptr ? *v : 0;
-  }
-  void bump(LineId line) { versions_.at(line) = ++clock_; }
-  bool marks_valid(const Tx& t);
+  /// The live transaction of `tid`, stopped here if it is doomed.
+  Tx& enter_access(u32 tid);
+  void doom(u64 slots, StmAbortCause cause);
+  void release(Tx& t);
   void rollback(u32 tid, StmAbortCause cause);
   [[noreturn]] void abort_self(u32 tid, StmAbortCause cause);
 
@@ -149,11 +149,11 @@ class StmEngine : public htm::MemWriteListener, public gil::AcquireListener {
   const sim::GuestSpace* guest_;
   htm::HtmFacility* htm_;
   const u64* gil_word_ = nullptr;
-  u64 clock_ = 0;
-  sim::LineTable<u64> versions_;  ///< Line -> last commit that wrote it.
+  sim::LineTable<Holders> lines_;
   std::vector<Tx> tx_;
   std::vector<StmAbortCause> last_cause_;
-  u32 active_count_ = 0;
+  u64 live_ = 0;  ///< Bit per slot held by a live transaction.
+  std::array<u32, kMaxLive> slot_tid_{};
   StmStats stats_;
 };
 

@@ -33,8 +33,6 @@ StmConfig StmConfig::from_flags(const CliFlags& flags) {
   c.max_read_lines = positive_u32(flags, "stm-max-read", c.max_read_lines);
   c.max_write_entries =
       positive_u32(flags, "stm-max-write", c.max_write_entries);
-  c.yield_validation =
-      flags.get_bool("stm-yield-validation", c.yield_validation);
   return c;
 }
 
@@ -53,8 +51,6 @@ std::vector<std::string> StmConfig::to_flags() const {
     out.push_back("--stm-max-read=" + std::to_string(max_read_lines));
   if (max_write_entries != def.max_write_entries)
     out.push_back("--stm-max-write=" + std::to_string(max_write_entries));
-  if (yield_validation != def.yield_validation)
-    out.push_back("--stm-yield-validation=false");
   return out;
 }
 

@@ -7,7 +7,6 @@
 //   --stm-slice-yields=N      yield points per software transaction (>0)
 //   --stm-max-read=N          read-marker capacity in lines (>0)
 //   --stm-max-write=N         write-buffer capacity in entries (>0)
-//   --stm-yield-validation=B  incremental read validation at yield points
 #pragma once
 
 #include "common/cli.hpp"
@@ -23,9 +22,10 @@ namespace gilfree::stm {
 /// checks the word at commit — transactions keep running concurrently with
 /// a GIL holder, which is the throughput win, but they can observe torn
 /// state the holder writes non-transactionally (the zombie hazard of
-/// Dice/Harris/Kogan). Commit-time validation plus bounded incremental
-/// validation at yield points contains the hazard; docs/TIERS.md works
-/// through a seeded campaign demonstrating both sides.
+/// Dice/Harris/Kogan): a holder's store to a line the transaction already
+/// holds dooms it at once, but a line the holder wrote before the
+/// transaction first read it is seen as is. The commit-time GIL-word check
+/// refuses such a commit; docs/TIERS.md works through both sides.
 enum class GilSubscription : u8 { kEager = 0, kLazy = 1 };
 
 constexpr const char* gil_subscription_name(GilSubscription s) {
@@ -46,16 +46,13 @@ struct StmConfig {
   /// and the span falls through to the GIL.
   u32 max_read_lines = 8192;
   u32 max_write_entries = 4096;
-  /// Revalidate the read set at every yield point, bounding how far a
-  /// zombie transaction can run past an invalidating write to one burst.
-  bool yield_validation = true;
 
   // --- cost model (virtual cycles; not CLI-exposed) -----------------------
   Cycles begin_cost = 40;          ///< Checkpoint + marker-table setup.
   Cycles commit_base_cost = 60;    ///< Fixed commit overhead.
   Cycles read_overhead = 4;        ///< Per load: marker lookup/insert.
   Cycles write_overhead = 6;       ///< Per store: write-buffer insert.
-  Cycles validate_per_entry = 1;   ///< Per marker compared at validation.
+  Cycles validate_per_entry = 1;   ///< Per held line released at commit.
   Cycles publish_per_entry = 3;    ///< Per buffered write applied at commit.
   Cycles abort_penalty = 80;       ///< Rollback + retry dispatch.
 

@@ -14,11 +14,11 @@ struct StmStats {
   u64 begins = 0;
   u64 commits = 0;
   std::array<u64, kNumStmAbortCauses> aborts_by_cause{};
-  u64 validated_entries = 0;  ///< Markers compared (commit + incremental).
+  u64 validated_entries = 0;  ///< Held lines released at commit (the
+                              ///< lines the commit charge prices).
   u64 committed_writes = 0;   ///< Buffered entries published by commits.
-  u64 zombie_kills = 0;       ///< Incremental yield-point validation catches:
-                              ///< a span that kept running past an
-                              ///< invalidating write (the lazy hazard).
+  u64 zombie_kills = 0;       ///< Doomed transactions stopped at a load or
+                              ///< store before reaching commit.
   u64 max_read_lines = 0;     ///< High-water marks across all transactions.
   u64 max_write_entries = 0;
 

@@ -69,8 +69,7 @@ Heap::Heap(const HeapConfig& config) : config_(config) {
   barrier_on_ = config_.nursery || config_.mark_quantum > 0;
   track_line_owners_ =
       config_.per_thread_arenas ||
-      (config_.thread_local_sweep && config_.sweep_deal_threads > 0 &&
-       config_.sweep_deal_policy == HeapConfig::SweepDeal::kLineMate);
+      (config_.thread_local_sweep && config_.sweep_deal_threads > 0);
   arena_seg_size_.assign(config_.max_threads, config_.arena_min_segment);
   arena_last_refill_.assign(config_.max_threads, kNeverRefilled);
   if (config_.arena_steal) {
@@ -978,18 +977,14 @@ u64 Heap::sweep_block(ArenaBlock& b, Host* host) {
   const bool deal_local = config_.thread_local_sweep &&
                           config_.thread_local_free_lists &&
                           config_.sweep_deal_threads > 0;
-  const bool line_mate =
-      deal_local &&
-      config_.sweep_deal_policy == HeapConfig::SweepDeal::kLineMate;
-  // Round-robin fallback: contiguous runs of this many objects per thread,
-  // advancing only at line boundaries so one line's free objects never
-  // split across two threads' lists (the false-sharing caveat of the
-  // original per-256-run deal).
+  // Round-robin fallback for lines no thread owns: contiguous runs of this
+  // many objects per thread, advancing only at line boundaries so one
+  // line's free objects never split across two threads' lists.
   constexpr u32 kDealRun = 256;
   auto free_one = [&](RBasic* o, u32 line) {
     if (deal_local) {
       u32 target;
-      if (line_mate && b.line_owner[line] >= 0) {
+      if (b.line_owner[line] >= 0) {
         // All RVALUEs of this cache line go to the thread that last
         // allocated it — steady state re-serves a line to its owner.
         target = static_cast<u32>(b.line_owner[line]) %

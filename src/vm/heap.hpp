@@ -61,17 +61,13 @@ struct HeapConfig {
   /// the global list head far less often. On by default; it only activates
   /// when sweep_deal_threads > 0, so the default heap behaves exactly like
   /// the seed allocator.
+  ///
+  /// Dealing keeps every RVALUE of one cache line (4 per zEC12 line) on a
+  /// single thread's list: the thread that last allocated that line, or,
+  /// for a line no thread allocated, the next thread of a line-aligned
+  /// round-robin run.
   bool thread_local_sweep = true;
   u32 sweep_deal_threads = 0;  ///< Live threads to deal to (0 = disabled).
-
-  /// How the sweeper places freed objects on per-thread lists. kLineMate
-  /// keeps every RVALUE of one cache line (4 per zEC12 line) on a single
-  /// thread's list, preferring the thread that last allocated that line —
-  /// the round-robin run deal could split a line's free objects across two
-  /// threads at run boundaries and manufacture allocation false sharing.
-  /// kRoundRobin keeps the legacy run deal (line-aligned now) for A/B runs.
-  enum class SweepDeal : u8 { kLineMate, kRoundRobin };
-  SweepDeal sweep_deal_policy = SweepDeal::kLineMate;
 
   /// Per-thread allocation arenas: each thread bump-allocates from a
   /// private line-aligned segment carved from a shared segment pool. A

@@ -341,7 +341,6 @@ void check_no_line_split(Heap& heap, u32 deal_threads) {
 TEST(HeapSweepDeal, LineMateDealKeepsLineMatesTogether) {
   HeapConfig cfg = small_config();
   cfg.sweep_deal_threads = 3;
-  cfg.sweep_deal_policy = HeapConfig::SweepDeal::kLineMate;
   Heap heap(cfg);
   DirectHost host;
   host.heap = &heap;
@@ -354,10 +353,12 @@ TEST(HeapSweepDeal, LineMateDealKeepsLineMatesTogether) {
   check_no_line_split(heap, cfg.sweep_deal_threads);
 }
 
+// Lines no thread ever allocated have no owner; the sweep deals them in
+// line-aligned round-robin runs, so both threads get some and no line is
+// split between them.
 TEST(HeapSweepDeal, RoundRobinDealIsLineAligned) {
   HeapConfig cfg = small_config();
   cfg.sweep_deal_threads = 2;
-  cfg.sweep_deal_policy = HeapConfig::SweepDeal::kRoundRobin;
   Heap heap(cfg);
   DirectHost host;
   host.heap = &heap;
@@ -365,6 +366,8 @@ TEST(HeapSweepDeal, RoundRobinDealIsLineAligned) {
     (void)heap.alloc_rvalue(host, ObjType::kFloat, kClassFloat);
   heap.run_gc(host.roots);
   check_no_line_split(heap, cfg.sweep_deal_threads);
+  EXPECT_GT(*heap.tcb_slot(1, kTcbFreeListCount), 0u)
+      << "unowned lines must be dealt past the owner (thread 0)";
 }
 
 TEST(HeapLazySweep, ShrinksPauseAndSweepsOnSlowPaths) {
@@ -749,7 +752,6 @@ __record("f", f)
       // no nursery / incremental marking / stealing.
       auto seed_cfg = base;
       seed_cfg.heap.thread_local_sweep = false;
-      seed_cfg.heap.sweep_deal_policy = HeapConfig::SweepDeal::kRoundRobin;
       seed_cfg.heap.per_thread_arenas = false;
       seed_cfg.heap.lazy_sweep = false;
       seed_cfg.heap.nursery = false;

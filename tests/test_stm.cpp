@@ -3,10 +3,12 @@
 // Unit level (StmEngine with no HTM facility):
 //   - conflicting writers of one line never both commit, across seeded
 //     random interleavings (including blind stores neither reader saw),
-//   - the lazy-subscription zombie hazard: a transaction that read half of
-//     a two-word invariant before a non-transactional writer broke it
-//     observes torn state, and commit-time validation refuses the commit,
-//   - incremental yield-point validation catches the same zombie early,
+//   - a publish (software commit or non-transactional store) dooms every
+//     other holder of the line, which is stopped at its next access,
+//   - the lazy-subscription zombie hazard: a transaction that reads a word
+//     a GIL holder wrote before the transaction first touched it observes
+//     torn state, and the commit-time GIL-word check refuses the commit,
+//   - at most kMaxLive transactions are live; freed slots are reused,
 //   - eager subscription dooms live transactions at GIL acquisition,
 //   - lazy subscription refuses to commit while the GIL word is held,
 //   - read/write capacity overflows abort with the dedicated causes.
@@ -19,6 +21,7 @@
 //     commits > 0), produces the same program results as the GIL and
 //     STM-off paths, and serializes measurably less time on the GIL,
 //   - the same seeded run is trace-deterministic,
+//   - with more threads than slots, spans past the limit take the GIL,
 //   - strict-CLI rejection for every new flag.
 #include <gtest/gtest.h>
 
@@ -30,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "htm/profile.hpp"
 #include "obs/json.hpp"
@@ -123,12 +127,71 @@ TEST(StmUnit, ConflictingWritersNeverBothCommit) {
   }
 }
 
+// --- doom at publish --------------------------------------------------------
+
+// A committing transaction's publish dooms every other holder of the line:
+// a reader is stopped at its next load, a blind co-writer at commit.
+TEST(StmUnit, PublishDoomsReadersAndBlindCoWriters) {
+  SharedLines mem;
+  const sim::GuestSpace gs = guest_over(mem);
+  StmEngine e(unit_config(), &gs, nullptr);
+  e.begin(0);  // reader of line 0
+  e.begin(1);  // blind writer of line 0
+  e.begin(2);  // publisher of line 0
+  (void)e.load(0, 0, &mem.slots[0], true);
+  e.store(1, 1, &mem.slots[1], 11, true);
+  e.store(2, 2, &mem.slots[2], 22, true);
+  EXPECT_FALSE(e.doomed(0));
+  EXPECT_FALSE(e.doomed(1));
+
+  ASSERT_EQ(e.commit(2, 2), StmAbortCause::kNone);
+  EXPECT_EQ(mem.slots[2], 22u);
+  EXPECT_TRUE(e.doomed(0));
+  EXPECT_TRUE(e.doomed(1));
+
+  EXPECT_THROW((void)e.load(0, 0, &mem.slots[64], true), htm::TxAbort)
+      << "a doomed reader must not read anything else";
+  EXPECT_EQ(e.last_cause(0), StmAbortCause::kValidation);
+  EXPECT_EQ(e.stats().zombie_kills, 1u);
+  EXPECT_EQ(e.commit(1, 1), StmAbortCause::kValidation);
+  EXPECT_EQ(mem.slots[1], 0u) << "the doomed buffer must not publish";
+  EXPECT_EQ(aborts_of(e, StmAbortCause::kValidation), 2u);
+}
+
+// A non-transactional store (a GIL holder's) dooms the holders of its line
+// the moment it lands; a store to a line nobody holds dooms no one.
+TEST(StmUnit, NontxPublishDoomsTheHolderAtOnce) {
+  StmConfig cfg = unit_config();
+  cfg.subscription = GilSubscription::kLazy;
+  SharedLines mem;
+  const sim::GuestSpace gs = guest_over(mem);
+  StmEngine e(cfg, &gs, nullptr);
+  e.begin(0);
+  (void)e.load(0, 0, &mem.slots[0], true);
+
+  mem.slots[32] = 9;
+  e.on_nontx_write(&mem.slots[32]);
+  EXPECT_FALSE(e.doomed(0)) << "line 1 is not held";
+
+  mem.slots[0] = 9;
+  e.on_nontx_write(&mem.slots[0]);
+  EXPECT_TRUE(e.doomed(0)) << "the publish itself dooms the reader";
+  EXPECT_TRUE(e.in_tx(0)) << "doom waits for the next access";
+  EXPECT_THROW(e.store(0, 0, &mem.slots[64], 1, true), htm::TxAbort);
+  EXPECT_FALSE(e.in_tx(0));
+  EXPECT_EQ(e.last_cause(0), StmAbortCause::kValidation);
+  EXPECT_EQ(e.stats().zombie_kills, 1u);
+}
+
 // --- the lazy zombie hazard -------------------------------------------------
 
 // A lazily-subscribed transaction keeps running while a non-transactional
 // writer (a GIL holder, from the runtime's point of view) mutates memory.
-// It can observe a torn two-word invariant — the hazard — but commit-time
-// validation sees the stale read marker and refuses the commit.
+// A holder store to a line the transaction already holds dooms it, so the
+// one order that still tears is a holder writing a line before the
+// transaction first reads it. The transaction then observes a torn
+// two-word invariant — the hazard — and the commit-time GIL-word check
+// refuses the commit.
 TEST(StmUnit, LazyZombieObservesTornStateButCannotCommit) {
   StmConfig cfg = unit_config();
   cfg.subscription = GilSubscription::kLazy;
@@ -143,42 +206,75 @@ TEST(StmUnit, LazyZombieObservesTornStateButCannotCommit) {
   *b = 5;  // invariant: *a == *b
 
   e.begin(0);
-  const u64 read_a = e.load(0, 0, a, true);
+  const u64 read_b = e.load(0, 0, b, true);
 
-  // The "GIL holder": writes both words non-transactionally, mid-span.
+  // The "GIL holder": writes `a` non-transactionally, mid-span, before the
+  // transaction first reads it.
   gil_word = 1;
   *a = 6;
   e.on_nontx_write(a);
+  EXPECT_FALSE(e.doomed(0)) << "line 0 was not held yet";
+
+  const u64 read_a = e.load(0, 0, a, true);
+  EXPECT_NE(read_a, read_b) << "the zombie really does see the torn pair";
+
+  e.store(0, 0, a, read_a + read_b, true);
+  EXPECT_EQ(e.commit(0, 0), StmAbortCause::kGilSubscription)
+      << "the commit-time GIL-word check must contain the hazard";
+  EXPECT_EQ(*a, 6u) << "the refused buffer must not publish";
   *b = 6;
   e.on_nontx_write(b);
   gil_word = 0;
 
-  const u64 read_b = e.load(0, 0, b, true);
-  EXPECT_NE(read_a, read_b) << "the zombie really does see the torn pair";
-
-  e.store(0, 0, a, read_a + read_b, true);
-  EXPECT_EQ(e.commit(0, 0), StmAbortCause::kValidation)
-      << "commit-time validation must contain the hazard";
-  EXPECT_EQ(*a, 6u) << "the refused buffer must not publish";
+  // The old order — the transaction reads `a`, then the holder writes it —
+  // no longer tears: the transaction is stopped at its next load.
+  e.begin(0);
+  (void)e.load(0, 0, a, true);
+  gil_word = 1;
+  *a = 7;
+  e.on_nontx_write(a);
+  *b = 7;
+  e.on_nontx_write(b);
+  gil_word = 0;
+  EXPECT_THROW((void)e.load(0, 0, b, true), htm::TxAbort);
   EXPECT_EQ(e.last_cause(0), StmAbortCause::kValidation);
+  EXPECT_EQ(e.stats().zombie_kills, 1u);
+  EXPECT_EQ(aborts_of(e, StmAbortCause::kGilSubscription), 1u);
   EXPECT_EQ(aborts_of(e, StmAbortCause::kValidation), 1u);
 }
 
-TEST(StmUnit, IncrementalValidationKillsTheZombieEarly) {
-  StmConfig cfg = unit_config();
-  cfg.subscription = GilSubscription::kLazy;
+// --- live-transaction slots -------------------------------------------------
+
+// The holder masks have one bit per live transaction; tids are unbounded.
+TEST(StmUnit, SlotsBoundLiveTransactionsAndAreReused) {
   SharedLines mem;
   const sim::GuestSpace gs = guest_over(mem);
-  StmEngine e(cfg, &gs, nullptr);
-  e.begin(0);
-  (void)e.load(0, 0, &mem.slots[0], true);
-  EXPECT_TRUE(e.validate(0)) << "nothing invalidated yet";
+  StmEngine e(unit_config(), &gs, nullptr);
+  // Sparse tids: the slot, not the tid, indexes the masks.
+  auto tid_of = [](u32 i) { return 1000 + 7 * i; };
+  for (u32 i = 0; i < StmEngine::kMaxLive; ++i) {
+    ASSERT_TRUE(e.can_begin()) << i;
+    e.begin(tid_of(i));
+    (void)e.load(tid_of(i), 0, &mem.slots[i], true);  // lines 0 and 1
+  }
+  EXPECT_FALSE(e.can_begin());
+  EXPECT_THROW(e.begin(9999), CheckFailure);
 
-  mem.slots[0] = 9;
+  ASSERT_EQ(e.commit(tid_of(5), 0), StmAbortCause::kNone);
+  EXPECT_TRUE(e.can_begin()) << "a commit frees its slot";
+  e.begin(9999);
+  EXPECT_FALSE(e.can_begin()) << "the freed slot is taken again";
+  (void)e.load(9999, 0, &mem.slots[64], true);  // line 2
+
+  // The reused slot's bit left line 0 with its old owner.
   e.on_nontx_write(&mem.slots[0]);
-  EXPECT_FALSE(e.validate(0)) << "yield-point validation must catch it";
-  EXPECT_EQ(e.stats().zombie_kills, 1u);
-  EXPECT_FALSE(e.in_tx(0)) << "validate rolls the transaction back";
+  EXPECT_FALSE(e.doomed(9999));
+  for (u32 i = 0; i < StmEngine::kMaxLive; ++i) {
+    if (i == 5) continue;
+    EXPECT_EQ(e.doomed(tid_of(i)), i < 32) << i;
+  }
+  e.on_nontx_write(&mem.slots[64]);
+  EXPECT_TRUE(e.doomed(9999));
 }
 
 TEST(StmUnit, LazyCommitRefusesWhileGilHeld) {
@@ -305,7 +401,6 @@ TEST(StmEngineLevel, DisabledTierIsByteIdenticalToSeedBehavior) {
       tweaked.stm.slice_yields = 3;
       tweaked.stm.max_read_lines = 16;
       tweaked.stm.max_write_entries = 16;
-      tweaked.stm.yield_validation = false;
       const Observed other = run_config(tweaked, src);
 
       const std::string tag = std::string(profile.machine.name) + "/" +
@@ -362,6 +457,48 @@ TEST(StmEngineLevel, TierEngagesUnderPersistentAbortCampaign) {
   }
 }
 
+// More threads than STM slots: once every slot is live, further spans
+// serialize on the GIL instead of failing begin()'s check, and the
+// program's results stay those of the GIL engine. The threads sleep first
+// so they all reach the tier together; lazily subscribed transactions stay
+// live while a CPU-mate runs under the GIL, which is how 100 threads on a
+// 12-CPU machine fill all 64 slots (eager subscription dooms them first).
+TEST(StmEngineLevel, SpansPastTheSlotLimitTakeTheGil) {
+  const htm::SystemProfile profile = htm::SystemProfile::zec12();
+  const std::string src = R"(
+ts = []
+100.times do |i|
+  ts << Thread.new(i) do |tid|
+    io_wait(20000)
+    s = 0
+    k = 0
+    while k < 300
+      s += k * tid
+      k += 1
+    end
+    __record("s" + tid.to_s, s)
+  end
+end
+ts.each do |t|
+  t.join
+end
+)";
+  EngineConfig gil = EngineConfig::gil(profile);
+  gil.heap.max_threads = 128;
+  const Observed gil_run = run_config(gil, src);
+  ASSERT_EQ(gil_run.stats.results.size(), 100u);
+
+  EngineConfig on = EngineConfig::htm_dynamic(profile);
+  on.heap.max_threads = 128;
+  on.stm.enabled = true;
+  on.stm.subscription = GilSubscription::kLazy;
+  on.fault.persistent_all_yps = true;
+  const Observed r = run_config(on, src);
+  EXPECT_EQ(r.stats.results, gil_run.stats.results);
+  EXPECT_GT(r.stats.stm.commits, 0u);
+  EXPECT_GT(r.stats.stm_gil_fallbacks, 0u);
+}
+
 // --- strict CLI -------------------------------------------------------------
 
 void expect_rejected(const std::string& flag) {
@@ -381,17 +518,16 @@ TEST(StmCli, EveryNewFlagRejectsBadValues) {
   expect_rejected("--stm-slice-yields=0");
   expect_rejected("--stm-max-read=0");
   expect_rejected("--stm-max-write=0");
-  // Bool flags (--stm, --stm-yield-validation) follow the CliFlags
-  // convention: false/0/no mean false, anything else true — same as every
-  // other bool flag in the repo, so no strictness test for those.
+  // The bool flag --stm follows the CliFlags convention: false/0/no mean
+  // false, anything else true — same as every other bool flag in the repo,
+  // so no strictness test for it.
 }
 
 TEST(StmCli, GoodValuesParseIntoTheConfig) {
   std::vector<std::string> args = {
       "test",          "--stm",          "--gil-subscription=lazy",
       "--stm-commit-retry=7", "--stm-slice-yields=12",
-      "--stm-max-read=64",    "--stm-max-write=48",
-      "--stm-yield-validation=false"};
+      "--stm-max-read=64",    "--stm-max-write=48"};
   std::vector<char*> argv;
   for (std::string& a : args) argv.push_back(a.data());
   CliFlags flags(static_cast<int>(argv.size()), argv.data(),
@@ -403,7 +539,6 @@ TEST(StmCli, GoodValuesParseIntoTheConfig) {
   EXPECT_EQ(c.slice_yields, 12u);
   EXPECT_EQ(c.max_read_lines, 64u);
   EXPECT_EQ(c.max_write_entries, 48u);
-  EXPECT_FALSE(c.yield_validation);
 }
 
 }  // namespace
