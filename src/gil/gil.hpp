@@ -61,6 +61,8 @@ class Gil {
   }
 
   const GilStats& stats() const { return stats_; }
+  /// The engine adds the counts of the idle polls it coalesces.
+  GilStats& mutable_stats() { return stats_; }
   void note_yield() { ++stats_.yields; }
   void reset_stats() { stats_ = GilStats{}; }
 

@@ -215,6 +215,28 @@ void HtmFacility::clear_footprint(CpuId cpu, TxState& t) {
   win.write_lines.clear();
 }
 
+void HtmFacility::nontx_store_run(CpuId cpu, u64* addr, const u64* values,
+                                  u32 n) {
+  GILFREE_CHECK(!tx_.at(cpu).active);
+  if (n == 0) return;
+  sim::GuestLoc loc = guest_->locate(addr);
+  GILFREE_CHECK(guest_->locate(addr + (n - 1)).segment == loc.segment);
+  const u32 line_bytes = config_.line_bytes;
+  for (u32 i = 0; i < n;) {
+    // Slots starting in this line.
+    const u32 rest = line_bytes - (loc.offset & (line_bytes - 1));
+    const u32 m = std::min(n - i, (rest + 7) / 8);
+    if (const LineRecord* r = lines_.find(loc)) {
+      const u32 holders = (r->tx_readers | r->tx_writers) & ~bit(cpu);
+      if (holders) conflict(holders, loc);
+    }
+    std::copy_n(values + i, m, addr + i);
+    if (write_listener_ != nullptr) write_listener_->on_nontx_write(addr + i);
+    i += m;
+    loc.offset += m * 8;
+  }
+}
+
 u32 HtmFacility::effective_max_read(CpuId cpu) const {
   u32 max = config_.max_read_lines;
   if (config_.smt_shares_capacity && machine_->smt_contended(cpu)) max /= 2;

@@ -50,7 +50,8 @@ namespace gilfree::htm {
 /// drain of a committing hardware transaction. Private-window stores a
 /// commit publishes are not reported: no other thread can read them. The
 /// tier-2 software-transaction engine registers here to doom the software
-/// transactions holding a written line (docs/TIERS.md).
+/// transactions holding a written line (docs/TIERS.md). A report stands
+/// for its whole line: a store run reports each line once.
 class MemWriteListener {
  public:
   virtual ~MemWriteListener() = default;
@@ -172,6 +173,13 @@ class HtmFacility {
     if (write_listener_ != nullptr) write_listener_->on_nontx_write(addr);
   }
 
+  /// `n` nontx_store calls addr[i] = values[i] in one pass: one holder
+  /// check, conflict and write-listener call per line, then plain slot
+  /// writes. Equal to the per-slot loop: the first store to a line dooms
+  /// and detaches every holder, so the line's later stores find none, and
+  /// a doom is idempotent. The run must lie in one guest segment.
+  void nontx_store_run(CpuId cpu, u64* addr, const u64* values, u32 n);
+
   /// Footprint of the CPU's current transaction, or of its last one until
   /// the next successful tx_begin (a doomed or aborted transaction keeps
   /// reporting what it had touched), for tests and the Fig. 6a probe.
@@ -212,7 +220,8 @@ class HtmFacility {
   }
 
   /// Attaches a memory-write listener (not owned; null detaches). Called
-  /// for every nontx_store and for every redo-log entry a commit publishes.
+  /// for every nontx_store, once per line of a nontx_store_run, and for
+  /// every redo-log entry a commit publishes.
   void set_write_listener(MemWriteListener* listener) {
     write_listener_ = listener;
   }

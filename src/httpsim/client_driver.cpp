@@ -639,6 +639,15 @@ bool OpenLoopDriver::shutdown(Cycles now) {
          queue_.empty() && in_flight_ == 0;
 }
 
+Cycles OpenLoopDriver::next_event_at() const {
+  if (!queue_.empty() || in_flight_ != 0) return 0;
+  constexpr Cycles kNone = ~Cycles{0};
+  Cycles next = kNone;
+  if (next_arrival_ < records_.size()) next = records_[next_arrival_].arrival;
+  if (!retry_heap_.empty()) next = std::min(next, retry_heap_.top().at);
+  return next == kNone ? 0 : next;
+}
+
 bool OpenLoopDriver::deadline_shedding() const {
   return config_.overload.deadline != 0;
 }

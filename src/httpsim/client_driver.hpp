@@ -330,6 +330,9 @@ class OpenLoopDriver : public HttpDriver {
   std::string payload(i64 request_id) override;
   void respond(i64 request_id, std::string_view body, Cycles now) override;
   bool shutdown(Cycles now) override;
+  /// The next scheduled arrival or retry while the queue is empty and
+  /// nothing is in flight; 0 otherwise.
+  Cycles next_event_at() const override;
   void annotate_request_metrics(obs::RequestMetrics& m) const override;
   // Overload protection (docs/ROBUSTNESS.md): the engine consults the
   // deadline at yield points and kills expired in-flight requests.

@@ -19,6 +19,52 @@ namespace {
 void apply_profile_heap_defaults(EngineConfig& c) {
   c.heap.malloc_refill_chunks = c.profile.malloc_refill_chunks;
 }
+
+/// The counters of a stats struct, for idle-poll arithmetic.
+template <auto... Fields>
+struct CounterList {
+  static constexpr std::size_t kBytes = sizeof...(Fields) * sizeof(u64);
+  template <typename T>
+  static T minus(const T& a, const T& b) {
+    T d;
+    ((d.*Fields = a.*Fields - b.*Fields), ...);
+    return d;
+  }
+  template <typename T>
+  static void add(T& a, const T& step, u64 k) {
+    ((a.*Fields += k * (step.*Fields)), ...);
+  }
+  template <typename T>
+  static bool equal(const T& a, const T& b) {
+    return ((a.*Fields == b.*Fields) && ...);
+  }
+};
+
+// A counter added to one of these structs must be listed here, or a
+// coalesced idle poll would drop its share; the sizes enforce it.
+using InterpCounters =
+    CounterList<&vm::InterpStats::insns_retired, &vm::InterpStats::sends,
+                &vm::InterpStats::ic_method_hits,
+                &vm::InterpStats::ic_method_misses,
+                &vm::InterpStats::ic_ivar_hits,
+                &vm::InterpStats::ic_ivar_misses,
+                &vm::InterpStats::allocations,
+                &vm::InterpStats::fused_instructions>;
+using BreakdownCounters =
+    CounterList<&CycleBreakdown::begin_end, &CycleBreakdown::tx_success,
+                &CycleBreakdown::tx_aborted, &CycleBreakdown::stm_work,
+                &CycleBreakdown::gil_held, &CycleBreakdown::gil_wait,
+                &CycleBreakdown::blocked_io, &CycleBreakdown::other>;
+using GilCounters =
+    CounterList<&gil::GilStats::acquisitions,
+                &gil::GilStats::contended_acquisitions,
+                &gil::GilStats::yields, &gil::GilStats::held_cycles>;
+static_assert(sizeof(vm::InterpStats) == InterpCounters::kBytes,
+              "list every InterpStats counter in InterpCounters");
+static_assert(sizeof(CycleBreakdown) == BreakdownCounters::kBytes,
+              "list every CycleBreakdown bucket in BreakdownCounters");
+static_assert(sizeof(gil::GilStats) == GilCounters::kBytes,
+              "list every GilStats counter in GilCounters");
 }  // namespace
 
 EngineConfig EngineConfig::gil(htm::SystemProfile p) {
@@ -276,6 +322,7 @@ void Engine::unpark(SchedThread& st) {
 
 void Engine::park(SchedThread& st, Cycles delay, bool is_io) {
   GILFREE_CHECK(!st.in_tx && !st.in_stm);
+  ++parks_;
   if (st.holds_gil) {
     gil_release_and_handoff(st);
     st.reacquire_gil = true;
@@ -1220,9 +1267,76 @@ void Engine::execute_span(SchedThread& st, int& fuel, vm::YieldStop stop) {
       st.reacquire_gil = false;
       st.resume_nontx = true;
     }
+    if (pr.idle_accept) coalesce_idle_polls(st);
     return;
   }
   if (st.vm->finished()) on_finished(st);
+}
+
+void Engine::coalesce_idle_polls(SchedThread& st) {
+  // Only the sole live thread's consecutive idle polls repeat exactly; a
+  // recorder logs every scheduling decision, so it must see them all.
+  if (live_count_ != 1 || config_.recorder != nullptr) {
+    idle_polls_ = 0;
+    return;
+  }
+  IdlePoll now;
+  now.park_seq = parks_;
+  now.clock = st.parked_since;
+  now.interp = interp_->stats();
+  now.breakdown = st.breakdown;
+  now.gil = gil_->stats();
+  if (idle_polls_ == 0 || idle_last_.park_seq + 1 != parks_) {
+    idle_polls_ = 1;
+    idle_last_ = now;
+    return;
+  }
+  IdlePoll step;
+  step.clock = now.clock - idle_last_.clock;
+  step.accept_offset = last_accept_at_ - idle_last_.clock;
+  step.interp = InterpCounters::minus(now.interp, idle_last_.interp);
+  step.breakdown = BreakdownCounters::minus(now.breakdown,
+                                            idle_last_.breakdown);
+  step.gil = GilCounters::minus(now.gil, idle_last_.gil);
+  const bool steady =
+      idle_polls_ == 2 && step.clock != 0 &&
+      step.clock == idle_step_.clock &&
+      step.accept_offset == idle_step_.accept_offset &&
+      InterpCounters::equal(step.interp, idle_step_.interp) &&
+      BreakdownCounters::equal(step.breakdown, idle_step_.breakdown) &&
+      GilCounters::equal(step.gil, idle_step_.gil);
+  idle_polls_ = 2;
+  idle_last_ = now;
+  idle_step_ = step;
+  if (!steady) return;
+
+  // Two poll cycles moved every counter alike, and nothing else can run:
+  // each further poll repeats the last one a period later, checking
+  // accept at first_check + j * period. Skip those before the port's next
+  // event; the poll after them accepts for real.
+  const Cycles next_event = server_->next_event_at();
+  const Cycles first_check = now.clock + step.accept_offset;
+  if (next_event <= first_check) return;  // 0: unknown
+  u64 k = (next_event - first_check + step.clock - 1) / step.clock;
+  // An instruction budget still trips after the same poll.
+  if (config_.max_insns != 0 && step.interp.insns_retired != 0) {
+    const u64 done = now.interp.insns_retired;
+    const u64 left = config_.max_insns > done ? config_.max_insns - done : 0;
+    k = std::min(k, left / step.interp.insns_retired);
+  }
+  if (k == 0) return;
+  GILFREE_CHECK(machine_->clock(st.cpu) == st.parked_since);
+  InterpCounters::add(interp_->mutable_stats(), step.interp, k);
+  BreakdownCounters::add(st.breakdown, step.breakdown, k);
+  GilCounters::add(gil_->mutable_stats(), step.gil, k);
+  const Cycles shift = k * step.clock;
+  st.parked_since += shift;
+  st.wake_at += shift;
+  machine_->advance_to(st.cpu, st.parked_since);
+  idle_last_.clock = st.parked_since;
+  idle_last_.interp = interp_->stats();
+  idle_last_.breakdown = st.breakdown;
+  idle_last_.gil = gil_->stats();
 }
 
 void Engine::on_finished(SchedThread& st) {
@@ -1408,8 +1522,23 @@ void Engine::host_store(u64* p, u64 v, bool shared) {
   *p = v;
 }
 
-void Engine::require_nontx(const char* why) {
-  (void)why;
+void Engine::host_store_run(u64* p, const u64* values, u32 n) {
+  const SchedThread& st = cur();
+  // Transactions track every slot; the virtual-host reference path stays
+  // one access at a time.
+  if (st.in_tx || st.in_stm || fast.clock == nullptr) {
+    vm::Host::host_store_run(p, values, n);
+    return;
+  }
+  charge_fast_n(config_.profile.machine.cost.mem_access, n);
+  if (htm_) {
+    htm_->nontx_store_run(st.cpu, p, values, n);
+    return;
+  }
+  std::copy_n(values, n, p);
+}
+
+void Engine::require_nontx() {
   SchedThread& st = cur();
   if (stm_ && st.in_stm) {
     // Same contract as the HTM path below, one tier down: only the GIL can
@@ -1554,7 +1683,8 @@ Cycles Engine::now_cycles() { return now_of(cur().cpu); }
 
 i64 Engine::accept_request() {
   if (!server_) return vm::Host::accept_request();
-  return server_->accept(now_cycles());
+  last_accept_at_ = now_cycles();
+  return server_->accept(last_accept_at_);
 }
 
 std::string Engine::take_request_payload(i64 request_id) {

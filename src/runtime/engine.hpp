@@ -46,6 +46,12 @@ class ServerPort {
   virtual void respond(i64 request_id, std::string_view body, Cycles now) = 0;
   /// True when every request has been issued and completed.
   virtual bool shutdown(Cycles now) = 0;
+  /// Right after accept() and shutdown() answered -1 and false: the
+  /// earliest virtual time at which either could answer differently, as
+  /// long as nothing else calls the port. 0 = unknown. The engine skips a
+  /// sole thread's idle accept polls before it (docs/ARCHITECTURE.md
+  /// § Idle accept polls).
+  virtual Cycles next_event_at() const { return 0; }
   /// When the request was issued by the client, for per-request latency
   /// tagging in the observability layer; 0 when the port does not track it.
   virtual Cycles request_issued_at(i64 request_id) {
@@ -122,8 +128,9 @@ class Engine final : public vm::Host, public fault::FaultListener {
   // --- vm::Host --------------------------------------------------------------
   u64 host_load(const u64* p, bool shared) override;
   void host_store(u64* p, u64 v, bool shared) override;
+  void host_store_run(u64* p, const u64* values, u32 n) override;
   void charge(Cycles c) override;
-  void require_nontx(const char* why) override;
+  void require_nontx() override;
   void full_gc() override;
   void minor_gc() override;
   void collect_gc_roots(vm::GcRootSet& roots) override;
@@ -260,6 +267,22 @@ class Engine final : public vm::Host, public fault::FaultListener {
   void park(SchedThread& st, Cycles delay, bool is_io);
   void unpark(SchedThread& st);
 
+  /// What one idle accept poll moves (docs/ARCHITECTURE.md § Idle accept
+  /// polls): taken at each idle-accept park, or the difference of two.
+  struct IdlePoll {
+    u64 park_seq = 0;          ///< parks_ at the park.
+    Cycles clock = 0;          ///< The parker's clock (its parked_since).
+    Cycles accept_offset = 0;  ///< In a difference: the accept check
+                               ///< minus the previous park.
+    vm::InterpStats interp;
+    CycleBreakdown breakdown;
+    gil::GilStats gil;
+  };
+  /// At an idle-accept park: once a sole thread's last two poll cycles
+  /// moved every counter alike, skips the polls that would run before the
+  /// port's next event, as if each had run.
+  void coalesce_idle_polls(SchedThread& st);
+
   /// Counts + reports one starvation-watchdog event for this thread.
   void report_watchdog(SchedThread& st, obs::WatchdogKind kind);
 
@@ -349,6 +372,13 @@ class Engine final : public vm::Host, public fault::FaultListener {
 
   Cycles next_timer_deadline_ = 0;
   Cycles allocator_busy_until_ = 0;  ///< FineGrained internal-lock timeline.
+
+  // Idle accept-poll coalescing.
+  u64 parks_ = 0;              ///< park() calls so far.
+  Cycles last_accept_at_ = 0;  ///< Clock of the latest accept check.
+  u32 idle_polls_ = 0;         ///< Chained idle polls seen (capped at 2).
+  IdlePoll idle_last_;         ///< The latest idle-accept park.
+  IdlePoll idle_step_;         ///< Its difference from the one before.
 
   u64 transactions_started_ = 0;
   u64 ctx_switch_aborts_ = 0;

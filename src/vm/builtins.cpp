@@ -1,6 +1,8 @@
 #include "vm/builtins.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -262,7 +264,7 @@ Value bi_mutex_lock(BuiltinCtx& c) {
   if (obj_load(c.host, m, 2) == u64{c.thread.tid()} + 1)
     throw RubyError("deadlock; recursive locking");
   // Contended: park and retry (CRuby releases the GIL while waiting).
-  c.host.require_nontx("mutex-contended");
+  c.host.require_nontx();
   return park(c, {kParkPollCycles, false});
 }
 
@@ -296,7 +298,7 @@ Value bi_condvar_wait_change(BuiltinCtx& c) {
   const i64 old_seq = as_fixnum(c.arg(0), "sequence");
   if (static_cast<i64>(obj_load(c.host, cv, 1)) != old_seq)
     return Value::nil();
-  c.host.require_nontx("condvar-wait");
+  c.host.require_nontx();
   return park(c, {kParkPollCycles, false});
 }
 
@@ -313,7 +315,7 @@ Value bi_accept_request(BuiltinCtx& c) {
   const i64 id = c.host.accept_request();
   if (id >= 0) return Value::fixnum(id);
   if (c.host.server_shutdown()) return Value::nil();
-  return park(c, {kIoPollCycles, true});
+  return park(c, {kIoPollCycles, true, -1, /*idle_accept=*/true});
 }
 
 Value bi_read_request(BuiltinCtx& c) {
@@ -359,6 +361,18 @@ Value bi_clock_us(BuiltinCtx& c) {
   return Value::fixnum(static_cast<i64>(c.host.now_cycles() / 3'500));
 }
 
+/// A C library call's scratch working set: allocates `slots` slots of
+/// spill memory, stores fill(i) into each (one store run), and frees them.
+template <typename Fill>
+void touch_scratch(BuiltinCtx& c, u32 slots, Fill fill) {
+  const u64 scratch = c.heap.alloc_spill(c.host, slots);
+  const u32 n = std::min(Heap::spill_capacity_slots(scratch), slots);
+  std::vector<u64> values(n);
+  for (u32 i = 0; i < n; ++i) values[i] = fill(i);
+  c.host.mem_store_run(spill_ptr(scratch), values.data(), n);
+  c.heap.free_spill(c.host, scratch);
+}
+
 /// The C regular-expression library (§5.6): pure C compute with a scratch
 /// working set and no internal yield point. Long subjects overflow the
 /// transaction's write footprint — the WEBrick/Rails abort source.
@@ -375,12 +389,7 @@ Value bi_regex_match(BuiltinCtx& c) {
   // library" regime.
   const u32 scratch_slots =
       static_cast<u32>(std::max<std::size_t>(8, 32 + subj.size() * 8));
-  const u64 scratch = c.heap.alloc_spill(c.host, scratch_slots);
-  u64* sp = spill_ptr(scratch);
-  const u32 cap = Heap::spill_capacity_slots(scratch);
-  for (u32 i = 0; i < std::min(cap, scratch_slots); ++i)
-    c.host.mem_store(&sp[i], i, true);
-  c.heap.free_spill(c.host, scratch);
+  touch_scratch(c, scratch_slots, [](u32 i) { return u64{i}; });
   c.host.charge(static_cast<Cycles>(6 * subj.size() + 2 * pat.size()));
 
   const auto pos = subj.find(pat);
@@ -401,12 +410,7 @@ Value bi_db_query(BuiltinCtx& c) {
   // write sets — the reason 87% of the paper's Rails aborts are footprint
   // overflows (§5.6).
   const u32 scratch_slots = static_cast<u32>(160 + rows * 250);
-  const u64 scratch = c.heap.alloc_spill(c.host, scratch_slots);
-  u64* sp = spill_ptr(scratch);
-  const u32 cap = Heap::spill_capacity_slots(scratch);
-  for (u32 i = 0; i < std::min(cap, scratch_slots); ++i)
-    c.host.mem_store(&sp[i], mix64(i), true);
-  c.heap.free_spill(c.host, scratch);
+  touch_scratch(c, scratch_slots, [](u32 i) { return mix64(i); });
   c.host.charge(static_cast<Cycles>(900 + rows * 160));
 
   const Value arr = c.heap.new_array(c.host, static_cast<u32>(rows));

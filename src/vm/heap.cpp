@@ -384,7 +384,7 @@ void Heap::refill_thread_free_list(Host& host, u32 tid) {
   // objects straight onto this thread's list.
   if (host.mem_load(head_slot, true) != 0) return;
   if (lazy_blocks_pending_ > 0) {
-    host.require_nontx("lazy-sweep");
+    host.require_nontx();
     while (lazy_blocks_pending_ > 0) {
       host.charge(sweep_quantum(host));
       if (host.mem_load(head_slot, true) != 0) return;
@@ -446,7 +446,7 @@ void Heap::refill_thread_arena(Host& host, u32 tid) {
     if (lazy_blocks_pending_ > 0) {
       // Replenish the pool by sweeping pending blocks; quanta run outside
       // any transaction and charge their cost incrementally.
-      host.require_nontx("lazy-sweep");
+      host.require_nontx();
       u64* head_slot = tcb_slot(tid, kTcbFreeListHead);
       while (lazy_blocks_pending_ > 0) {
         host.charge(sweep_quantum(host));
@@ -578,7 +578,7 @@ bool Heap::carve_segment(Host& host, u32 tid) {
 void Heap::collect_for_allocation(Host& host) {
   // GC must run under the GIL (§4.4): inside a transaction this aborts with
   // a persistent reason and the retry re-reaches this point GIL-held.
-  host.require_nontx("gc");
+  host.require_nontx();
   host.full_gc();
 }
 
@@ -780,7 +780,7 @@ u64 Heap::pop_or_carve_chunk(Host& host, u32 cls) {
 void Heap::grow_spill_region(Host& host, u32 needed_slots) {
   // Growing swaps C++-level pointers that a transaction rollback could not
   // undo, so it must happen outside transactions.
-  host.require_nontx("malloc-grow");
+  host.require_nontx();
   const u64 slots = std::max<u64>(kSpillBlockSlots, needed_slots);
   spill_blocks_.emplace_back(slots);
   spill_bump_ = spill_blocks_.back().get();
@@ -1116,7 +1116,7 @@ Cycles Heap::sweep_quantum(Host& host) {
 
 bool Heap::lazy_sweep_until(Host& host, u64* watch) {
   if (lazy_blocks_pending_ == 0) return false;
-  host.require_nontx("lazy-sweep");
+  host.require_nontx();
   while (lazy_blocks_pending_ > 0) {
     host.charge(sweep_quantum(host));
     if (watch != nullptr && host.mem_load(watch, true) != 0) break;
@@ -1158,7 +1158,7 @@ void Heap::maybe_minor_gc(Host& host) {
   if (young_since_minor_ < config_.nursery_slots || in_gc_) return;
   // Minor GC runs under the GIL like a full one: inside a transaction this
   // aborts with a persistent reason and the retry re-reaches this point.
-  host.require_nontx("minor-gc");
+  host.require_nontx();
   host.minor_gc();
   // Minor boundaries also drive the background machinery. With the nursery
   // recycling slots locally, refill slow paths (the usual quantum hooks)

@@ -26,6 +26,18 @@ void Host::collect_gc_roots(GcRootSet&) {}
 
 bool Host::in_speculation() { return false; }
 
+void Host::host_store_run(u64* p, const u64* values, u32 n) {
+  for (u32 i = 0; i < n; ++i) host_store(p + i, values[i], true);
+}
+
+void Host::mem_store_run(u64* p, const u64* values, u32 n) {
+  if (fast.htm != nullptr) {
+    for (u32 i = 0; i < n; ++i) tx_mem_store(p + i, values[i], true);
+    return;
+  }
+  host_store_run(p, values, n);
+}
+
 u64 Host::tx_mem_load(const u64* p, bool shared) {
   charge_fast(fast.mem_access_cost);
   return fast.htm->tx_load(fast.cpu, p, shared);

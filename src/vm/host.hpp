@@ -43,6 +43,10 @@ struct ParkRequest {
   /// (Thread#join blocks on the thread's exit event, like CRuby's join,
   /// instead of polling).
   i32 wake_on_thread_exit = -1;
+  /// accept_request found no request: the engine may coalesce a sole
+  /// thread's run of identical idle polls (docs/ARCHITECTURE.md § Idle
+  /// accept polls).
+  bool idle_accept = false;
 };
 
 /// Non-virtual fast-path state the engine wires into its Host after boot.
@@ -92,11 +96,15 @@ class Host {
   /// Charge `c` cycles of non-memory work to the current CPU.
   virtual void charge(Cycles c) = 0;
 
+  /// The seam behind mem_store_run outside the in-transaction fast path.
+  /// Default: one host_store per slot.
+  virtual void host_store_run(u64* p, const u64* values, u32 n);
+
   /// Called before an operation that cannot execute transactionally (a
   /// blocking syscall, a GC). If the current thread is speculating, this
   /// aborts the transaction with a persistent reason and unwinds (throws);
   /// execution will retry under the GIL.
-  virtual void require_nontx(const char* why) = 0;
+  virtual void require_nontx() = 0;
 
   /// Run a stop-the-world GC. Precondition: the caller is not in a
   /// transaction (call require_nontx first). The engine supplies the roots.
@@ -184,6 +192,13 @@ class Host {
     host_store(p, v, shared);
   }
 
+  /// `n` shared slot stores p[i] = values[i], in order: exactly
+  /// n x mem_store(p + i, values[i], true). Library builtins fill their
+  /// scratch with it. Inside a hardware transaction every slot still takes
+  /// the transactional path (footprint, capacity and due events per
+  /// access); otherwise the host may do its line work once per line.
+  void mem_store_run(u64* p, const u64* values, u32 n);
+
   /// A yield point reached mid-span inside a hardware transaction (Fig. 2
   /// lines 8-16). When the TCB yield counter is above 1 the yield point is
   /// only its bookkeeping — charge the check, decrement the counter
@@ -218,17 +233,12 @@ class Host {
       charge(c);
       return;
     }
-    const Cycles charged =
-        (*fast.busy_self && *fast.busy_sib)
-            ? static_cast<Cycles>(static_cast<double>(c) * fast.smt_slowdown)
-            : c;
-    *fast.bucket += charged;
-    if (fast.defer_clock) {
-      fast.pending += charged;
-    } else {
-      *fast.clock += charged;
-    }
+    add_charged(smt_inflated(c));
   }
+
+  /// `n` charges of `c` at once, each inflated on its own exactly as
+  /// charge_fast(c) would. Requires an active fast path.
+  void charge_fast_n(Cycles c, u32 n) { add_charged(smt_inflated(c) * n); }
 
   /// Thread-private slot access (the VM stack). Outside transactions these
   /// lines can never conflict — they are touched by exactly one thread and
@@ -252,6 +262,22 @@ class Host {
   }
 
  private:
+  /// One charge of `c` as sim::Machine::advance inflates it.
+  Cycles smt_inflated(Cycles c) const {
+    return (*fast.busy_self && *fast.busy_sib)
+               ? static_cast<Cycles>(static_cast<double>(c) *
+                                     fast.smt_slowdown)
+               : c;
+  }
+  void add_charged(Cycles charged) {
+    *fast.bucket += charged;
+    if (fast.defer_clock) {
+      fast.pending += charged;
+    } else {
+      *fast.clock += charged;
+    }
+  }
+
   /// mem_load/mem_store inside a hardware transaction: the memory-access
   /// charge, then tx_load/tx_store — the order host_load/host_store use.
   /// One direct call with the facility's model inlined behind it; kept out

@@ -359,7 +359,7 @@ void Interp::dispatch_method(VmThread& t, i32 method_index, Value recv,
   }
 
   // Builtin (C function). Blocking builtins cannot run transactionally.
-  if (m.blocking) host_->require_nontx(program_->symbols.name(m.name).c_str());
+  if (m.blocking) host_->require_nontx();
   host_->charge(m.extra_cost > 0 ? m.extra_cost : 12);
 
   std::vector<Value> args(argc);

@@ -104,6 +104,8 @@ class Interp {
 
   const VmOptions& options() const { return options_; }
   const InterpStats& stats() const { return stats_; }
+  /// The engine adds the counts of the idle polls it coalesces.
+  InterpStats& mutable_stats() { return stats_; }
   Program& program() { return *program_; }
   Heap& heap() { return *heap_; }
   ClassRegistry& classes() { return *classes_; }

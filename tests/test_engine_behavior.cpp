@@ -12,7 +12,10 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "httpsim/bench_server.hpp"
+#include "httpsim/client_driver.hpp"
 #include "httpsim/cluster/supervisor.hpp"
+#include "httpsim/server_programs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "runtime/engine.hpp"
@@ -615,6 +618,276 @@ TEST(EngineBehavior, HtmAccessPathGoldenDigests) {
   engines.emplace_back("zec12/stm", stm);
   for (const auto& [key, cfg] : engines) {
     EXPECT_EQ(access_path_digest(cfg, key), golden.at(key)) << key;
+  }
+}
+
+/// The open-loop load of the serving tests: 24 Poisson requests whose first
+/// arrives after `lead_in` cycles, in bursts of eight separated by idle
+/// gaps of 2e7 cycles. Within a burst the handlers overlap (conflicts, and
+/// SMT siblings busy on the Xeon); between bursts a sole acceptor thread
+/// polls through empty time, like every (shard, epoch) engine of a fleet
+/// before its first arrival.
+httpsim::DriverConfig lead_in_load() {
+  httpsim::DriverConfig d;
+  d.arrival = httpsim::Arrival::kPoisson;
+  d.rps = 400'000.0;
+  d.total_requests = 24;
+  return d;
+}
+
+std::vector<httpsim::ScheduledRequest> lead_in_slice(
+    const httpsim::DriverConfig& d, double ghz, Cycles lead_in) {
+  std::vector<httpsim::ScheduledRequest> s = httpsim::make_schedule(d, ghz);
+  for (std::size_t i = 0; i < s.size(); ++i)
+    s[i].at += lead_in + Cycles{20'000'000} * (i / 8);
+  return s;
+}
+
+/// FNV-1a of an open-loop slice's metrics document, trace, request log,
+/// recorded results and program output.
+std::string serve_digest(EngineConfig cfg, const std::string& program,
+                         const std::string& key) {
+  obs::ObsConfig oc;
+  const std::string stem = ::testing::TempDir() + "serve_golden_" +
+                           std::to_string(httpsim::cluster::fnv1a64(key));
+  oc.metrics_path = stem + ".json";
+  oc.trace_path = stem + ".jsonl";
+  std::string all;
+  {
+    obs::Sink sink(oc);
+    cfg.obs_sink = &sink;
+    cfg.heap.initial_slots = 80'000;
+    cfg.max_insns = 10'000'000;
+    const httpsim::DriverConfig d = lead_in_load();
+    const double ghz = cfg.profile.machine.ghz;
+    const httpsim::ServerRunResult r = httpsim::run_open_loop_slice(
+        std::move(cfg), program, d, lead_in_slice(d, ghz, 120'000'000),
+        d.total_requests);
+    sink.flush();
+    all = obs::metrics_to_json(sink.runs());
+    all += r.request_log;
+    for (const auto& [k, v] : r.stats.results)
+      all += k + "=" + std::to_string(v) + "\n";
+    all += r.stats.output;
+  }
+  std::ifstream trace(oc.trace_path);
+  std::stringstream buf;
+  buf << trace.rdbuf();
+  all += buf.str();
+  std::remove(oc.metrics_path.c_str());
+  std::remove(oc.trace_path.c_str());
+  return std::to_string(httpsim::cluster::fnv1a64(all));
+}
+
+/// The serving engine modes: GIL, HTM-dynamic, and HTM-dynamic with the
+/// STM tier under persistent aborts at every yield point.
+std::vector<std::pair<std::string, EngineConfig>> serve_engines(
+    const htm::SystemProfile& p) {
+  EngineConfig stm = EngineConfig::htm_dynamic(p);
+  stm.stm.enabled = true;
+  stm.fault.persistent_all_yps = true;
+  stm.fault.seed = 1;
+  return {{"gil", EngineConfig::gil(p)},
+          {"htm-dynamic", EngineConfig::htm_dynamic(p)},
+          {"htm-dynamic-stm", stm}};
+}
+
+TEST(EngineBehavior, ServePathGoldenDigests) {
+  // How an idle acceptor's polls and a library builtin's scratch stores
+  // reach the clock and the memory model is host-side only: these values
+  // pin every simulated counter, cycle, trace event and output byte of
+  // open-loop webrick and rails slices with a long lead-in, and move only
+  // when a change re-baselines simulated output on purpose. Rails covers
+  // db_query's scratch; the Xeon's SMT siblings inflate charges.
+  const std::map<std::string, std::string> golden = {
+      {"webrick/zec12/gil", "10038883959520072473"},
+      {"rails/zec12/gil", "4011541470307822712"},
+      {"webrick/zec12/htm-dynamic", "18098113865965708514"},
+      {"rails/zec12/htm-dynamic", "4946367029033732901"},
+      {"webrick/zec12/htm-dynamic-stm", "9690642301006185191"},
+      {"rails/zec12/htm-dynamic-stm", "6550727590144937614"},
+      {"webrick/xeon/gil", "13499113289756334812"},
+      {"rails/xeon/gil", "17215501301175918909"},
+      {"webrick/xeon/htm-dynamic", "13036464695684766670"},
+      {"rails/xeon/htm-dynamic", "16795229391889992365"},
+      {"webrick/xeon/htm-dynamic-stm", "3305547692052332366"},
+      {"rails/xeon/htm-dynamic-stm", "9639914956854085944"},
+  };
+  const std::vector<std::pair<std::string, htm::SystemProfile>> machines = {
+      {"zec12", htm::SystemProfile::zec12()},
+      {"xeon", htm::SystemProfile::xeon_e3()}};
+  const std::vector<std::pair<std::string, const std::string*>> programs = {
+      {"webrick", &httpsim::webrick_source()},
+      {"rails", &httpsim::rails_source()}};
+  for (const auto& [mname, profile] : machines) {
+    for (const auto& [ename, cfg] : serve_engines(profile)) {
+      for (const auto& [pname, src] : programs) {
+        const std::string key = pname + "/" + mname + "/" + ename;
+        EXPECT_EQ(serve_digest(cfg, *src, key), golden.at(key)) << key;
+      }
+    }
+  }
+}
+
+/// Forwards to an OpenLoopDriver and counts accept() calls. With
+/// `hide_next_event` it answers next_event_at() with 0 ("unknown"), so the
+/// engine runs every idle accept poll: the uncoalesced reference.
+class CountingPort final : public runtime::ServerPort {
+ public:
+  CountingPort(httpsim::OpenLoopDriver& driver, bool hide_next_event)
+      : d_(driver), hide_(hide_next_event) {}
+  i64 accept(Cycles now) override {
+    ++accepts_;
+    return d_.accept(now);
+  }
+  std::string payload(i64 id) override { return d_.payload(id); }
+  void respond(i64 id, std::string_view body, Cycles now) override {
+    d_.respond(id, body, now);
+  }
+  bool shutdown(Cycles now) override { return d_.shutdown(now); }
+  Cycles next_event_at() const override {
+    return hide_ ? 0 : d_.next_event_at();
+  }
+  Cycles request_issued_at(i64 id) override {
+    return d_.request_issued_at(id);
+  }
+  Cycles request_accepted_at(i64 id) override {
+    return d_.request_accepted_at(id);
+  }
+  void annotate_request_metrics(obs::RequestMetrics& m) const override {
+    d_.annotate_request_metrics(m);
+  }
+  u64 accepts() const { return accepts_; }
+
+ private:
+  httpsim::OpenLoopDriver& d_;
+  bool hide_;
+  u64 accepts_ = 0;
+};
+
+struct CountedRun {
+  std::string metrics;  ///< metrics_to_json of the run.
+  std::string log;      ///< The driver's request log.
+  std::string results;  ///< Recorded results and program output.
+  u64 accepts = 0;
+  u32 completed = 0;
+};
+
+CountedRun run_counted(EngineConfig cfg, const std::string& program,
+                       bool hide_next_event, Cycles lead_in) {
+  obs::ObsConfig oc;
+  oc.metrics_path = ::testing::TempDir() + "idle_polls_" +
+                    std::to_string(hide_next_event) + ".json";
+  CountedRun out;
+  {
+    obs::Sink sink(oc);
+    cfg.obs_sink = &sink;
+    cfg.heap.initial_slots = 80'000;
+    const httpsim::DriverConfig d = lead_in_load();
+    cfg.heap.max_threads = d.total_requests + 8;
+    httpsim::OpenLoopDriver driver(
+        d, lead_in_slice(d, cfg.profile.machine.ghz, lead_in));
+    CountingPort port(driver, hide_next_event);
+    Engine engine(std::move(cfg));
+    engine.load_program({program});
+    engine.attach_server(&port);
+    const RunStats stats = engine.run();
+    out.metrics = obs::metrics_to_json(sink.runs());
+    out.log = driver.log_to_string();
+    for (const auto& [k, v] : stats.results)
+      out.results += k + "=" + std::to_string(v) + "\n";
+    out.results += stats.output;
+    out.accepts = port.accepts();
+    out.completed = driver.completed();
+  }
+  std::remove(oc.metrics_path.c_str());
+  return out;
+}
+
+TEST(EngineBehavior, CoalescedIdlePollsMatchEveryPoll) {
+  // The first request arrives after 6e8 cycles: the reference polls
+  // through it (and the idle gaps between bursts) one accept at a time;
+  // the coalescing side skips each steady run of polls to the next
+  // arrival. Everything simulated must come out byte-identical.
+  for (const auto& profile :
+       {htm::SystemProfile::zec12(), htm::SystemProfile::xeon_e3()}) {
+    for (const auto& [name, cfg] : serve_engines(profile)) {
+      const std::string key = profile.machine.name + "/" + name;
+      const CountedRun every = run_counted(cfg, httpsim::webrick_source(),
+                                           /*hide_next_event=*/true,
+                                           600'000'000);
+      const CountedRun coalesced = run_counted(
+          cfg, httpsim::webrick_source(), false, 600'000'000);
+      EXPECT_EQ(coalesced.metrics, every.metrics) << key;
+      EXPECT_EQ(coalesced.log, every.log) << key;
+      EXPECT_EQ(coalesced.results, every.results) << key;
+      EXPECT_EQ(coalesced.completed, lead_in_load().total_requests) << key;
+      EXPECT_GT(every.accepts, 100'000u) << key;
+      EXPECT_LE(coalesced.accepts, 4u * coalesced.completed) << key;
+    }
+  }
+}
+
+/// Never has a request and is always shut down, so accept_request returns
+/// nil at once. Unless hidden, it announces an event far ahead.
+class ClosedPort final : public runtime::ServerPort {
+ public:
+  explicit ClosedPort(bool hide_next_event) : hide_(hide_next_event) {}
+  i64 accept(Cycles) override { return -1; }
+  std::string payload(i64) override { return ""; }
+  void respond(i64, std::string_view, Cycles) override {}
+  bool shutdown(Cycles) override { return true; }
+  Cycles next_event_at() const override {
+    return hide_ ? 0 : Cycles{1} << 50;
+  }
+
+ private:
+  bool hide_;
+};
+
+/// The metrics document and recorded results of `src` run on `port`.
+std::string run_on_port(EngineConfig cfg, const std::string& src,
+                        runtime::ServerPort& port) {
+  obs::ObsConfig oc;
+  oc.metrics_path = ::testing::TempDir() + "io_wait_polls.json";
+  std::string all;
+  {
+    obs::Sink sink(oc);
+    cfg.obs_sink = &sink;
+    cfg.heap.initial_slots = 80'000;
+    Engine engine(std::move(cfg));
+    engine.load_program({src});
+    engine.attach_server(&port);
+    const RunStats stats = engine.run();
+    all = obs::metrics_to_json(sink.runs());
+    for (const auto& [k, v] : stats.results)
+      all += k + "=" + std::to_string(v) + "\n";
+  }
+  std::remove(oc.metrics_path.c_str());
+  return all;
+}
+
+TEST(EngineBehavior, SoleThreadIoWaitIsNotCoalesced) {
+  // A sole thread checks accept and then parks in io_wait, over and over:
+  // every cycle moves the counters alike, with the accept check at the
+  // same offset, but each iteration does guest work. Only idle accept
+  // parks may be skipped; skipping these io_wait parks up to the port's
+  // far-ahead event would drop iterations.
+  const std::string src = R"(
+n = 0
+while n < 400
+  accept_request()
+  io_wait(1)
+  n += 1
+end
+__record("n", n)
+)";
+  for (const auto& [name, cfg] : serve_engines(htm::SystemProfile::zec12())) {
+    ClosedPort hidden(true);
+    ClosedPort announced(false);
+    const std::string every = run_on_port(cfg, src, hidden);
+    EXPECT_EQ(run_on_port(cfg, src, announced), every) << name;
+    EXPECT_NE(every.find("n=400"), std::string::npos) << name;
   }
 }
 

@@ -33,7 +33,7 @@ class DirectHost : public Host {
   u64 host_load(const u64* p, bool) override { return *p; }
   void host_store(u64* p, u64 v, bool) override { *p = v; }
   void charge(Cycles c) override { charged += c; }
-  void require_nontx(const char*) override {}
+  void require_nontx() override {}
   void full_gc() override {
     ++gc_calls;
     if (heap != nullptr) heap->run_gc(roots);

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
@@ -16,6 +17,7 @@
 #include "htm/htm.hpp"
 #include "htm/profile.hpp"
 #include "sim/line_table.hpp"
+#include "stm/stm.hpp"
 
 namespace gilfree::htm {
 namespace {
@@ -807,6 +809,82 @@ TEST(HtmDifferential, MatchesReferenceModelOverSeededOpSequences) {
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+/// A facility with the STM tier listening for its non-transactional
+/// writes, and live hardware and software transactions on CPUs 1-8 holding
+/// lines inside and outside slots [37, 137). CPU 0 is left to store.
+struct StoreRunTwin {
+  StoreRunTwin() : stm(stm_config(), &f.guest, &f.htm) {
+    f.htm.set_write_listener(&stm);
+    f.htm.set_collect_conflicts(true);
+    // zEC12 lines hold 32 slots: the run covers the tail of line 1, lines
+    // 2 and 3, and the head of line 4.
+    for (const CpuId c : {1, 2, 3, 4, 8})
+      EXPECT_EQ(f.htm.tx_begin(c), AbortReason::kNone);
+    (void)f.htm.tx_load(1, f.slot(40), true);      // reader, line 1
+    f.htm.tx_store(2, f.slot(70), 7, true);        // writer, line 2
+    (void)f.htm.tx_load(3, f.slot(200), true);     // outside the run
+    (void)f.htm.tx_load(4, f.slot(130), true);     // reader, line 4
+    // Reader of lines 1 and 3: detached by line 1's conflict, so line 3
+    // has no hardware holder left when the run reaches it.
+    (void)f.htm.tx_load(8, f.slot(45), true);
+    (void)f.htm.tx_load(8, f.slot(100), true);
+    stm.begin(0);
+    (void)stm.load(0, 5, f.slot(100), true);       // line 3
+    stm.begin(1);
+    stm.store(1, 6, f.slot(10), 9, true);          // outside the run
+    stm.begin(2);
+    stm.store(2, 7, f.slot(136), 9, true);         // the run's last slot
+  }
+  static stm::StmConfig stm_config() {
+    stm::StmConfig c;
+    c.enabled = true;
+    c.line_bytes = 256;
+    return c;
+  }
+  Fixture f;
+  stm::StmEngine stm;
+};
+
+TEST(Htm, NonTxStoreRunMatchesPerSlotStores) {
+  std::vector<u64> values(100);
+  for (u32 i = 0; i < values.size(); ++i) values[i] = 1000 + i;
+  StoreRunTwin run;
+  StoreRunTwin each;
+  run.f.htm.nontx_store_run(0, run.f.slot(37), values.data(), 100);
+  for (u32 i = 0; i < values.size(); ++i)
+    each.f.htm.nontx_store(0, each.f.slot(37 + i), values[i]);
+
+  for (CpuId c = 0; c <= 8; ++c) {
+    EXPECT_EQ(run.f.htm.doom(c), each.f.htm.doom(c)) << "cpu " << c;
+    EXPECT_EQ(run.f.htm.last_conflict_line(c),
+              each.f.htm.last_conflict_line(c))
+        << "cpu " << c;
+  }
+  EXPECT_EQ(run.f.htm.conflict_lines(), each.f.htm.conflict_lines());
+  for (u32 tid = 0; tid <= 2; ++tid)
+    EXPECT_EQ(run.stm.doomed(tid), each.stm.doomed(tid)) << "tid " << tid;
+  EXPECT_EQ(std::memcmp(run.f.mem->slots, each.f.mem->slots,
+                        sizeof run.f.mem->slots),
+            0);
+
+  // And the scenario exercises what it claims: holders in the run's lines
+  // are doomed through both the facility and the listener, others live.
+  EXPECT_EQ(run.f.htm.doom(1), AbortReason::kConflict);
+  EXPECT_EQ(run.f.htm.doom(2), AbortReason::kConflict);
+  EXPECT_EQ(run.f.htm.doom(3), AbortReason::kNone);
+  EXPECT_EQ(run.f.htm.doom(4), AbortReason::kConflict);
+  EXPECT_EQ(run.f.htm.doom(8), AbortReason::kConflict);
+  EXPECT_EQ(run.f.htm.conflict_lines().size(), 3u);
+  EXPECT_TRUE(run.stm.doomed(0));
+  EXPECT_FALSE(run.stm.doomed(1));
+  EXPECT_TRUE(run.stm.doomed(2));
+  EXPECT_EQ(*run.f.slot(36), 0u);
+  EXPECT_EQ(*run.f.slot(37), 1000u);
+  EXPECT_EQ(*run.f.slot(136), 1099u);
+  EXPECT_EQ(*run.f.slot(137), 0u);
+  EXPECT_EQ(run.f.htm.tx_commit(3), AbortReason::kNone);
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ class DirectHost : public Host {
   u64 host_load(const u64* p, bool) override { return *p; }
   void host_store(u64* p, u64 v, bool) override { *p = v; }
   void charge(Cycles) override {}
-  void require_nontx(const char*) override {}
+  void require_nontx() override {}
   void full_gc() override { FAIL() << "unexpected GC"; }
   u32 current_tid() override { return 0; }
   Value spawn_thread(Value, std::vector<Value>) override {
