@@ -106,7 +106,7 @@ inline void observe(runtime::EngineConfig& cfg, obs::Sink& sink,
 
 /// Uniform record/replay wiring (docs/DEBUGGING.md): every harness accepts
 ///   --record-out=FILE        write the decision stream of every replayable
-///                            workload run to FILE (schema gilfree.record/1),
+///                            workload run to FILE (schema gilfree.record/2),
 ///   --record-limit=N         events kept per run before truncation.
 /// Construct one per harness (before CliFlags::reject_unknown — parsing
 /// consumes the flags; semantic errors exit 2 like the flag parser), then

@@ -45,10 +45,9 @@ int main(int argc, char** argv) {
     for (bool tls_sweep : {false, true}) {
       auto cfg = make_config(profile, {"HTM-16", 16}, fault_cfg, stm_cfg);
       cfg.heap.initial_slots = 90'000;
-      cfg.heap.thread_local_sweep = tls_sweep;
       cfg.heap.sweep_deal_threads = threads + 1;
       parse_gc_flags(flags, cfg.heap);
-      cfg.heap.thread_local_sweep = tls_sweep;  // the variant axis wins
+      if (!tls_sweep) cfg.heap.sweep_deal_threads = 0;  // the axis wins
       observe(cfg, sink,
               {{"figure", "extension_threadlocal_sweep"},
                {"machine", profile.machine.name},

@@ -84,7 +84,10 @@ int main(int argc, char** argv) {
       ++iteration;
       machine.advance(0, 4000);  // loop body cost; also paces interrupts
       bool committed = false;
-      if (obs) obs->on_tx_begin(machine.clock(0), 0, 0, 0, kb);
+      if (obs) {
+        obs->on_event({.kind = obs::EventKind::kTxBegin,
+                       .t = machine.clock(0), .yp = 0, .length = kb});
+      }
       htm::AbortReason reason = htm.tx_begin(0);
       if (reason == htm::AbortReason::kNone) {
         try {
@@ -98,11 +101,10 @@ int main(int argc, char** argv) {
         }
       }
       if (obs) {
-        if (committed) {
-          obs->on_tx_commit(machine.clock(0), 0, 0, 0, kb);
-        } else {
-          obs->on_tx_abort(machine.clock(0), 0, 0, 0, kb, reason);
-        }
+        obs->on_event({.kind = committed ? obs::EventKind::kTxCommit
+                                         : obs::EventKind::kTxAbort,
+                       .t = machine.clock(0), .yp = 0, .length = kb,
+                       .reason = reason});
       }
       window_success += committed ? 1 : 0;
       ++window_n;

@@ -1,5 +1,5 @@
 // Record/replay for cluster serving runs (schema gilfree.record/httpsim.1,
-// the httpsim extension of the engine's gilfree.record/1 — see
+// the httpsim sibling of the engine's gilfree.record/2 — see
 // src/obs/record.hpp). The record file carries a header naming the full
 // scenario — machine, engine config, program, seeds, and the canonical flag
 // strings for the engine / driver / cluster families — followed by the

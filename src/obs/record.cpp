@@ -4,54 +4,9 @@
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
-#include "fault/fault_kind.hpp"
-#include "htm/abort_reason.hpp"
 #include "obs/json.hpp"
-#include "stm/abort_cause.hpp"
 
 namespace gilfree::obs {
-
-namespace {
-
-u8 code_for_kind(RecordKind kind, const std::string& name) {
-  switch (kind) {
-    case RecordKind::kAbort:
-      for (std::size_t i = 0; i < htm::kNumAbortReasons; ++i)
-        if (htm::abort_reason_name(static_cast<htm::AbortReason>(i)) == name)
-          return static_cast<u8>(i);
-      break;
-    case RecordKind::kStmAbort:
-      for (std::size_t i = 0; i < stm::kNumStmAbortCauses; ++i)
-        if (stm::stm_abort_cause_name(static_cast<stm::StmAbortCause>(i)) ==
-            name)
-          return static_cast<u8>(i);
-      break;
-    case RecordKind::kFault:
-      for (std::size_t i = 0; i < fault::kNumFaultKinds; ++i)
-        if (fault::fault_kind_name(static_cast<fault::FaultKind>(i)) == name)
-          return static_cast<u8>(i);
-      break;
-    case RecordKind::kSched:
-      return 0;
-  }
-  throw std::runtime_error("record: unknown code name '" + name + "'");
-}
-
-std::string_view name_for_code(RecordKind kind, u8 code) {
-  switch (kind) {
-    case RecordKind::kAbort:
-      return htm::abort_reason_name(static_cast<htm::AbortReason>(code));
-    case RecordKind::kStmAbort:
-      return stm::stm_abort_cause_name(static_cast<stm::StmAbortCause>(code));
-    case RecordKind::kFault:
-      return fault::fault_kind_name(static_cast<fault::FaultKind>(code));
-    case RecordKind::kSched:
-      return "";
-  }
-  return "";
-}
-
-}  // namespace
 
 RecordConfig RecordConfig::from_flags(const CliFlags& flags) {
   RecordConfig c;
@@ -79,7 +34,9 @@ void RunRecorder::begin_run(std::map<std::string, std::string> scenario,
   truncated_ = false;
   events_.clear();
   if (to_file_) {
-    std::string line = "{\"record\":\"gilfree.record/1\",\"run\":";
+    std::string line = "{\"record\":";
+    json_append_string(line, kRecordSchema);
+    line += ",\"run\":";
     json_append_number(line, static_cast<u64>(run_));
     line += ",\"scenario\":{";
     bool first = true;
@@ -100,101 +57,15 @@ void RunRecorder::begin_run(std::map<std::string, std::string> scenario,
   }
 }
 
-void RunRecorder::add(RecordEvent ev) {
-  ev.e = next_e_++;
-  if (ev.e > config_.limit) {
+void RunRecorder::record(TraceEvent e) {
+  if (!is_recorded_kind(e.kind)) return;
+  e.seq = next_e_++;
+  if (e.seq > config_.limit) {
     truncated_ = true;
     return;
   }
-  events_.push_back(ev);
-  if (!to_file_) return;
-  std::string line = "{\"e\":";
-  json_append_number(line, ev.e);
-  line += ",\"k\":";
-  json_append_string(line, record_kind_name(ev.kind));
-  line += ",\"t\":";
-  json_append_number(line, ev.t);
-  line += ",\"tid\":";
-  json_append_number(line, static_cast<u64>(ev.tid));
-  switch (ev.kind) {
-    case RecordKind::kSched:
-      break;
-    case RecordKind::kAbort:
-      line += ",\"yp\":";
-      json_append_number(line, static_cast<i64>(ev.yp));
-      line += ",\"len\":";
-      json_append_number(line, static_cast<u64>(ev.length));
-      line += ",\"reason\":";
-      json_append_string(line, name_for_code(ev.kind, ev.code));
-      if (ev.gaddr != 0) {
-        line += ",\"gaddr\":";
-        json_append_number(line, ev.gaddr);
-      }
-      if (ev.src_line != 0) {
-        line += ",\"line\":";
-        json_append_number(line, static_cast<u64>(ev.src_line));
-      }
-      break;
-    case RecordKind::kStmAbort:
-      line += ",\"yp\":";
-      json_append_number(line, static_cast<i64>(ev.yp));
-      line += ",\"cause\":";
-      json_append_string(line, name_for_code(ev.kind, ev.code));
-      if (ev.src_line != 0) {
-        line += ",\"line\":";
-        json_append_number(line, static_cast<u64>(ev.src_line));
-      }
-      break;
-    case RecordKind::kFault:
-      line += ",\"kind\":";
-      json_append_string(line, name_for_code(ev.kind, ev.code));
-      break;
-  }
-  line.push_back('}');
-  out_ << line << "\n";
-}
-
-void RunRecorder::on_sched(Cycles t, u32 tid) {
-  RecordEvent ev;
-  ev.kind = RecordKind::kSched;
-  ev.t = t;
-  ev.tid = tid;
-  add(ev);
-}
-
-void RunRecorder::on_abort(Cycles t, u32 tid, i32 yp, u32 length, u8 reason,
-                           u64 gaddr, u16 src_line) {
-  RecordEvent ev;
-  ev.kind = RecordKind::kAbort;
-  ev.t = t;
-  ev.tid = tid;
-  ev.yp = yp;
-  ev.length = length;
-  ev.code = reason;
-  ev.gaddr = gaddr;
-  ev.src_line = src_line;
-  add(ev);
-}
-
-void RunRecorder::on_stm_abort(Cycles t, u32 tid, i32 yp, u8 cause,
-                               u16 src_line) {
-  RecordEvent ev;
-  ev.kind = RecordKind::kStmAbort;
-  ev.t = t;
-  ev.tid = tid;
-  ev.yp = yp;
-  ev.code = cause;
-  ev.src_line = src_line;
-  add(ev);
-}
-
-void RunRecorder::on_fault(Cycles t, u32 tid, u8 kind) {
-  RecordEvent ev;
-  ev.kind = RecordKind::kFault;
-  ev.t = t;
-  ev.tid = tid;
-  ev.code = kind;
-  add(ev);
+  events_.push_back(e);
+  if (to_file_) out_ << trace_event_to_jsonl(e, run_) << "\n";
 }
 
 void RunRecorder::end_run(const std::map<std::string, u64>& summary) {
@@ -202,7 +73,7 @@ void RunRecorder::end_run(const std::map<std::string, u64>& summary) {
   run_open_ = false;
   last_summary_ = summary;
   if (to_file_) {
-    std::string line = "{\"k\":\"end\",\"run\":";
+    std::string line = "{\"ev\":\"end\",\"run\":";
     json_append_number(line, static_cast<u64>(run_));
     line += ",\"events\":";
     json_append_number(line, total_events());
@@ -233,6 +104,12 @@ std::vector<RecordedRun> parse_record_file(const std::string& path) {
     if (line.empty()) continue;
     const JsonValue v = JsonValue::parse(line);
     if (v.has("record")) {
+      const std::string& schema = v.at("record").as_string();
+      if (schema != kRecordSchema)
+        throw std::runtime_error("record file " + path +
+                                 ": unsupported schema '" + schema +
+                                 "' (expected " + std::string(kRecordSchema) +
+                                 ")");
       RecordedRun r;
       r.run = static_cast<u32>(v.at("run").as_u64());
       for (const auto& [k, val] : v.at("scenario").as_object())
@@ -246,46 +123,18 @@ std::vector<RecordedRun> parse_record_file(const std::string& path) {
       throw std::runtime_error("record file " + path +
                                ": event before header");
     RecordedRun& r = runs.back();
-    const std::string k = v.at("k").as_string();
-    if (k == "end") {
+    if (v.at("ev").as_string() == "end") {
       r.total_events = v.at("events").as_u64();
       r.truncated = v.at("truncated").as_bool();
       for (const auto& [key, val] : v.as_object()) {
-        if (key == "k" || key == "run" || key == "events" ||
+        if (key == "ev" || key == "run" || key == "events" ||
             key == "truncated")
           continue;
         r.summary[key] = val.as_u64();
       }
       continue;
     }
-    RecordEvent ev;
-    if (k == "sched") {
-      ev.kind = RecordKind::kSched;
-    } else if (k == "abort") {
-      ev.kind = RecordKind::kAbort;
-      ev.yp = static_cast<i32>(v.at("yp").as_i64());
-      ev.length = static_cast<u32>(v.at("len").as_u64());
-      ev.code = code_for_kind(ev.kind, v.at("reason").as_string());
-      ev.gaddr = v.has("gaddr") ? v.at("gaddr").as_u64() : 0;
-      ev.src_line =
-          v.has("line") ? static_cast<u16>(v.at("line").as_u64()) : 0;
-    } else if (k == "stm_abort") {
-      ev.kind = RecordKind::kStmAbort;
-      ev.yp = static_cast<i32>(v.at("yp").as_i64());
-      ev.code = code_for_kind(ev.kind, v.at("cause").as_string());
-      ev.src_line =
-          v.has("line") ? static_cast<u16>(v.at("line").as_u64()) : 0;
-    } else if (k == "fault") {
-      ev.kind = RecordKind::kFault;
-      ev.code = code_for_kind(ev.kind, v.at("kind").as_string());
-    } else {
-      throw std::runtime_error("record file " + path + ": unknown kind '" +
-                               k + "'");
-    }
-    ev.e = v.at("e").as_u64();
-    ev.t = v.at("t").as_u64();
-    ev.tid = static_cast<u32>(v.at("tid").as_u64());
-    r.events.push_back(ev);
+    r.events.push_back(trace_event_from_json(v));
   }
   return runs;
 }

@@ -2,8 +2,11 @@
 //
 // A RunRecorder captures the *decision stream* of an engine run — every
 // scheduling pick plus every abort/fault event — alongside the sampled
-// flight recorder. Unlike the trace, the record stream is exact (no
-// sampling) but bounded by a configurable event limit, and each run is
+// flight recorder. The stream is the unsampled projection of the trace's
+// TraceEvents onto four kinds (sched, tx_abort, stm_abort, fault), written
+// with the trace's own encoder; `seq` is the 1-based event number within the
+// run. Unlike the trace, the record stream is exact (no sampling) but
+// bounded by a configurable event limit, and each run is
 // prefixed with a header carrying enough scenario information (workload,
 // machine, engine config, seed, and the flag strings for the fault/STM/GC
 // families) for tools/replay to re-execute the run from the file alone.
@@ -14,13 +17,13 @@
 // process — which is what makes `--until <event#>` time-travel stops and
 // abort-storm bisection possible.
 //
-// File format (JSON Lines, schema gilfree.record/1):
-//   {"record":"gilfree.record/1","run":0,"scenario":{...},"flags":[...]}
-//   {"e":1,"k":"sched","t":0,"tid":0}
-//   {"e":2,"k":"abort","t":812,"tid":1,"yp":3,"len":16,"reason":"conflict",
-//    "gaddr":4295201792,"line":12}
+// File format (JSON Lines, schema gilfree.record/2):
+//   {"record":"gilfree.record/2","run":0,"scenario":{...},"flags":[...]}
+//   {"ev":"sched","run":0,"seq":1,"t":0,"tid":0,"cpu":0}
+//   {"ev":"tx_abort","run":0,"seq":2,"t":812,"tid":1,"cpu":1,"yp":3,
+//    "len":16,"reason":"conflict","gaddr":4295201792,"line":12}
 //   ...
-//   {"k":"end","run":0,"events":N,"truncated":false,"aborts":...,...}
+//   {"ev":"end","run":0,"events":N,"truncated":false,"cycles":...,...}
 #pragma once
 
 #include <fstream>
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/trace.hpp"
 
 namespace gilfree {
 class CliFlags;
@@ -49,50 +53,27 @@ struct RecordConfig {
   static RecordConfig from_flags(const CliFlags& flags);
 };
 
-enum class RecordKind : u8 {
-  kSched,     ///< The engine picked `tid` to run its next burst.
-  kAbort,     ///< A hardware transaction aborted (reason, guest address).
-  kStmAbort,  ///< A tier-2 software transaction aborted (cause).
-  kFault,     ///< The fault injector fired (kind).
-};
-
-constexpr std::string_view record_kind_name(RecordKind k) {
-  switch (k) {
-    case RecordKind::kSched: return "sched";
-    case RecordKind::kAbort: return "abort";
-    case RecordKind::kStmAbort: return "stm_abort";
-    case RecordKind::kFault: return "fault";
-  }
-  return "?";
+/// The record projection: the event kinds a RunRecorder keeps.
+constexpr bool is_recorded_kind(EventKind k) {
+  return k == EventKind::kSched || k == EventKind::kTxAbort ||
+         k == EventKind::kStmAbort || k == EventKind::kFault;
 }
 
-struct RecordEvent {
-  u64 e = 0;         ///< 1-based event number within the run.
-  RecordKind kind = RecordKind::kSched;
-  Cycles t = 0;      ///< Virtual-cycle timestamp.
-  u32 tid = 0;
-  i32 yp = -1;       ///< Yield point (aborts only).
-  u32 length = 0;    ///< Transaction length (HTM aborts only).
-  u8 code = 0;       ///< htm::AbortReason / stm::StmAbortCause /
-                     ///< fault::FaultKind, by kind.
-  u64 gaddr = 0;     ///< Guest address of the conflicting line (0 = none).
-  u16 src_line = 0;  ///< MiniRuby source line at the abort (0 = unknown).
-
-  bool operator==(const RecordEvent&) const = default;
-};
+inline constexpr std::string_view kRecordSchema = "gilfree.record/2";
 
 /// One parsed run of a record file.
 struct RecordedRun {
   u32 run = 0;
   std::map<std::string, std::string> scenario;
   std::vector<std::string> flags;
-  std::vector<RecordEvent> events;
+  std::vector<TraceEvent> events;      ///< seq = 1-based event number.
   std::map<std::string, u64> summary;  ///< From the end line.
   u64 total_events = 0;                ///< Includes truncated tail.
   bool truncated = false;
 };
 
-/// Parses a record file; throws std::runtime_error on malformed input.
+/// Parses a record file; throws std::runtime_error on malformed input and
+/// on any schema other than kRecordSchema (named in the message).
 std::vector<RecordedRun> parse_record_file(const std::string& path);
 
 class RunRecorder {
@@ -109,11 +90,10 @@ class RunRecorder {
   void begin_run(std::map<std::string, std::string> scenario,
                  std::vector<std::string> flags);
 
-  void on_sched(Cycles t, u32 tid);
-  void on_abort(Cycles t, u32 tid, i32 yp, u32 length, u8 reason, u64 gaddr,
-                u16 src_line);
-  void on_stm_abort(Cycles t, u32 tid, i32 yp, u8 cause, u16 src_line);
-  void on_fault(Cycles t, u32 tid, u8 kind);
+  /// Appends `e` when its kind is in the record projection
+  /// (is_recorded_kind; other kinds are ignored), stamping `seq` with the
+  /// run's next 1-based event number.
+  void record(TraceEvent e);
 
   /// Ends the run: writes the summary trailer (sorted keys).
   void end_run(const std::map<std::string, u64>& summary);
@@ -127,7 +107,7 @@ class RunRecorder {
   }
 
   /// Events of the current run retained in memory (≤ limit).
-  const std::vector<RecordEvent>& events() const { return events_; }
+  const std::vector<TraceEvent>& events() const { return events_; }
   u64 total_events() const { return next_e_ - 1; }
   bool truncated() const { return truncated_; }
   u32 run() const { return run_; }
@@ -139,8 +119,6 @@ class RunRecorder {
   void flush();
 
  private:
-  void add(RecordEvent ev);
-
   RecordConfig config_;
   std::ofstream out_;
   bool to_file_ = false;
@@ -149,7 +127,7 @@ class RunRecorder {
   u64 next_e_ = 1;
   u64 stop_after_ = 0;
   bool truncated_ = false;
-  std::vector<RecordEvent> events_;
+  std::vector<TraceEvent> events_;
   std::map<std::string, u64> last_summary_;
 };
 

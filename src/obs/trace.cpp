@@ -1,11 +1,34 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/check.hpp"
 #include "obs/json.hpp"
 
 namespace gilfree::obs {
+
+namespace {
+
+/// Maps an encoded name back to its enum value by scanning the `n` values
+/// `name_of` knows; throws std::runtime_error naming `what` when none match.
+template <typename Enum, typename NameOf>
+Enum enum_from_name(const std::string& name, std::size_t n, NameOf name_of,
+                    const char* what) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (name_of(static_cast<Enum>(i)) == name) return static_cast<Enum>(i);
+  }
+  throw std::runtime_error(std::string("trace: unknown ") + what + " '" +
+                           name + "'");
+}
+
+i32 yp_of(const JsonValue& v) { return static_cast<i32>(v.at("yp").as_i64()); }
+
+u16 line_of(const JsonValue& v) {
+  return v.has("line") ? static_cast<u16>(v.at("line").as_u64()) : 0;
+}
+
+}  // namespace
 
 std::string trace_event_to_jsonl(const TraceEvent& e, u32 run) {
   std::string out;
@@ -105,9 +128,80 @@ std::string trace_event_to_jsonl(const TraceEvent& e, u32 run) {
       out += ",\"req\":";
       json_append_number(out, e.req);
       break;
+    case EventKind::kSched:
+      break;
   }
   out.push_back('}');
   return out;
+}
+
+TraceEvent trace_event_from_json(const JsonValue& v) {
+  TraceEvent e;
+  e.kind = enum_from_name<EventKind>(v.at("ev").as_string(), kNumEventKinds,
+                                     event_kind_name, "event kind");
+  e.seq = v.at("seq").as_u64();
+  e.t = v.at("t").as_u64();
+  e.tid = static_cast<u32>(v.at("tid").as_u64());
+  e.cpu = static_cast<CpuId>(v.at("cpu").as_u64());
+  switch (e.kind) {
+    case EventKind::kTxBegin:
+    case EventKind::kTxCommit:
+      e.yp = yp_of(v);
+      e.length = static_cast<u32>(v.at("len").as_u64());
+      break;
+    case EventKind::kTxAbort:
+      e.yp = yp_of(v);
+      e.length = static_cast<u32>(v.at("len").as_u64());
+      e.reason = enum_from_name<htm::AbortReason>(
+          v.at("reason").as_string(), htm::kNumAbortReasons,
+          htm::abort_reason_name, "abort reason");
+      e.gaddr = v.has("gaddr") ? v.at("gaddr").as_u64() : 0;
+      e.src_line = line_of(v);
+      break;
+    case EventKind::kGilFallback:
+    case EventKind::kQuarantineEnter:
+    case EventKind::kQuarantineProbe:
+    case EventKind::kQuarantineExit:
+    case EventKind::kStmBegin:
+    case EventKind::kStmCommit:
+      e.yp = yp_of(v);
+      break;
+    case EventKind::kRequest:
+      e.req = v.at("req").as_i64();
+      e.latency = v.at("latency").as_u64();
+      e.queue = v.at("queue").as_u64();
+      break;
+    case EventKind::kFault:
+      e.detail = static_cast<u8>(enum_from_name<fault::FaultKind>(
+          v.at("kind").as_string(), fault::kNumFaultKinds,
+          fault::fault_kind_name, "fault kind"));
+      break;
+    case EventKind::kWatchdog:
+      e.detail = static_cast<u8>(enum_from_name<WatchdogKind>(
+          v.at("kind").as_string(), kNumWatchdogKinds, watchdog_kind_name,
+          "watchdog kind"));
+      e.yp = yp_of(v);
+      break;
+    case EventKind::kStmAbort:
+      e.yp = yp_of(v);
+      e.detail = static_cast<u8>(enum_from_name<stm::StmAbortCause>(
+          v.at("cause").as_string(), stm::kNumStmAbortCauses,
+          stm::stm_abort_cause_name, "stm abort cause"));
+      e.src_line = line_of(v);
+      break;
+    case EventKind::kTier:
+      e.yp = yp_of(v);
+      e.detail = static_cast<u8>(enum_from_name<TierTransition>(
+          v.at("transition").as_string(), kNumTierTransitions,
+          tier_transition_name, "tier transition"));
+      break;
+    case EventKind::kShed:
+      e.req = v.at("req").as_i64();
+      break;
+    case EventKind::kSched:
+      break;
+  }
+  return e;
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity, double sample, u64 seed)
@@ -148,6 +242,8 @@ bool FlightRecorder::sample_decision(const TraceEvent& e) {
       return true;  // rare state transitions: always keep
     case EventKind::kFault:
       return rng_.next_double() < sample_;
+    case EventKind::kSched:
+      break;  // record-only: RunObserver never offers it
   }
   return true;
 }

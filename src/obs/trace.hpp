@@ -1,5 +1,8 @@
-// The transaction event flight recorder: a bounded ring buffer of structured
-// begin/commit/abort/fallback/request events, with deterministic sampling.
+// The transaction event vocabulary and its flight recorder: one TraceEvent
+// struct with one JSONL encoder and one decoder, and a bounded ring buffer of
+// begin/commit/abort/fallback/request events with deterministic sampling.
+// The record stream (obs/record.hpp) is the unsampled projection of the same
+// events onto the kinds replay needs.
 //
 // Design goals (docs/OBSERVABILITY.md describes the on-disk schema):
 //   * low overhead — one branch when disabled, O(1) append when enabled,
@@ -24,6 +27,8 @@
 
 namespace gilfree::obs {
 
+class JsonValue;
+
 enum class EventKind : u8 {
   kTxBegin,          ///< TBEGIN attempt entered transactional execution or
                      ///< eager-aborted (the matching kTxAbort follows).
@@ -43,7 +48,10 @@ enum class EventKind : u8 {
   kShed,             ///< A request past its deadline was shed mid-service:
                      ///< the engine abandoned the serving thread at a yield
                      ///< point (docs/ROBUSTNESS.md).
+  kSched,            ///< The engine picked `tid` to run its next burst.
+                     ///< Record-only: never offered to the FlightRecorder.
 };
+inline constexpr std::size_t kNumEventKinds = 16;
 
 constexpr std::string_view event_kind_name(EventKind k) {
   switch (k) {
@@ -62,6 +70,7 @@ constexpr std::string_view event_kind_name(EventKind k) {
     case EventKind::kStmAbort: return "stm_abort";
     case EventKind::kTier: return "tier";
     case EventKind::kShed: return "shed";
+    case EventKind::kSched: return "sched";
   }
   return "?";
 }
@@ -128,11 +137,18 @@ struct TraceEvent {
                         ///< field may appear in byte-compared traces.
   u16 src_line = 0;     ///< MiniRuby source line executing at the abort
                         ///< (kTxAbort/kStmAbort; 0 = unknown).
+
+  bool operator==(const TraceEvent&) const = default;
 };
 
 /// Encodes one event as a single JSON Lines record (no trailing newline).
 /// `run` tags the owning run within a multi-run trace file.
 std::string trace_event_to_jsonl(const TraceEvent& e, u32 run);
+
+/// The inverse of trace_event_to_jsonl for one parsed line (the `run` tag is
+/// not part of the event). Throws std::runtime_error on an unknown event
+/// kind or an unknown reason/cause/kind/transition name.
+TraceEvent trace_event_from_json(const JsonValue& v);
 
 class FlightRecorder {
  public:

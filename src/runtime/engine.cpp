@@ -13,6 +13,7 @@ namespace gilfree::runtime {
 
 using htm::AbortReason;
 using htm::TxAbort;
+using obs::EventKind;
 using vm::ParkRequest;
 
 namespace {
@@ -104,10 +105,8 @@ EngineConfig EngineConfig::unsynced(htm::SystemProfile p) {
   EngineConfig c;
   c.mode = SyncMode::kUnsynced;
   c.profile = std::move(p);
-  // Everything interpreter-internal is thread-local in the Java analogue.
-  c.heap.thread_local_free_lists = true;
-  c.heap.thread_local_malloc = true;
-  c.heap.padded_thread_structs = true;
+  // The heap defaults already keep everything interpreter-internal
+  // thread-local, as in the Java analogue.
   return c;
 }
 
@@ -153,16 +152,24 @@ Engine::Engine(EngineConfig config)
   }
 }
 
+void Engine::emit(const obs::TraceEvent& e) {
+  if (obs_) obs_->on_event(e);
+  if (config_.recorder != nullptr) config_.recorder->record(e);
+}
+
 void Engine::on_fault_injected(fault::FaultKind kind, CpuId cpu, Cycles t) {
-  if (obs_) obs_->on_fault(t, current_tid_, cpu, kind);
-  if (config_.recorder != nullptr)
-    config_.recorder->on_fault(t, current_tid_, static_cast<u8>(kind));
+  if (emitting_) {
+    emit({.kind = EventKind::kFault, .t = t, .tid = current_tid_, .cpu = cpu,
+          .detail = static_cast<u8>(kind)});
+  }
 }
 
 void Engine::report_watchdog(SchedThread& st, obs::WatchdogKind kind) {
   ++watchdog_events_;
-  if (obs_) {
-    obs_->on_watchdog(now_of(st.cpu), st.vm->tid(), st.cpu, st.tx_yp, kind);
+  if (emitting_) {
+    emit({.kind = EventKind::kWatchdog, .t = now_of(st.cpu),
+          .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp,
+          .detail = static_cast<u8>(kind)});
   }
 }
 
@@ -211,6 +218,7 @@ void Engine::load_program(const std::vector<std::string>& sources) {
     obs_ = std::make_unique<obs::RunObserver>(oc.ring_capacity, oc.sample,
                                               config_.seed);
   }
+  emitting_ = obs_ != nullptr || config_.recorder != nullptr;
 
   // Main thread.
   threads_.emplace_back();
@@ -354,9 +362,9 @@ RunStats Engine::run() {
     const i32 tid = pick_next();
     if (tid < 0) continue;
     if (config_.recorder != nullptr) {
-      config_.recorder->on_sched(
-          machine_->clock(threads_[static_cast<u32>(tid)].cpu),
-          static_cast<u32>(tid));
+      const CpuId cpu = threads_[static_cast<u32>(tid)].cpu;
+      emit({.kind = EventKind::kSched, .t = machine_->clock(cpu),
+            .tid = static_cast<u32>(tid), .cpu = cpu});
     }
     int fuel = kBurst;
     while (fuel > 0) {
@@ -526,7 +534,10 @@ bool Engine::gil_try_acquire_or_enqueue(SchedThread& st) {
     st.holds_gil = true;
     if (config_.mode == SyncMode::kHtm) {
       ++gil_fallbacks_;
-      if (obs_) obs_->on_gil_fallback(now, st.vm->tid(), st.cpu, st.tx_yp);
+      if (emitting_) {
+        emit({.kind = EventKind::kGilFallback, .t = now, .tid = st.vm->tid(),
+              .cpu = st.cpu, .yp = st.tx_yp});
+      }
     }
     charge_bucket(st, Bucket::kGilHeld,
                   config_.profile.machine.cost.gil_acquire);
@@ -561,9 +572,9 @@ void Engine::gil_release_and_handoff(SchedThread& st) {
   next.holds_gil = true;
   if (config_.mode == SyncMode::kHtm) {
     ++gil_fallbacks_;
-    if (obs_) {
-      obs_->on_gil_fallback(machine_->clock(next.cpu), next.vm->tid(),
-                            next.cpu, next.tx_yp);
+    if (emitting_) {
+      emit({.kind = EventKind::kGilFallback, .t = machine_->clock(next.cpu),
+            .tid = next.vm->tid(), .cpu = next.cpu, .yp = next.tx_yp});
     }
   }
   next.status = ThreadStatus::kRunnable;
@@ -791,8 +802,9 @@ void Engine::transaction_begin(SchedThread& st, i32 yp) {
     // Minimum-footprint probe; one shot, back to the GIL on any abort.
     st.tx_length = config_.tle.min_length;
     st.transient_retry_counter = 1;
-    if (obs_) {
-      obs_->on_quarantine_probe(now_of(st.cpu), st.vm->tid(), st.cpu, yp);
+    if (emitting_) {
+      emit({.kind = EventKind::kQuarantineProbe, .t = now_of(st.cpu),
+            .tid = st.vm->tid(), .cpu = st.cpu, .yp = yp});
     }
   } else {
     st.tx_length = length_table_->set_transaction_length(yp);
@@ -824,9 +836,10 @@ void Engine::transaction_begin(SchedThread& st, i32 yp) {
 
 bool Engine::attempt_tx(SchedThread& st) {
   ++transactions_started_;
-  if (obs_) {
-    obs_->on_tx_begin(now_of(st.cpu), st.vm->tid(), st.cpu, st.tx_yp,
-                      st.tx_length);
+  if (emitting_) {
+    emit({.kind = EventKind::kTxBegin, .t = now_of(st.cpu),
+          .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp,
+          .length = st.tx_length});
   }
   // The thread's stack is the transaction's private window.
   const AbortReason begin_result = htm_->tx_begin(
@@ -889,12 +902,14 @@ void Engine::transaction_end(SchedThread& st) {
   st.breakdown.tx_success += st.tx_pending_cycles;
   st.tx_pending_cycles = 0;
   st.watchdog_abort_streak = 0;
-  if (obs_) {
-    obs_->on_tx_commit(now_of(st.cpu), st.vm->tid(), st.cpu, st.tx_yp,
-                       st.tx_length);
+  if (emitting_) {
+    emit({.kind = EventKind::kTxCommit, .t = now_of(st.cpu),
+          .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp,
+          .length = st.tx_length});
   }
-  if (length_table_->on_commit(st.tx_yp) && obs_) {
-    obs_->on_quarantine_exit(now_of(st.cpu), st.vm->tid(), st.cpu, st.tx_yp);
+  if (length_table_->on_commit(st.tx_yp) && emitting_) {
+    emit({.kind = EventKind::kQuarantineExit, .t = now_of(st.cpu),
+          .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp});
   }
   sync_fastpath();
 }
@@ -929,20 +944,16 @@ void Engine::handle_abort(SchedThread& st, AbortReason reason) {
   // the MiniRuby source line where the abort surfaced, and — for conflicts —
   // the guest address of the line the winner doomed us on (process-stable,
   // so traces and record streams compare byte-for-byte across processes).
-  const u16 src_line = abort_source_line(st);
-  u64 gaddr = 0;
-  if (htm_ != nullptr) {
-    const LineId line = htm_->last_conflict_line(st.cpu);
-    if (line != kInvalidLine) gaddr = line * config_.profile.htm.line_bytes;
-  }
-  if (obs_) {
-    obs_->on_tx_abort(now_of(st.cpu), st.vm->tid(), st.cpu, st.tx_yp,
-                      st.tx_length, reason, gaddr, src_line);
-  }
-  if (config_.recorder != nullptr) {
-    config_.recorder->on_abort(now_of(st.cpu), st.vm->tid(), st.tx_yp,
-                               st.tx_length, static_cast<u8>(reason), gaddr,
-                               src_line);
+  if (emitting_) {
+    u64 gaddr = 0;
+    if (htm_ != nullptr) {
+      const LineId line = htm_->last_conflict_line(st.cpu);
+      if (line != kInvalidLine) gaddr = line * config_.profile.htm.line_bytes;
+    }
+    emit({.kind = EventKind::kTxAbort, .t = now_of(st.cpu),
+          .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp,
+          .length = st.tx_length, .reason = reason, .gaddr = gaddr,
+          .src_line = abort_source_line(st)});
   }
   // Roll the interpreter back to the TBEGIN snapshot; the HTM facility has
   // already discarded the speculative stores.
@@ -967,9 +978,9 @@ void Engine::handle_abort(SchedThread& st, AbortReason reason) {
     st.first_retry = false;
     const tle::AdjustOutcome adj =
         length_table_->adjust_transaction_length(st.tx_yp);
-    if (adj.entered_quarantine && obs_) {
-      obs_->on_quarantine_enter(now_of(st.cpu), st.vm->tid(), st.cpu,
-                                st.tx_yp);
+    if (adj.entered_quarantine && emitting_) {
+      emit({.kind = EventKind::kQuarantineEnter, .t = now_of(st.cpu),
+            .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp});
     }
   }
 
@@ -1081,9 +1092,10 @@ void Engine::stm_begin(SchedThread& st, i32 yp, bool entering) {
 
   if (entering) {
     ++stm_escalations_;
-    if (obs_) {
-      obs_->on_tier(now_of(st.cpu), st.vm->tid(), st.cpu, yp,
-                    obs::TierTransition::kHtmToStm);
+    if (emitting_) {
+      emit({.kind = EventKind::kTier, .t = now_of(st.cpu),
+            .tid = st.vm->tid(), .cpu = st.cpu, .yp = yp,
+            .detail = static_cast<u8>(obs::TierTransition::kHtmToStm)});
     }
   }
 
@@ -1107,8 +1119,9 @@ void Engine::stm_begin(SchedThread& st, i32 yp, bool entering) {
   st.stm_pending_cycles = 0;
   st.stm_yields_left = config_.stm.slice_yields;
   GILFREE_CHECK(!st.vm->finished());
-  if (obs_) {
-    obs_->on_stm_begin(now_of(st.cpu), st.vm->tid(), st.cpu, yp);
+  if (emitting_) {
+    emit({.kind = EventKind::kStmBegin, .t = now_of(st.cpu),
+          .tid = st.vm->tid(), .cpu = st.cpu, .yp = yp});
   }
   sync_fastpath();  // in_stm: charges now land in stm_pending_cycles
 }
@@ -1123,9 +1136,10 @@ void Engine::stm_yield(SchedThread& st, i32 yp) {
   // probe re-tries HTM.
   stm_end(st);
   if (st.in_stm || st.holds_gil) return;  // commit failed → abort path ran
-  if (obs_ && !length_table_->quarantined(yp)) {
-    obs_->on_tier(now_of(st.cpu), st.vm->tid(), st.cpu, yp,
-                  obs::TierTransition::kStmToHtm);
+  if (emitting_ && !length_table_->quarantined(yp)) {
+    emit({.kind = EventKind::kTier, .t = now_of(st.cpu),
+          .tid = st.vm->tid(), .cpu = st.cpu, .yp = yp,
+          .detail = static_cast<u8>(obs::TierTransition::kStmToHtm)});
   }
   transaction_begin(st, yp);
 }
@@ -1148,8 +1162,9 @@ void Engine::stm_end(SchedThread& st) {
   st.breakdown.stm_work += st.stm_pending_cycles;
   st.stm_pending_cycles = 0;
   st.watchdog_abort_streak = 0;
-  if (obs_) {
-    obs_->on_stm_commit(now_of(st.cpu), st.vm->tid(), st.cpu, st.tx_yp);
+  if (emitting_) {
+    emit({.kind = EventKind::kStmCommit, .t = now_of(st.cpu),
+          .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp});
   }
   // Deliberately NOT length_table_->on_commit: an STM commit is not
   // evidence that HTM works here — only a committed *probe* may reset the
@@ -1158,14 +1173,11 @@ void Engine::stm_end(SchedThread& st) {
 }
 
 void Engine::handle_stm_abort(SchedThread& st, stm::StmAbortCause cause) {
-  const u16 src_line = abort_source_line(st);
-  if (obs_) {
-    obs_->on_stm_abort(now_of(st.cpu), st.vm->tid(), st.cpu, st.tx_yp,
-                       cause, src_line);
-  }
-  if (config_.recorder != nullptr) {
-    config_.recorder->on_stm_abort(now_of(st.cpu), st.vm->tid(), st.tx_yp,
-                                   static_cast<u8>(cause), src_line);
+  if (emitting_) {
+    emit({.kind = EventKind::kStmAbort, .t = now_of(st.cpu),
+          .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp,
+          .detail = static_cast<u8>(cause),
+          .src_line = abort_source_line(st)});
   }
   // Roll the interpreter back to the stm_begin snapshot; the StmEngine has
   // already discarded the write buffer.
@@ -1219,9 +1231,10 @@ void Engine::handle_stm_abort(SchedThread& st, stm::StmAbortCause cause) {
 
 void Engine::stm_to_gil(SchedThread& st) {
   ++stm_gil_fallbacks_;
-  if (obs_) {
-    obs_->on_tier(now_of(st.cpu), st.vm->tid(), st.cpu, st.tx_yp,
-                  obs::TierTransition::kStmToGil);
+  if (emitting_) {
+    emit({.kind = EventKind::kTier, .t = now_of(st.cpu),
+          .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp,
+          .detail = static_cast<u8>(obs::TierTransition::kStmToGil)});
   }
   (void)gil_try_acquire_or_enqueue(st);
 }
@@ -1395,7 +1408,10 @@ bool Engine::maybe_shed_request(SchedThread& st) {
   }
   const i64 req = st.serving_request;
   st.serving_request = -1;
-  if (obs_) obs_->on_shed(now_of(st.cpu), st.vm->tid(), st.cpu, req);
+  if (emitting_) {
+    emit({.kind = EventKind::kShed, .t = now_of(st.cpu), .tid = st.vm->tid(),
+          .cpu = st.cpu, .req = req});
+  }
   server_->shed_inflight(req, now_of(st.cpu));
   // Abandon the rest of the handler: the worker thread finishes with nil,
   // exactly as if the program had returned early. Joins on it still work.
@@ -1696,13 +1712,14 @@ std::string Engine::take_request_payload(i64 request_id) {
 void Engine::respond(i64 request_id, std::string_view payload) {
   if (!server_) return vm::Host::respond(request_id, payload);
   const Cycles now = now_cycles();
-  if (obs_) {
+  if (emitting_) {
     const Cycles issued = server_->request_issued_at(request_id);
     const Cycles accepted = server_->request_accepted_at(request_id);
-    const Cycles queue =
-        accepted > issued && accepted <= now ? accepted - issued : 0;
-    obs_->on_request(now, cur().vm->tid(), request_id,
-                     now > issued ? now - issued : 0, queue);
+    // Request events carry no CPU (cpu 0): the latency spans CPUs.
+    emit({.kind = EventKind::kRequest, .t = now, .tid = cur().vm->tid(),
+          .req = request_id, .latency = now > issued ? now - issued : 0,
+          .queue = accepted > issued && accepted <= now ? accepted - issued
+                                                         : 0});
   }
   server_->respond(request_id, payload, now);
   threads_[current_tid_].serving_request = -1;

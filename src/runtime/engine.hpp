@@ -286,6 +286,12 @@ class Engine final : public vm::Host, public fault::FaultListener {
   /// Counts + reports one starvation-watchdog event for this thread.
   void report_watchdog(SchedThread& st, obs::WatchdogKind kind);
 
+  /// The one emission point for run events: offers `e` to the trace
+  /// observer and the recorder, each of which keeps its own projection
+  /// (the record keeps sched/tx_abort/stm_abort/fault, the trace all but
+  /// sched). Event sites build `e` only when emitting_.
+  void emit(const obs::TraceEvent& e);
+
   /// MiniRuby source line for abort diagnostics. Aborts surface from inside
   /// instruction execution, where pc can transiently point past the end of
   /// the iseq; falls back to the rollback snapshot, then to 0 (unknown).
@@ -344,9 +350,11 @@ class Engine final : public vm::Host, public fault::FaultListener {
   std::unique_ptr<stm::StmEngine> stm_;
   std::unique_ptr<tle::LengthTable> length_table_;
   /// Flight recorder + metrics aggregator; null unless config_.obs_sink is
-  /// set. Fed at every transaction begin/commit/abort, GIL fallback, and
-  /// completed request; drained into the sink at the end of run().
+  /// set. Fed every trace event through emit(); drained into the sink at
+  /// the end of run().
   std::unique_ptr<obs::RunObserver> obs_;
+  /// obs_ or config_.recorder is set: event sites build and emit events.
+  bool emitting_ = false;
   Rng rng_;
   /// Dedicated stream for anti-lemming backoff jitter: keeps the VM-visible
   /// rng_ sequence (Kernel#rand etc.) independent of retry timing.

@@ -68,8 +68,7 @@ Heap::Heap(const HeapConfig& config) : config_(config) {
                       "arena_steal requires per_thread_arenas");
   barrier_on_ = config_.nursery || config_.mark_quantum > 0;
   track_line_owners_ =
-      config_.per_thread_arenas ||
-      (config_.thread_local_sweep && config_.sweep_deal_threads > 0);
+      config_.per_thread_arenas || config_.sweep_deal_threads > 0;
   arena_seg_size_.assign(config_.max_threads, config_.arena_min_segment);
   arena_last_refill_.assign(config_.max_threads, kNeverRefilled);
   if (config_.arena_steal) {
@@ -399,8 +398,7 @@ void Heap::refill_thread_free_list(Host& host, u32 tid) {
 }
 
 bool Heap::rebalance_dealt_lists(Host& host, u32 tid) {
-  if (!(config_.thread_local_sweep && config_.thread_local_free_lists &&
-        config_.sweep_deal_threads > 0))
+  if (!(config_.thread_local_free_lists && config_.sweep_deal_threads > 0))
     return false;
   // Pick the fullest dealt-to list (need at least 2 objects to split).
   u32 victim = config_.max_threads;
@@ -974,9 +972,8 @@ u64 Heap::sweep_block(ArenaBlock& b, Host* host) {
     }
   };
 
-  const bool deal_local = config_.thread_local_sweep &&
-                          config_.thread_local_free_lists &&
-                          config_.sweep_deal_threads > 0;
+  const bool deal_local =
+      config_.thread_local_free_lists && config_.sweep_deal_threads > 0;
   // Round-robin fallback for lines no thread owns: contiguous runs of this
   // many objects per thread, advancing only at line boundaries so one
   // line's free objects never split across two threads' lists.

@@ -58,15 +58,14 @@ struct HeapConfig {
   /// §5.6/§7 future-work extension: "the lazy sweeping should be done on a
   /// thread-local basis" — the sweeper deals freed objects directly onto
   /// the live threads' local free lists, so steady-state allocation touches
-  /// the global list head far less often. On by default; it only activates
-  /// when sweep_deal_threads > 0, so the default heap behaves exactly like
-  /// the seed allocator.
+  /// the global list head far less often. Active when sweep_deal_threads
+  /// > 0 (with thread_local_free_lists); the default 0 is the seed
+  /// allocator.
   ///
   /// Dealing keeps every RVALUE of one cache line (4 per zEC12 line) on a
   /// single thread's list: the thread that last allocated that line, or,
   /// for a line no thread allocated, the next thread of a line-aligned
   /// round-robin run.
-  bool thread_local_sweep = true;
   u32 sweep_deal_threads = 0;  ///< Live threads to deal to (0 = disabled).
 
   /// Per-thread allocation arenas: each thread bump-allocates from a

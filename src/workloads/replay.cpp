@@ -5,7 +5,6 @@
 
 #include "common/cli.hpp"
 #include "common/strutil.hpp"
-#include "htm/abort_reason.hpp"
 #include "runtime/engine.hpp"
 
 namespace gilfree::workloads {
@@ -34,24 +33,10 @@ const std::string& scenario_key(const obs::RecordedRun& r, const char* key) {
   return it->second;
 }
 
-std::string format_event(const obs::RecordEvent& ev) {
-  std::string out = strprintf(
-      "{e=%llu k=%s t=%llu tid=%u",
-      static_cast<unsigned long long>(ev.e),
-      std::string(obs::record_kind_name(ev.kind)).c_str(),
-      static_cast<unsigned long long>(ev.t), ev.tid);
-  if (ev.kind != obs::RecordKind::kSched)
-    out += strprintf(" yp=%d code=%u gaddr=%llu line=%u", ev.yp,
-                     static_cast<unsigned>(ev.code),
-                     static_cast<unsigned long long>(ev.gaddr), ev.src_line);
-  out.push_back('}');
-  return out;
-}
-
-bool is_conflict_abort(const obs::RecordEvent& ev) {
+bool is_conflict_abort(const obs::TraceEvent& ev) {
   // Only winner-dooms-victim conflicts carry a guest address; every other
   // abort flavour (capacity, interrupt, spurious, explicit) leaves it 0.
-  return ev.kind == obs::RecordKind::kAbort && ev.gaddr != 0;
+  return ev.kind == obs::EventKind::kTxAbort && ev.gaddr != 0;
 }
 
 }  // namespace
@@ -163,7 +148,7 @@ ReplayOutcome replay_run(const obs::RecordedRun& recorded, u64 stop_after,
   out.truncated = rec.truncated();
   // Resolve conflict addresses to heap labels while the engine (and with it
   // the guest segment table) is still alive.
-  for (const obs::RecordEvent& ev : out.events) {
+  for (const obs::TraceEvent& ev : out.events) {
     if (!is_conflict_abort(ev) || out.gaddr_labels.count(ev.gaddr) != 0)
       continue;
     out.gaddr_labels[ev.gaddr] =
@@ -172,15 +157,16 @@ ReplayOutcome replay_run(const obs::RecordedRun& recorded, u64 stop_after,
   return out;
 }
 
-std::string diff_events(const std::vector<obs::RecordEvent>& recorded,
-                        const std::vector<obs::RecordEvent>& replayed) {
+std::string diff_events(const std::vector<obs::TraceEvent>& recorded,
+                        const std::vector<obs::TraceEvent>& replayed,
+                        u32 run) {
   const std::size_t n = std::min(recorded.size(), replayed.size());
   for (std::size_t i = 0; i < n; ++i) {
     if (recorded[i] == replayed[i]) continue;
     return strprintf("event %llu diverges: recorded %s vs replayed %s",
-                     static_cast<unsigned long long>(recorded[i].e),
-                     format_event(recorded[i]).c_str(),
-                     format_event(replayed[i]).c_str());
+                     static_cast<unsigned long long>(recorded[i].seq),
+                     obs::trace_event_to_jsonl(recorded[i], run).c_str(),
+                     obs::trace_event_to_jsonl(replayed[i], run).c_str());
   }
   if (recorded.size() != replayed.size()) {
     return strprintf("stream lengths diverge: recorded %zu vs replayed %zu",
@@ -198,7 +184,7 @@ BisectResult bisect_first_conflict(const obs::RecordedRun& recorded) {
     return r;
   }
   r.found = true;
-  r.event_no = it->e;
+  r.event_no = it->seq;
   r.tid = it->tid;
   r.gaddr = it->gaddr;
   r.src_line = it->src_line;
@@ -208,9 +194,9 @@ BisectResult bisect_first_conflict(const obs::RecordedRun& recorded) {
   // scheduling boundaries, so a prefix can overshoot by part of one burst;
   // the probe's *first* conflict event is what must match the recording.
   u64 lo = 1;
-  u64 hi = recorded.events.empty() ? 1 : recorded.events.back().e;
-  const obs::RecordEvent* probe_first = nullptr;
-  obs::RecordEvent probe_first_storage;
+  u64 hi = recorded.events.empty() ? 1 : recorded.events.back().seq;
+  const obs::TraceEvent* probe_first = nullptr;
+  obs::TraceEvent probe_first_storage;
   std::map<u64, std::string> probe_labels;
   while (lo < hi) {
     const u64 mid = lo + (hi - lo) / 2;
@@ -244,11 +230,12 @@ BisectResult bisect_first_conflict(const obs::RecordedRun& recorded) {
     r.error = "no probe replay reproduced a conflict abort";
     return r;
   }
-  if (probe_first->e != r.event_no || probe_first->gaddr != r.gaddr ||
+  if (probe_first->seq != r.event_no || probe_first->gaddr != r.gaddr ||
       probe_first->src_line != r.src_line) {
     r.error = strprintf("probe disagrees with recording: %s vs %s",
-                        format_event(*probe_first).c_str(),
-                        format_event(*it).c_str());
+                        obs::trace_event_to_jsonl(*probe_first,
+                                                  recorded.run).c_str(),
+                        obs::trace_event_to_jsonl(*it, recorded.run).c_str());
     return r;
   }
   r.confirmed = true;

@@ -58,7 +58,7 @@ runtime::EngineConfig config_from_recorded(const obs::RecordedRun& recorded,
 
 struct ReplayOutcome {
   RunPoint point;  ///< stats always set; elapsed/verify 0 on early stops.
-  std::vector<obs::RecordEvent> events;
+  std::vector<obs::TraceEvent> events;  ///< seq = 1-based event number.
   std::map<std::string, u64> summary;
   u64 total_events = 0;
   bool truncated = false;
@@ -76,9 +76,11 @@ ReplayOutcome replay_run(const obs::RecordedRun& recorded, u64 stop_after = 0,
                          const std::string& record_out = "");
 
 /// "" when the streams are identical; otherwise a one-line description of
-/// the length mismatch or the first diverging event.
-std::string diff_events(const std::vector<obs::RecordEvent>& recorded,
-                        const std::vector<obs::RecordEvent>& replayed);
+/// the length mismatch or the first diverging event, printed as record-file
+/// lines tagged with `run`.
+std::string diff_events(const std::vector<obs::TraceEvent>& recorded,
+                        const std::vector<obs::TraceEvent>& replayed,
+                        u32 run = 0);
 
 struct BisectResult {
   bool found = false;  ///< The recording contains a conflict abort at all.

@@ -751,7 +751,7 @@ __record("f", f)
       // Seed allocator, spelled out: no dealing, no arenas, eager sweep,
       // no nursery / incremental marking / stealing.
       auto seed_cfg = base;
-      seed_cfg.heap.thread_local_sweep = false;
+      seed_cfg.heap.sweep_deal_threads = 0;
       seed_cfg.heap.per_thread_arenas = false;
       seed_cfg.heap.lazy_sweep = false;
       seed_cfg.heap.nursery = false;

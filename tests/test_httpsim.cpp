@@ -64,8 +64,7 @@ TEST(ThreadLocalSweep, KeepsProgramsCorrectUnderGcPressure) {
     auto cfg = runtime::EngineConfig::htm_fixed(htm::SystemProfile::zec12(),
                                                 16);
     cfg.heap.initial_slots = 6'000;
-    cfg.heap.thread_local_sweep = tls_sweep;
-    cfg.heap.sweep_deal_threads = 4;
+    cfg.heap.sweep_deal_threads = tls_sweep ? 4 : 0;
     runtime::Engine engine(std::move(cfg));
     engine.load_program({R"(
 ts = []

@@ -178,16 +178,147 @@ TEST(Trace, EventLineParsesBackWithSchemaFields) {
   EXPECT_EQ(a.at("reason").as_string(), "overflow-write");
 }
 
+// --- Event codec: trace_event_from_json inverts trace_event_to_jsonl --------
+
+/// An event of `kind` whose every encoded field holds a non-neutral value;
+/// fields the kind does not encode stay neutral, as the engine leaves them.
+TraceEvent full_event(EventKind kind) {
+  TraceEvent e;
+  e.seq = 41;
+  e.kind = kind;
+  e.t = 123'456'789;
+  e.tid = 5;
+  e.cpu = 3;
+  switch (kind) {
+    case EventKind::kTxBegin:
+    case EventKind::kTxCommit:
+      e.yp = 7;
+      e.length = 16;
+      break;
+    case EventKind::kTxAbort:
+      e.yp = 7;
+      e.length = 16;
+      e.reason = htm::AbortReason::kConflict;
+      e.gaddr = (u64{3} << 32) | 0x1c0;
+      e.src_line = 12;
+      break;
+    case EventKind::kRequest:
+      e.req = 77;
+      e.latency = 90'000;
+      e.queue = 4'000;
+      break;
+    case EventKind::kFault:
+      e.detail = static_cast<u8>(fault::FaultKind::kCapacity);
+      break;
+    case EventKind::kWatchdog:
+      e.yp = 7;
+      e.detail = static_cast<u8>(obs::WatchdogKind::kGilWait);
+      break;
+    case EventKind::kStmAbort:
+      e.yp = 7;
+      e.detail = static_cast<u8>(stm::StmAbortCause::kValidation);
+      e.src_line = 12;
+      break;
+    case EventKind::kTier:
+      e.yp = 7;
+      e.detail = static_cast<u8>(obs::TierTransition::kStmToGil);
+      break;
+    case EventKind::kShed:
+      e.req = 77;
+      break;
+    case EventKind::kSched:
+      break;
+    default:  // yield-point-only kinds
+      e.yp = 7;
+      break;
+  }
+  return e;
+}
+
+TraceEvent round_trip(const TraceEvent& e) {
+  return obs::trace_event_from_json(
+      JsonValue::parse(obs::trace_event_to_jsonl(e, /*run=*/4)));
+}
+
+TEST(EventCodec, EveryKindRoundTrips) {
+  for (std::size_t k = 0; k < obs::kNumEventKinds; ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    TraceEvent e = full_event(kind);
+    EXPECT_EQ(round_trip(e), e) << obs::event_kind_name(kind);
+    // Thread-entry yield point (-1) survives the signed field too.
+    if (e.yp != -1) {
+      e.yp = -1;
+      EXPECT_EQ(round_trip(e), e) << obs::event_kind_name(kind) << " yp=-1";
+    }
+  }
+  EXPECT_EQ(obs::event_kind_name(EventKind::kSched), "sched");
+}
+
+TEST(EventCodec, EveryAbortReasonWithAndWithoutAddressAndLine) {
+  for (std::size_t r = 0; r < htm::kNumAbortReasons; ++r) {
+    TraceEvent e = full_event(EventKind::kTxAbort);
+    e.reason = static_cast<htm::AbortReason>(r);
+    EXPECT_EQ(round_trip(e), e);
+    e.gaddr = 0;
+    EXPECT_EQ(round_trip(e), e);
+    e.src_line = 0;
+    EXPECT_EQ(round_trip(e), e);
+    e.gaddr = u64{1} << 32;
+    EXPECT_EQ(round_trip(e), e);
+  }
+}
+
+TEST(EventCodec, EveryStmCauseFaultWatchdogAndTierName) {
+  for (std::size_t c = 0; c < stm::kNumStmAbortCauses; ++c) {
+    TraceEvent e = full_event(EventKind::kStmAbort);
+    e.detail = static_cast<u8>(c);
+    EXPECT_EQ(round_trip(e), e);
+    e.src_line = 0;
+    EXPECT_EQ(round_trip(e), e);
+  }
+  for (std::size_t f = 0; f < fault::kNumFaultKinds; ++f) {
+    TraceEvent e = full_event(EventKind::kFault);
+    e.detail = static_cast<u8>(f);
+    EXPECT_EQ(round_trip(e), e);
+  }
+  for (std::size_t w = 0; w < obs::kNumWatchdogKinds; ++w) {
+    TraceEvent e = full_event(EventKind::kWatchdog);
+    e.detail = static_cast<u8>(w);
+    EXPECT_EQ(round_trip(e), e);
+  }
+  for (std::size_t t = 0; t < obs::kNumTierTransitions; ++t) {
+    TraceEvent e = full_event(EventKind::kTier);
+    e.detail = static_cast<u8>(t);
+    EXPECT_EQ(round_trip(e), e);
+  }
+}
+
+TEST(EventCodec, UnknownKindOrReasonNameThrows) {
+  EXPECT_THROW(obs::trace_event_from_json(JsonValue::parse(
+                   R"({"ev":"tx_retry","run":0,"seq":1,"t":2,"tid":0,"cpu":0})")),
+               std::runtime_error);
+  std::string line = obs::trace_event_to_jsonl(full_event(EventKind::kTxAbort), 0);
+  const std::string conflict = "\"reason\":\"conflict\"";
+  const std::size_t at = line.find(conflict);
+  ASSERT_NE(at, std::string::npos) << line;
+  line.replace(at, conflict.size(), "\"reason\":\"gremlins\"");
+  EXPECT_THROW(obs::trace_event_from_json(JsonValue::parse(line)),
+               std::runtime_error);
+}
+
 // --- Metrics document -------------------------------------------------------
 
 TEST(Metrics, DocumentRoundTripsThroughParser) {
   obs::RunObserver ob(/*ring_capacity=*/256, /*sample=*/1.0, /*seed=*/5);
-  ob.on_tx_begin(10, 0, 0, 4, 16);
-  ob.on_tx_abort(20, 0, 0, 4, 16, htm::AbortReason::kConflict);
-  ob.on_tx_begin(30, 0, 0, 4, 12);
-  ob.on_tx_commit(40, 0, 0, 4, 12);
-  ob.on_gil_fallback(50, 1, 1, 9);
-  ob.on_request(60, 1, 0, 500);
+  ob.on_event({.kind = EventKind::kTxBegin, .t = 10, .yp = 4, .length = 16});
+  ob.on_event({.kind = EventKind::kTxAbort, .t = 20, .yp = 4, .length = 16,
+               .reason = htm::AbortReason::kConflict});
+  ob.on_event({.kind = EventKind::kTxBegin, .t = 30, .yp = 4, .length = 12});
+  ob.on_event({.kind = EventKind::kTxCommit, .t = 40, .yp = 4, .length = 12});
+  ob.on_event(
+      {.kind = EventKind::kGilFallback, .t = 50, .tid = 1, .cpu = 1, .yp = 9});
+  ob.on_event({.kind = EventKind::kRequest, .t = 60, .tid = 1, .req = 0,
+               .latency = 500});
 
   obs::RunMetrics m = ob.finalize();
   m.labels = {{"workload", "unit"}, {"threads", "2"}};
@@ -227,11 +358,12 @@ TEST(Metrics, ObserverAggregatesAreExactDespiteSampling) {
   // sample=0 drops every trace event; aggregates must still be complete.
   obs::RunObserver ob(/*ring_capacity=*/16, /*sample=*/0.0, /*seed=*/5);
   for (u32 i = 0; i < 100; ++i) {
-    ob.on_tx_begin(i, 0, 0, 1, 8);
+    ob.on_event({.kind = EventKind::kTxBegin, .t = i, .yp = 1, .length = 8});
     if (i % 4 == 0) {
-      ob.on_tx_abort(i, 0, 0, 1, 8, htm::AbortReason::kOverflowRead);
+      ob.on_event({.kind = EventKind::kTxAbort, .t = i, .yp = 1, .length = 8,
+                   .reason = htm::AbortReason::kOverflowRead});
     } else {
-      ob.on_tx_commit(i, 0, 0, 1, 8);
+      ob.on_event({.kind = EventKind::kTxCommit, .t = i, .yp = 1, .length = 8});
     }
   }
   EXPECT_TRUE(ob.drain_events().empty());

@@ -6,13 +6,17 @@
 // the strict-CLI convention.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "fault/fault_config.hpp"
 #include "htm/profile.hpp"
+#include "obs/json.hpp"
 #include "obs/record.hpp"
+#include "obs/sink.hpp"
 #include "runtime/engine.hpp"
 #include "stm/stm_config.hpp"
 #include "testutil_cli.hpp"
@@ -67,6 +71,17 @@ TEST(RecordReplay, StormReplaysToIdenticalStreamSummaryAndTotals) {
   EXPECT_EQ(a.total_events, recorded.total_events);
   EXPECT_FALSE(a.stopped_early);
 
+  // A diverging event is reported as its record-file line.
+  std::vector<obs::TraceEvent> tampered = a.events;
+  ++tampered[1].tid;
+  const std::string diff =
+      workloads::diff_events(recorded.events, tampered, recorded.run);
+  EXPECT_NE(diff.find("event 2 diverges"), std::string::npos) << diff;
+  EXPECT_NE(diff.find(obs::trace_event_to_jsonl(recorded.events[1],
+                                                recorded.run)),
+            std::string::npos)
+      << diff;
+
   // Replaying the replay: the second pass must agree with the first in
   // every byte-visible dimension.
   const workloads::ReplayOutcome b = workloads::replay_run(recorded);
@@ -79,8 +94,8 @@ TEST(RecordReplay, StormCarriesConflictGuestAddressesWithSourceLines) {
   const std::string path = testing::TempDir() + "storm_addr.rec";
   const obs::RecordedRun recorded = record_storm(path, 4, 1);
   u64 conflicts_with_gaddr = 0;
-  for (const obs::RecordEvent& ev : recorded.events) {
-    if (ev.kind != obs::RecordKind::kAbort || ev.gaddr == 0) continue;
+  for (const obs::TraceEvent& ev : recorded.events) {
+    if (ev.kind != obs::EventKind::kTxAbort || ev.gaddr == 0) continue;
     ++conflicts_with_gaddr;
     // Guest addresses are segment-biased: segment index 0 maps to window 1.
     EXPECT_GE(ev.gaddr >> 32, 1u);
@@ -102,7 +117,7 @@ TEST(RecordReplay, TimeTravelStopYieldsExactPrefix) {
   // so the prefix may overshoot by part of one burst — but never diverge.
   ASSERT_GE(partial.events.size(), stop);
   ASSERT_LE(partial.events.size(), recorded.events.size());
-  const std::vector<obs::RecordEvent> head(
+  const std::vector<obs::TraceEvent> head(
       recorded.events.begin(),
       recorded.events.begin() +
           static_cast<std::ptrdiff_t>(partial.events.size()));
@@ -144,6 +159,86 @@ TEST(RecordReplay, ReplayRejectsTamperedScenario) {
   bad = recorded;
   bad.scenario["config"] = "HTM-notanumber";
   EXPECT_THROW(workloads::replay_run(bad), std::exception);
+}
+
+// --- one vocabulary: the record is the trace's unsampled projection -------
+
+TEST(RecordReplay, RecordIsTheUnsampledProjectionOfTheTrace) {
+  const workloads::Workload& w = workloads::micro_while();
+  runtime::EngineConfig cfg =
+      runtime::EngineConfig::htm_dynamic(htm::SystemProfile::zec12());
+  cfg.fault.seed = 20260808;
+  cfg.fault.spurious_mean_cycles = 50'000;
+  cfg.fault.persistent_all_yps = true;
+  cfg.stm.enabled = true;
+
+  obs::ObsConfig oc;
+  oc.trace_path = testing::TempDir() + "projection.jsonl";
+  oc.sample = 1.0;
+  oc.ring_capacity = 1 << 22;
+  obs::RunRecorder rec;
+  {
+    obs::Sink sink(oc);
+    cfg.obs_sink = &sink;
+    cfg.recorder = &rec;
+    runtime::Engine engine(std::move(cfg));
+    engine.load_program(workloads::sources_for(w, 4, 1));
+    engine.run();
+    ASSERT_EQ(sink.runs().size(), 1u);
+    ASSERT_EQ(sink.runs()[0].events_evicted, 0u) << "ring too small";
+  }
+
+  const auto unsequenced = [](obs::TraceEvent e) {
+    e.seq = 0;
+    return e;
+  };
+  std::vector<obs::TraceEvent> traced;
+  std::ifstream in(oc.trace_path);
+  std::string line;
+  while (std::getline(in, line)) {
+    const obs::JsonValue v = obs::JsonValue::parse(line);
+    if (v.at("ev").as_string() == "run") continue;
+    const obs::TraceEvent e = obs::trace_event_from_json(v);
+    if (obs::is_recorded_kind(e.kind)) traced.push_back(unsequenced(e));
+  }
+  std::vector<obs::TraceEvent> recorded;
+  std::map<obs::EventKind, u64> by_kind;
+  for (const obs::TraceEvent& e : rec.events()) {
+    ++by_kind[e.kind];
+    if (e.kind != obs::EventKind::kSched) recorded.push_back(unsequenced(e));
+  }
+  EXPECT_GT(by_kind[obs::EventKind::kSched], 0u);
+  EXPECT_GT(by_kind[obs::EventKind::kTxAbort], 0u);
+  EXPECT_GT(by_kind[obs::EventKind::kStmAbort], 0u);
+  EXPECT_GT(by_kind[obs::EventKind::kFault], 0u);
+  EXPECT_FALSE(rec.truncated());
+  ASSERT_EQ(recorded.size(), traced.size());
+  for (std::size_t i = 0; i < recorded.size(); ++i) {
+    ASSERT_EQ(recorded[i], traced[i])
+        << "event " << i << ": record "
+        << obs::trace_event_to_jsonl(recorded[i], 0) << " vs trace "
+        << obs::trace_event_to_jsonl(traced[i], 0);
+  }
+  std::remove(oc.trace_path.c_str());
+}
+
+TEST(RecordReplay, RecordFileOfAnotherSchemaIsRefused) {
+  const std::string path = testing::TempDir() + "old_schema.rec";
+  {
+    std::ofstream out(path);
+    out << R"({"record":"gilfree.record/1","run":0,"scenario":{},"flags":[]})"
+        << "\n"
+        << R"({"e":1,"k":"sched","t":0,"tid":0})" << "\n";
+  }
+  try {
+    (void)obs::parse_record_file(path);
+    ADD_FAILURE() << "a gilfree.record/1 file was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("gilfree.record/1"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
 }
 
 // --- satellite: heap labels survive the guest-address rebase --------------

@@ -88,12 +88,12 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(replayed.total_events),
             static_cast<unsigned long long>(r.total_events));
         const std::string diff = workloads::diff_events(
-            std::vector<obs::RecordEvent>(
+            std::vector<obs::TraceEvent>(
                 r.events.begin(),
                 r.events.begin() +
                     static_cast<std::ptrdiff_t>(std::min<std::size_t>(
                         r.events.size(), replayed.events.size()))),
-            replayed.events);
+            replayed.events, r.run);
         if (!diff.empty()) {
           std::printf("PREFIX MISMATCH: %s\n", diff.c_str());
           all_ok = false;
@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
           std::printf("prefix matches the recording\n");
         }
       } else {
-        const std::string diff = workloads::diff_events(r.events,
-                                                        replayed.events);
+        const std::string diff =
+            workloads::diff_events(r.events, replayed.events, r.run);
         const bool summary_ok = replayed.summary == r.summary;
         if (diff.empty() && summary_ok &&
             replayed.total_events == r.total_events) {

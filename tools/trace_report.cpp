@@ -26,6 +26,7 @@
 #include "htm/abort_reason.hpp"
 #include "obs/json.hpp"
 #include "obs/latency_hist.hpp"
+#include "obs/trace.hpp"
 
 using namespace gilfree;
 
@@ -89,14 +90,6 @@ struct RunAccum {
     return t;
   }
 };
-
-int reason_index(const std::string& name) {
-  for (std::size_t r = 0; r < htm::kNumAbortReasons; ++r) {
-    if (name == htm::abort_reason_name(static_cast<htm::AbortReason>(r)))
-      return static_cast<int>(r);
-  }
-  return -1;
-}
 
 void print_run(u32 run_id, const RunAccum& acc, bool csv, long top) {
   std::cout << "== run " << run_id;
@@ -520,57 +513,72 @@ int main(int argc, char** argv) {
         acc.labels[k] = lv.as_string();
       continue;
     }
-    ++acc.events;
-    if (ev == "tx_begin") {
-      ++acc.by_yp[v.at("yp").as_i64()].begins;
-    } else if (ev == "tx_commit") {
-      ++acc.by_yp[v.at("yp").as_i64()].commits;
-    } else if (ev == "tx_abort") {
-      const int r = reason_index(v.at("reason").as_string());
-      if (r < 0) {
-        std::cerr << "trace_report: " << path << ":" << lineno
-                  << ": unknown abort reason\n";
-        return 1;
-      }
-      ++acc.by_yp[v.at("yp").as_i64()].aborts[static_cast<std::size_t>(r)];
-    } else if (ev == "gil_fallback") {
-      ++acc.by_yp[v.at("yp").as_i64()].fallbacks;
-    } else if (ev == "request") {
-      ++acc.requests;
-      const double latency = v.at("latency").as_number();
-      acc.latency_sum += latency;
-      acc.latency_hist.add(static_cast<u64>(latency));
-      // Traces written before the open-loop work have no queue field.
-      if (v.has("queue")) {
-        const double queued = v.at("queue").as_number();
-        acc.queue_sum += queued;
-        acc.queue_hist.add(static_cast<u64>(queued));
-      }
-    } else if (ev == "quarantine_enter") {
-      ++acc.quarantine_enters[v.at("yp").as_i64()];
-    } else if (ev == "quarantine_probe") {
-      ++acc.quarantine_probes[v.at("yp").as_i64()];
-    } else if (ev == "quarantine_exit") {
-      ++acc.quarantine_exits[v.at("yp").as_i64()];
-    } else if (ev == "fault") {
-      ++acc.faults_by_kind[v.at("kind").as_string()];
-    } else if (ev == "watchdog") {
-      ++acc.watchdog_by_kind[v.at("kind").as_string()];
-    } else if (ev == "stm_begin") {
-      ++acc.stm_begins[v.at("yp").as_i64()];
-    } else if (ev == "stm_commit") {
-      ++acc.stm_commits[v.at("yp").as_i64()];
-    } else if (ev == "stm_abort") {
-      ++acc.stm_aborts[v.at("yp").as_i64()];
-      ++acc.stm_abort_causes[v.at("cause").as_string()];
-    } else if (ev == "tier") {
-      ++acc.tier_transitions[v.at("transition").as_string()];
-    } else if (ev == "shed") {
-      ++acc.sheds;
-    } else {
-      std::cerr << "trace_report: " << path << ":" << lineno
-                << ": unknown event kind \"" << ev << "\"\n";
+    obs::TraceEvent e;
+    try {
+      e = obs::trace_event_from_json(v);
+    } catch (const std::exception& ex) {
+      std::cerr << "trace_report: " << path << ":" << lineno << ": "
+                << ex.what() << "\n";
       return 1;
+    }
+    ++acc.events;
+    switch (e.kind) {
+      case obs::EventKind::kTxBegin:
+        ++acc.by_yp[e.yp].begins;
+        break;
+      case obs::EventKind::kTxCommit:
+        ++acc.by_yp[e.yp].commits;
+        break;
+      case obs::EventKind::kTxAbort:
+        ++acc.by_yp[e.yp].aborts[static_cast<std::size_t>(e.reason)];
+        break;
+      case obs::EventKind::kGilFallback:
+        ++acc.by_yp[e.yp].fallbacks;
+        break;
+      case obs::EventKind::kRequest:
+        ++acc.requests;
+        acc.latency_sum += static_cast<double>(e.latency);
+        acc.latency_hist.add(e.latency);
+        acc.queue_sum += static_cast<double>(e.queue);
+        acc.queue_hist.add(e.queue);
+        break;
+      case obs::EventKind::kQuarantineEnter:
+        ++acc.quarantine_enters[e.yp];
+        break;
+      case obs::EventKind::kQuarantineProbe:
+        ++acc.quarantine_probes[e.yp];
+        break;
+      case obs::EventKind::kQuarantineExit:
+        ++acc.quarantine_exits[e.yp];
+        break;
+      case obs::EventKind::kFault:
+        ++acc.faults_by_kind[std::string(
+            fault::fault_kind_name(static_cast<fault::FaultKind>(e.detail)))];
+        break;
+      case obs::EventKind::kWatchdog:
+        ++acc.watchdog_by_kind[std::string(obs::watchdog_kind_name(
+            static_cast<obs::WatchdogKind>(e.detail)))];
+        break;
+      case obs::EventKind::kStmBegin:
+        ++acc.stm_begins[e.yp];
+        break;
+      case obs::EventKind::kStmCommit:
+        ++acc.stm_commits[e.yp];
+        break;
+      case obs::EventKind::kStmAbort:
+        ++acc.stm_aborts[e.yp];
+        ++acc.stm_abort_causes[stm::stm_abort_cause_name(
+            static_cast<stm::StmAbortCause>(e.detail))];
+        break;
+      case obs::EventKind::kTier:
+        ++acc.tier_transitions[std::string(obs::tier_transition_name(
+            static_cast<obs::TierTransition>(e.detail)))];
+        break;
+      case obs::EventKind::kShed:
+        ++acc.sheds;
+        break;
+      case obs::EventKind::kSched:
+        break;  // record-only; a trace never carries it
     }
   }
 
