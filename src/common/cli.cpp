@@ -34,6 +34,18 @@ CliFlags::CliFlags(int argc, char** argv, bool throw_errors)
   }
 }
 
+CliFlags CliFlags::from_strings(const std::vector<std::string>& args) {
+  std::vector<std::string> storage;
+  storage.reserve(args.size() + 1);
+  storage.push_back("flags");
+  for (const std::string& a : args) storage.push_back(a);
+  std::vector<char*> argv;
+  argv.reserve(storage.size());
+  for (std::string& s : storage) argv.push_back(s.data());
+  return CliFlags(static_cast<int>(argv.size()), argv.data(),
+                  /*throw_errors=*/true);
+}
+
 bool CliFlags::has(const std::string& name) const {
   consumed_.insert(name);
   return flags_.count(name) > 0;

@@ -22,6 +22,10 @@ class CliFlags {
   /// `throw_errors = true` to get std::invalid_argument instead.
   CliFlags(int argc, char** argv, bool throw_errors = false);
 
+  /// Rebuilds flags from stored argument strings (a record header's or a
+  /// cluster init frame's) in throw_errors mode.
+  static CliFlags from_strings(const std::vector<std::string>& args);
+
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& def) const;
   long get_int(const std::string& name, long def) const;

@@ -35,8 +35,6 @@ ServerRunResult run_one(runtime::EngineConfig cfg, const std::string& program,
                          << expected);
   result.throughput_rps =
       driver.throughput_rps(engine.config().profile.machine.ghz);
-  result.latency_mean_cycles = driver.latency().mean();
-  result.latency_max_cycles = driver.latency().max();
   result.queue_mean_cycles = driver.queue_delay().mean();
   result.latency_hist = driver.latency_hist();
   result.queue_hist = driver.queue_hist();
@@ -46,7 +44,64 @@ ServerRunResult run_one(runtime::EngineConfig cfg, const std::string& program,
   return result;
 }
 
+/// Sorts `records` by request id and renders them as the canonical log.
+std::string id_sorted_log(std::vector<RequestRecord>& records,
+                          const std::vector<std::string>& paths) {
+  std::sort(records.begin(), records.end(),
+            [](const RequestRecord& x, const RequestRecord& y) {
+              return x.id < y.id;
+            });
+  return format_request_log(records, paths);
+}
+
+/// completed per virtual second over a `last` cycles span (0 when empty).
+double rps(u64 completed, Cycles last, double ghz) {
+  return last > 0 ? static_cast<double>(completed) /
+                        (static_cast<double>(last) / (ghz * 1e9))
+                  : 0.0;
+}
+
 }  // namespace
+
+void ServerRunResult::add_epoch(ServerRunResult epoch) {
+  completed += epoch.completed;
+  dropped += epoch.dropped;
+  shed += epoch.shed;
+  retries += epoch.retries;
+  latency_hist.merge(epoch.latency_hist);
+  queue_hist.merge(epoch.queue_hist);
+  last_response = std::max(last_response, epoch.last_response);
+  records.insert(records.end(), epoch.records.begin(), epoch.records.end());
+  stats = std::move(epoch.stats);
+}
+
+void FleetResult::finish(const std::vector<std::string>& paths, double ghz) {
+  for (ServerRunResult& a : shards) {
+    a.queue_mean_cycles = a.queue_hist.total() > 0
+                              ? static_cast<double>(a.queue_hist.sum()) /
+                                    static_cast<double>(a.queue_hist.total())
+                              : 0.0;
+    a.throughput_rps = rps(a.completed, a.last_response, ghz);
+    a.request_log = id_sorted_log(a.records, paths);
+  }
+  merge(paths, ghz);
+}
+
+void FleetResult::merge(const std::vector<std::string>& paths, double ghz) {
+  std::vector<RequestRecord> all;
+  for (const ServerRunResult& a : shards) {
+    latency_hist.merge(a.latency_hist);
+    queue_hist.merge(a.queue_hist);
+    completed += a.completed;
+    dropped += a.dropped;
+    shed += a.shed;
+    retries += a.retries;
+    makespan = std::max(makespan, a.last_response);
+    all.insert(all.end(), a.records.begin(), a.records.end());
+  }
+  request_log = id_sorted_log(all, paths);
+  throughput_rps = rps(completed, makespan, ghz);
+}
 
 ShardOptions ShardOptions::from_flags(const CliFlags& flags) {
   ShardOptions o;
@@ -190,8 +245,7 @@ ShardedRunResult run_sharded_breaker(
   std::vector<tle::BreakerCore> breaker(options.shards);
 
   ShardedRunResult out;
-  std::vector<ServerRunResult> acc(options.shards);
-  std::vector<std::vector<RequestRecord>> shard_records(options.shards);
+  out.shards.resize(options.shards);
 
   for (u32 e = 0; e < bo.epochs; ++e) {
     const std::size_t lo = schedule.size() * e / bo.epochs;
@@ -263,61 +317,10 @@ ShardedRunResult run_sharded_breaker(
         note_transition(out, sink, e, s, "closed");
       }
 
-      ServerRunResult& a = acc[s];
-      a.completed += r.completed;
-      a.dropped += r.dropped;
-      a.shed += r.shed;
-      a.retries += r.retries;
-      a.latency_hist.merge(r.latency_hist);
-      a.queue_hist.merge(r.queue_hist);
-      a.last_response = std::max(a.last_response, r.last_response);
-      shard_records[s].insert(shard_records[s].end(), r.records.begin(),
-                              r.records.end());
-      a.stats = std::move(r.stats);  // last epoch's engine stats
+      out.shards[s].add_epoch(std::move(r));
     }
   }
-
-  std::vector<RequestRecord> merged;
-  for (u32 s = 0; s < options.shards; ++s) {
-    ServerRunResult& a = acc[s];
-    a.latency_mean_cycles = a.latency_hist.total() > 0
-                                ? static_cast<double>(a.latency_hist.sum()) /
-                                      static_cast<double>(a.latency_hist.total())
-                                : 0.0;
-    a.queue_mean_cycles = a.queue_hist.total() > 0
-                              ? static_cast<double>(a.queue_hist.sum()) /
-                                    static_cast<double>(a.queue_hist.total())
-                              : 0.0;
-    if (a.last_response > 0) {
-      a.throughput_rps = static_cast<double>(a.completed) /
-                         (static_cast<double>(a.last_response) / (ghz * 1e9));
-    }
-    std::sort(shard_records[s].begin(), shard_records[s].end(),
-              [](const RequestRecord& x, const RequestRecord& y) {
-                return x.id < y.id;
-              });
-    a.request_log = format_request_log(shard_records[s], driver_config.paths);
-    a.records = shard_records[s];
-    out.latency_hist.merge(a.latency_hist);
-    out.queue_hist.merge(a.queue_hist);
-    out.completed += a.completed;
-    out.dropped += a.dropped;
-    out.shed += a.shed;
-    out.retries += a.retries;
-    out.makespan = std::max(out.makespan, a.last_response);
-    merged.insert(merged.end(), shard_records[s].begin(),
-                  shard_records[s].end());
-    out.shards.push_back(std::move(a));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const RequestRecord& x, const RequestRecord& y) {
-              return x.id < y.id;
-            });
-  out.request_log = format_request_log(merged, driver_config.paths);
-  if (out.makespan > 0) {
-    out.throughput_rps = static_cast<double>(out.completed) /
-                         (static_cast<double>(out.makespan) / (ghz * 1e9));
-  }
+  out.finish(driver_config.paths, ghz);
   return out;
 }
 
@@ -365,7 +368,6 @@ ShardedRunResult run_sharded(const runtime::EngineConfig& base,
   }
 
   ShardedRunResult out;
-  std::vector<RequestRecord> merged;
   for (u32 s = 0; s < options.shards; ++s) {
     runtime::EngineConfig cfg = base;
     cfg.shard_id = s;
@@ -387,25 +389,9 @@ ShardedRunResult run_sharded(const runtime::EngineConfig& base,
       r = run_open_loop_slice(std::move(cfg), program_source, driver_config,
                               shard_sched[s], schedule_total);
     }
-    out.latency_hist.merge(r.latency_hist);
-    out.queue_hist.merge(r.queue_hist);
-    out.completed += r.completed;
-    out.dropped += r.dropped;
-    out.shed += r.shed;
-    out.retries += r.retries;
-    out.makespan = std::max(out.makespan, r.last_response);
-    merged.insert(merged.end(), r.records.begin(), r.records.end());
     out.shards.push_back(std::move(r));
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const RequestRecord& a, const RequestRecord& b) {
-              return a.id < b.id;
-            });
-  out.request_log = format_request_log(merged, driver_config.paths);
-  if (out.makespan > 0) {
-    out.throughput_rps = static_cast<double>(out.completed) /
-                         (static_cast<double>(out.makespan) / (ghz * 1e9));
-  }
+  out.merge(driver_config.paths, ghz);
   return out;
 }
 

@@ -23,8 +23,6 @@ struct ServerRunResult {
   u32 dropped = 0;  ///< Tail-dropped by the bounded admission queue.
   u32 shed = 0;     ///< Deadline sheds + CoDel drops (docs/ROBUSTNESS.md).
   u32 retries = 0;  ///< Retry re-admissions consumed by retry budgets.
-  double latency_mean_cycles = 0.0;  ///< Mean arrival→response latency.
-  double latency_max_cycles = 0.0;
   double queue_mean_cycles = 0.0;  ///< Mean arrival→accept queueing delay.
   obs::LatencyHistogram latency_hist;
   obs::LatencyHistogram queue_hist;
@@ -36,6 +34,36 @@ struct ServerRunResult {
   runtime::RunStats stats;
 
   double latency_p(double p) const { return latency_hist.percentile(p); }
+
+  /// Adds one epoch slice's result into this shard's running totals: the
+  /// four counts, both histograms, the latest response and the records
+  /// (appended; FleetResult::finish sorts them). Engine stats are the last
+  /// epoch's.
+  void add_epoch(ServerRunResult epoch);
+};
+
+/// A sharded run's merged view plus the per-shard results: what the
+/// in-process runner (run_sharded) and the multi-process cluster supervisor
+/// both produce.
+struct FleetResult {
+  std::vector<ServerRunResult> shards;
+  obs::LatencyHistogram latency_hist;  ///< Merged across shards.
+  obs::LatencyHistogram queue_hist;
+  u64 completed = 0;
+  u64 dropped = 0;
+  u64 shed = 0;     ///< Deadline sheds + CoDel drops across shards.
+  u64 retries = 0;  ///< Retry re-admissions across shards.
+  Cycles makespan = 0;  ///< Latest response across shards (shared t=0 epoch).
+  double throughput_rps = 0.0;  ///< completed / makespan.
+  std::string request_log;  ///< Global-id-ordered merge of the shard logs.
+
+  /// Completes shards built with ServerRunResult::add_epoch (id-sorted
+  /// records, request_log, queue_mean_cycles, throughput_rps), then
+  /// merge()s them.
+  void finish(const std::vector<std::string>& paths, double ghz);
+  /// Merges complete shards into the fleet fields: counts, histograms,
+  /// makespan, throughput and the id-sorted global request log.
+  void merge(const std::vector<std::string>& paths, double ghz);
 };
 
 /// Per-shard circuit breakers with brown-out routing (docs/ROBUSTNESS.md).
@@ -77,18 +105,8 @@ struct BreakerTransition {
   std::string state;
 };
 
-/// A sharded run's merged view plus the per-shard results.
-struct ShardedRunResult {
-  std::vector<ServerRunResult> shards;
-  obs::LatencyHistogram latency_hist;  ///< Merged across shards.
-  obs::LatencyHistogram queue_hist;
-  u64 completed = 0;
-  u64 dropped = 0;
-  u64 shed = 0;     ///< Deadline sheds + CoDel drops across shards.
-  u64 retries = 0;  ///< Retry re-admissions across shards.
-  Cycles makespan = 0;  ///< Latest response across shards (shared t=0 epoch).
-  double throughput_rps = 0.0;  ///< completed / makespan.
-  std::string request_log;  ///< Global-id-ordered merge of the shard logs.
+/// run_sharded's result: the merged fleet plus the breaker's decisions.
+struct ShardedRunResult : FleetResult {
   /// Breaker mode only: every brown-out / probe / recovery transition, in
   /// deterministic (epoch, shard) order.
   std::vector<BreakerTransition> breaker_transitions;

@@ -366,7 +366,6 @@ void HttpDriver::note_response(RequestRecord& r, std::string_view body,
   const Cycles lat = now > r.arrival ? now - r.arrival : 0;
   const Cycles queued =
       r.accepted > r.arrival ? r.accepted - r.arrival : 0;
-  latency_.add(static_cast<double>(lat));
   latency_hist_.add(lat);
   queue_delay_.add(static_cast<double>(queued));
   queue_hist_.add(queued);

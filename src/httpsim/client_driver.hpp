@@ -241,10 +241,9 @@ class HttpDriver : public runtime::ServerPort {
   Cycles last_response_time() const { return last_response_; }
   u64 response_bytes() const { return response_bytes_; }
 
-  /// Per-request arrival→response latency, in virtual cycles.
-  const RunningStat& latency() const { return latency_; }
   /// Per-request arrival→accept queueing delay, in virtual cycles.
   const RunningStat& queue_delay() const { return queue_delay_; }
+  /// Per-request arrival→response latency, in virtual cycles.
   const obs::LatencyHistogram& latency_hist() const { return latency_hist_; }
   const obs::LatencyHistogram& queue_hist() const { return queue_hist_; }
 
@@ -274,7 +273,6 @@ class HttpDriver : public runtime::ServerPort {
 
   DriverConfig config_;
   std::vector<RequestRecord> records_;  ///< Indexed by id - first_id.
-  RunningStat latency_;
   RunningStat queue_delay_;
   obs::LatencyHistogram latency_hist_;
   obs::LatencyHistogram queue_hist_;

@@ -31,20 +31,6 @@ std::vector<std::string> string_array(const obs::JsonValue& v) {
   return out;
 }
 
-/// Same trick the worker uses: rebuild a strict CliFlags from stored
-/// argument strings.
-CliFlags flags_from_strings(const std::vector<std::string>& args) {
-  std::vector<std::string> storage;
-  storage.reserve(args.size() + 1);
-  storage.push_back("record");
-  for (const std::string& a : args) storage.push_back(a);
-  std::vector<char*> argv;
-  argv.reserve(storage.size());
-  for (std::string& s : storage) argv.push_back(s.data());
-  return CliFlags(static_cast<int>(argv.size()), argv.data(),
-                  /*throw_errors=*/true);
-}
-
 }  // namespace
 
 void write_cluster_record(const std::string& path, const ClusterSpec& spec,
@@ -93,13 +79,13 @@ ClusterRecord read_cluster_record(const std::string& path) {
   rec.spec.engine_flags = string_array(header.at("engine_flags"));
   {
     const CliFlags flags =
-        flags_from_strings(string_array(header.at("driver_flags")));
+        CliFlags::from_strings(string_array(header.at("driver_flags")));
     rec.spec.driver = DriverConfig::from_flags(flags);
     flags.reject_unknown();
   }
   {
     const CliFlags flags =
-        flags_from_strings(string_array(header.at("cluster_flags")));
+        CliFlags::from_strings(string_array(header.at("cluster_flags")));
     rec.spec.options = ClusterOptions::from_flags(flags);
     flags.reject_unknown();
   }

@@ -307,7 +307,6 @@ ClusterRunResult run_cluster(const ClusterSpec& spec, obs::Sink* sink) {
   std::vector<std::vector<ScheduledRequest>> pending(slots);
   std::vector<u64> backlog_carry(slots, 0);
   std::vector<Cycles> epoch_p99(slots, 0);
-  std::vector<std::vector<RequestRecord>> slot_records(slots);
   u32 next_slot = opt.shards;
   u32 up_streak = 0;
   u32 idle_streak = 0;
@@ -427,26 +426,24 @@ ClusterRunResult run_cluster(const ClusterSpec& spec, obs::Sink* sink) {
         if (!frame || frame->kind != FrameKind::kResult)
           throw std::runtime_error("cluster: shard " + std::to_string(s) +
                                    " did not return a result");
-        const ResultMsg m = ResultMsg::decode(frame->payload);
+        ResultMsg m = ResultMsg::decode(frame->payload);
         if (m.epoch != e)
           throw std::runtime_error("cluster: shard " + std::to_string(s) +
                                    " answered for the wrong epoch");
-        const obs::LatencyHistogram lat =
-            obs::LatencyHistogram::deserialize(m.latency_hist);
-        const obs::LatencyHistogram que =
-            obs::LatencyHistogram::deserialize(m.queue_hist);
-        ServerRunResult& a = result.shards[s];
-        a.completed += static_cast<u32>(m.completed);
-        a.dropped += static_cast<u32>(m.dropped);
-        a.shed += static_cast<u32>(m.shed);
-        a.retries += static_cast<u32>(m.retries);
-        a.latency_hist.merge(lat);
-        a.queue_hist.merge(que);
-        a.last_response = std::max(a.last_response, m.last_response);
-        slot_records[s].insert(slot_records[s].end(), m.records.begin(),
-                               m.records.end());
+        ServerRunResult r;
+        r.completed = static_cast<u32>(m.completed);
+        r.dropped = static_cast<u32>(m.dropped);
+        r.shed = static_cast<u32>(m.shed);
+        r.retries = static_cast<u32>(m.retries);
+        r.latency_hist = obs::LatencyHistogram::deserialize(m.latency_hist);
+        r.queue_hist = obs::LatencyHistogram::deserialize(m.queue_hist);
+        r.last_response = m.last_response;
+        r.records = std::move(m.records);
         backlog_carry[s] = m.backlog;
-        epoch_p99[s] = lat.total() > 0 ? lat.percentile(99.0) : 0;
+        epoch_p99[s] = r.latency_hist.total() > 0
+                           ? r.latency_hist.percentile(99.0)
+                           : 0;
+        result.shards[s].add_epoch(std::move(r));
       }
 
       // 5. Autoscale decision for the next epoch.
@@ -491,53 +488,10 @@ ClusterRunResult run_cluster(const ClusterSpec& spec, obs::Sink* sink) {
     throw;
   }
 
-  // Final merge — the same shape the in-process sharded runner produces.
-  std::vector<RequestRecord> merged;
-  for (u32 s = 0; s < slots; ++s) {
-    ServerRunResult& a = result.shards[s];
-    a.latency_mean_cycles =
-        a.latency_hist.total() > 0
-            ? static_cast<double>(a.latency_hist.sum()) /
-                  static_cast<double>(a.latency_hist.total())
-            : 0.0;
-    a.latency_max_cycles = static_cast<double>(a.latency_hist.max_value());
-    a.queue_mean_cycles =
-        a.queue_hist.total() > 0
-            ? static_cast<double>(a.queue_hist.sum()) /
-                  static_cast<double>(a.queue_hist.total())
-            : 0.0;
-    if (a.last_response > 0) {
-      a.throughput_rps = static_cast<double>(a.completed) /
-                         (static_cast<double>(a.last_response) / (ghz * 1e9));
-    }
-    std::sort(slot_records[s].begin(), slot_records[s].end(),
-              [](const RequestRecord& x, const RequestRecord& y) {
-                return x.id < y.id;
-              });
-    a.request_log = format_request_log(slot_records[s], spec.driver.paths);
-    a.records = slot_records[s];
-    result.latency_hist.merge(a.latency_hist);
-    result.queue_hist.merge(a.queue_hist);
-    result.completed += a.completed;
-    result.dropped += a.dropped;
-    result.shed += a.shed;
-    result.retries += a.retries;
-    result.makespan = std::max(result.makespan, a.last_response);
-    merged.insert(merged.end(), slot_records[s].begin(),
-                  slot_records[s].end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const RequestRecord& x, const RequestRecord& y) {
-              return x.id < y.id;
-            });
-  result.request_log = format_request_log(merged, spec.driver.paths);
+  // The same finish step as the in-process breaker runner.
+  result.finish(spec.driver.paths, ghz);
   if (result.completed + result.dropped + result.shed != schedule.size())
     throw std::runtime_error("cluster: request accounting mismatch");
-  if (result.makespan > 0) {
-    result.throughput_rps =
-        static_cast<double>(result.completed) /
-        (static_cast<double>(result.makespan) / (ghz * 1e9));
-  }
   {
     std::string line = "{\"ev\":\"end\",\"completed\":";
     line += std::to_string(result.completed);

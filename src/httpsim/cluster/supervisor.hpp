@@ -103,20 +103,11 @@ struct ScaleEvent {
   u32 slot = 0;
 };
 
-struct ClusterRunResult {
-  /// Per-slot accumulated results (size = options.slots(); never-spawned
-  /// slots stay zero — see slot_used).
-  std::vector<ServerRunResult> shards;
+/// A cluster run: the merged fleet (`shards` holds one accumulated result
+/// per slot, size = options.slots(); never-spawned slots stay zero — see
+/// slot_used) plus the supervisor's steal, scale and depth decisions.
+struct ClusterRunResult : FleetResult {
   std::vector<bool> slot_used;
-  obs::LatencyHistogram latency_hist;  ///< Merged across shard processes.
-  obs::LatencyHistogram queue_hist;
-  u64 completed = 0;
-  u64 dropped = 0;
-  u64 shed = 0;
-  u64 retries = 0;
-  Cycles makespan = 0;
-  double throughput_rps = 0.0;
-  std::string request_log;  ///< Global-id-ordered merge of all records.
   std::vector<StealEvent> steals;
   std::vector<ScaleEvent> scales;
   u64 stolen = 0;  ///< Total requests migrated by stealing.

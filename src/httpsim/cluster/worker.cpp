@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <iostream>
 #include <map>
-#include <stdexcept>
 
 #include "common/cli.hpp"
-#include "common/strutil.hpp"
 #include "fault/fault_config.hpp"
 #include "httpsim/bench_server.hpp"
 #include "httpsim/server_programs.hpp"
@@ -15,45 +13,12 @@
 
 namespace gilfree::httpsim::cluster {
 
-namespace {
-
-/// Reconstructs a CliFlags from stored argument strings (throw_errors mode),
-/// the same trick the record/replay header machinery uses.
-CliFlags flags_from_strings(const std::vector<std::string>& args) {
-  std::vector<std::string> storage;
-  storage.reserve(args.size() + 1);
-  storage.push_back("cluster");
-  for (const std::string& a : args) storage.push_back(a);
-  std::vector<char*> argv;
-  argv.reserve(storage.size());
-  for (std::string& s : storage) argv.push_back(s.data());
-  return CliFlags(static_cast<int>(argv.size()), argv.data(),
-                  /*throw_errors=*/true);
-}
-
-}  // namespace
-
 runtime::EngineConfig engine_config_from_init(const InitMsg& init) {
   const htm::SystemProfile profile = htm::SystemProfile::by_name(init.machine);
-  runtime::EngineConfig cfg;
-  if (init.config == "GIL") {
-    cfg = runtime::EngineConfig::gil(profile);
-  } else if (init.config == "HTM-dynamic") {
-    cfg = runtime::EngineConfig::htm_dynamic(profile);
-  } else if (starts_with(init.config, "HTM-")) {
-    const std::string len = init.config.substr(4);
-    std::size_t pos = 0;
-    const int v = std::stoi(len, &pos);
-    if (pos != len.size() || v <= 0)
-      throw std::invalid_argument("cluster init names unknown config '" +
-                                  init.config + "'");
-    cfg = runtime::EngineConfig::htm_fixed(profile, v);
-  } else {
-    throw std::invalid_argument("cluster init names unknown config '" +
-                                init.config + "'");
-  }
+  runtime::EngineConfig cfg =
+      runtime::EngineConfig::by_name(profile, init.config);
   cfg.seed = init.engine_seed;
-  const CliFlags flags = flags_from_strings(init.engine_flags);
+  const CliFlags flags = CliFlags::from_strings(init.engine_flags);
   cfg.fault = fault::FaultConfig::from_flags(flags);
   cfg.stm = stm::StmConfig::from_flags(flags);
   runtime::apply_gc_flags(flags, cfg.heap);
@@ -62,7 +27,7 @@ runtime::EngineConfig engine_config_from_init(const InitMsg& init) {
 }
 
 DriverConfig driver_config_from_init(const InitMsg& init) {
-  const CliFlags flags = flags_from_strings(init.driver_flags);
+  const CliFlags flags = CliFlags::from_strings(init.driver_flags);
   DriverConfig d = DriverConfig::from_flags(flags);
   flags.reject_unknown();
   return d;

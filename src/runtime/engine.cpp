@@ -1,6 +1,8 @@
 #include "runtime/engine.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <stdexcept>
 
 #include "common/check.hpp"
 #include "htm/abort_reason.hpp"
@@ -108,6 +110,23 @@ EngineConfig EngineConfig::unsynced(htm::SystemProfile p) {
   // The heap defaults already keep everything interpreter-internal
   // thread-local, as in the Java analogue.
   return c;
+}
+
+EngineConfig EngineConfig::by_name(htm::SystemProfile p,
+                                   const std::string& name) {
+  if (name == "GIL") return gil(std::move(p));
+  if (name == "HTM-dynamic") return htm_dynamic(std::move(p));
+  if (name.size() > 4 && name.compare(0, 4, "HTM-") == 0) {
+    const char* first = name.data() + 4;
+    const char* last = name.data() + name.size();
+    i32 length = 0;
+    const auto [end, ec] = std::from_chars(first, last, length);
+    if (ec == std::errc() && end == last && length > 0)
+      return htm_fixed(std::move(p), length);
+  }
+  throw std::invalid_argument("unknown engine config '" + name +
+                              "' (expected GIL, HTM-<n> with n > 0, or "
+                              "HTM-dynamic)");
 }
 
 Engine::Engine(EngineConfig config)

@@ -2,6 +2,8 @@
 // on which simulated machine, with which paper options.
 #pragma once
 
+#include <string>
+
 #include "fault/fault_config.hpp"
 #include "htm/profile.hpp"
 #include "stm/stm_config.hpp"
@@ -113,6 +115,10 @@ struct EngineConfig {
   static EngineConfig htm_dynamic(htm::SystemProfile p);
   static EngineConfig fine_grained(htm::SystemProfile p);
   static EngineConfig unsynced(htm::SystemProfile p);
+  /// The paper configuration a record header or cluster init names: `GIL`,
+  /// `HTM-<n>` (n > 0) or `HTM-dynamic`. Throws std::invalid_argument
+  /// naming any other value.
+  static EngineConfig by_name(htm::SystemProfile p, const std::string& name);
 };
 
 /// Applies the allocator/GC command-line flags to a heap config:

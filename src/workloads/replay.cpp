@@ -11,20 +11,6 @@ namespace gilfree::workloads {
 
 namespace {
 
-/// Reconstructs a CliFlags from the header's stored argument strings.
-/// Throws std::invalid_argument on malformed entries (throw_errors mode).
-CliFlags flags_from_strings(const std::vector<std::string>& args) {
-  std::vector<std::string> storage;
-  storage.reserve(args.size() + 1);
-  storage.push_back("replay");
-  for (const std::string& a : args) storage.push_back(a);
-  std::vector<char*> argv;
-  argv.reserve(storage.size());
-  for (std::string& s : storage) argv.push_back(s.data());
-  return CliFlags(static_cast<int>(argv.size()), argv.data(),
-                  /*throw_errors=*/true);
-}
-
 const std::string& scenario_key(const obs::RecordedRun& r, const char* key) {
   const auto it = r.scenario.find(key);
   if (it == r.scenario.end())
@@ -79,31 +65,15 @@ runtime::EngineConfig config_from_recorded(const obs::RecordedRun& recorded,
   const htm::SystemProfile profile =
       htm::SystemProfile::by_name(scenario_key(recorded, "machine"));
 
-  const std::string& cname = scenario_key(recorded, "config");
-  runtime::EngineConfig cfg;
-  if (cname == "GIL") {
-    cfg = runtime::EngineConfig::gil(profile);
-  } else if (cname == "HTM-dynamic") {
-    cfg = runtime::EngineConfig::htm_dynamic(profile);
-  } else if (starts_with(cname, "HTM-")) {
-    const std::string len = cname.substr(4);
-    std::size_t pos = 0;
-    const int v = std::stoi(len, &pos);
-    if (pos != len.size() || v <= 0)
-      throw std::invalid_argument("record header names unknown config '" +
-                                  cname + "'");
-    cfg = runtime::EngineConfig::htm_fixed(profile, v);
-  } else {
-    throw std::invalid_argument("record header names unknown config '" +
-                                cname + "'");
-  }
+  runtime::EngineConfig cfg = runtime::EngineConfig::by_name(
+      profile, scenario_key(recorded, "config"));
 
   *threads = static_cast<unsigned>(
       std::stoul(scenario_key(recorded, "threads")));
   *scale = static_cast<unsigned>(std::stoul(scenario_key(recorded, "scale")));
   cfg.seed = std::stoull(scenario_key(recorded, "seed"));
 
-  const CliFlags flags = flags_from_strings(recorded.flags);
+  const CliFlags flags = CliFlags::from_strings(recorded.flags);
   cfg.fault = fault::FaultConfig::from_flags(flags);
   cfg.stm = stm::StmConfig::from_flags(flags);
   runtime::apply_gc_flags(flags, cfg.heap);
@@ -112,16 +82,15 @@ runtime::EngineConfig config_from_recorded(const obs::RecordedRun& recorded,
 }
 
 ReplayOutcome replay_run(const obs::RecordedRun& recorded, u64 stop_after,
-                         const std::string& record_out) {
+                         obs::RunRecorder* recorder) {
   const Workload* w = nullptr;
   unsigned threads = 0;
   unsigned scale = 0;
   runtime::EngineConfig cfg =
       config_from_recorded(recorded, &w, &threads, &scale);
 
-  obs::RecordConfig rc;
-  rc.path = record_out;
-  obs::RunRecorder rec(rc);
+  obs::RunRecorder private_rec;
+  obs::RunRecorder& rec = recorder != nullptr ? *recorder : private_rec;
   rec.begin_run(recorded.scenario, recorded.flags);
   rec.set_stop_after(stop_after);
   cfg.recorder = &rec;

@@ -70,10 +70,12 @@ struct ReplayOutcome {
 
 /// Re-executes a recorded run. stop_after == 0 runs to completion;
 /// otherwise the engine stops at the first scheduling boundary after event
-/// number `stop_after` (time travel). When record_out is nonempty the
-/// replayed stream is also written there as a record file.
+/// number `stop_after` (time travel). The replayed stream goes to
+/// `recorder` as its next run — a file-backed recorder shared across calls
+/// writes one record file of every replayed run, numbered in replay order —
+/// or, when null, to a private in-memory recorder.
 ReplayOutcome replay_run(const obs::RecordedRun& recorded, u64 stop_after = 0,
-                         const std::string& record_out = "");
+                         obs::RunRecorder* recorder = nullptr);
 
 /// "" when the streams are identical; otherwise a one-line description of
 /// the length mismatch or the first diverging event, printed as record-file

@@ -29,6 +29,7 @@
 #include "httpsim/server_programs.hpp"
 #include "runtime/engine.hpp"
 #include "testutil_cli.hpp"
+#include "testutil_httpsim.hpp"
 
 namespace gilfree {
 namespace {
@@ -222,6 +223,23 @@ TEST(ClusterRun, SameSeedRunsAreByteIdentical) {
               slurp(again.artifact_stem + shard + ".metrics.json"))
         << "shard " << s;
   }
+}
+
+// The supervisor's epoch accumulation and final merge: with stealing
+// moving requests between slots, the fleet is still exactly the sum of its
+// per-slot results.
+TEST(ClusterRun, FleetIsTheSumOfItsSlots) {
+  ClusterSpec spec = small_spec();
+  spec.driver.key_space = 16;
+  spec.driver.zipf = 1.2;
+  spec.options.shards = 2;
+  spec.options.epochs = 2;
+  spec.options.steal = true;
+  spec.options.steal_margin = 8;
+  const ClusterRunResult r = httpsim::cluster::run_cluster(spec);
+  ASSERT_EQ(r.shards.size(), 2u);
+  EXPECT_GT(r.stolen, 0u);
+  testutil::expect_fleet_invariants(r, spec.driver.paths);
 }
 
 // Under a hot Zipf key space the hash router concentrates load on one

@@ -17,6 +17,7 @@
 #include "httpsim/server_programs.hpp"
 #include "runtime/engine.hpp"
 #include "testutil_cli.hpp"
+#include "testutil_httpsim.hpp"
 
 namespace gilfree {
 namespace {
@@ -221,6 +222,43 @@ TEST(Overload, AccountingReconcilesUnderChurnFourShards) {
                    r.retries);
   EXPECT_EQ(r.latency_hist.total(), r.completed);
   EXPECT_EQ(r.queue_hist.total(), r.completed);
+}
+
+// --- fleet merge invariants -------------------------------------------------
+
+TEST(Overload, OpenLoopShardedFleetIsTheSumOfItsShards) {
+  const auto base = runtime::EngineConfig::gil(htm::SystemProfile::zec12());
+  DriverConfig d = overload_config();
+  d.rps = 9'000'000.0;
+  ShardOptions so;
+  so.shards = 3;
+  const auto r = httpsim::run_sharded(base, httpsim::webrick_source(), d, so);
+  ASSERT_EQ(r.shards.size(), 3u);
+  EXPECT_GT(r.dropped + r.shed, 0u);
+  testutil::expect_fleet_invariants(r, d.paths);
+}
+
+TEST(Overload, BreakerFleetIsTheSumOfItsEpochAccumulatedShards) {
+  DriverConfig d;
+  d.arrival = Arrival::kPoisson;
+  d.total_requests = 240;
+  d.rps = 2'400'000.0;
+  d.overload.deadline = 2'000'000;
+  d.overload.retry_budget = 1;
+  d.overload.codel = true;
+  ShardOptions so;
+  so.shards = 4;
+  so.breaker.enabled = true;
+  so.breaker.epochs = 4;
+  so.breaker.fault_shard = 1;
+  auto cfg = runtime::EngineConfig::htm_dynamic(htm::SystemProfile::zec12());
+  cfg.fault.persistent_all_yps = true;
+  cfg.fault.gil_handoff_delay_cycles = 150'000;
+  cfg.fault.seed = 7;
+  const auto r = httpsim::run_sharded(cfg, httpsim::webrick_source(), d, so);
+  ASSERT_EQ(r.shards.size(), 4u);
+  EXPECT_EQ(r.completed + r.dropped + r.shed, d.total_requests);
+  testutil::expect_fleet_invariants(r, d.paths);
 }
 
 // --- flags-off byte identity ------------------------------------------------

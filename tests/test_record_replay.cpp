@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,34 @@ TEST(RecordReplay, StormReplaysToIdenticalStreamSummaryAndTotals) {
   EXPECT_EQ(workloads::diff_events(a.events, b.events), "");
   EXPECT_EQ(a.summary, b.summary);
   EXPECT_EQ(a.gaddr_labels, b.gaddr_labels);
+}
+
+// tools/replay --replay-out shares one file-backed recorder across runs:
+// every replayed run lands in the file, tagged in replay order.
+TEST(RecordReplay, ReplayingTwoRunsIntoOneRecorderKeepsBoth) {
+  const std::vector<obs::RecordedRun> recorded = {
+      record_storm(testing::TempDir() + "two_a.rec", 4, 1),
+      record_storm(testing::TempDir() + "two_b.rec", 2, 1)};
+  const std::string out_path = testing::TempDir() + "two_replayed.rec";
+  {
+    obs::RecordConfig rc;
+    rc.path = out_path;
+    obs::RunRecorder out(rc);
+    for (const obs::RecordedRun& r : recorded)
+      workloads::replay_run(r, 0, &out);
+  }
+  const auto replayed = obs::parse_record_file(out_path);
+  ASSERT_EQ(replayed.size(), 2u);
+  for (u32 i = 0; i < 2; ++i) {
+    EXPECT_EQ(replayed[i].run, i);
+    EXPECT_EQ(replayed[i].scenario, recorded[i].scenario);
+    EXPECT_EQ(replayed[i].flags, recorded[i].flags);
+    EXPECT_EQ(workloads::diff_events(recorded[i].events, replayed[i].events),
+              "")
+        << "run " << i;
+    EXPECT_EQ(replayed[i].summary, recorded[i].summary);
+  }
+  std::remove(out_path.c_str());
 }
 
 TEST(RecordReplay, StormCarriesConflictGuestAddressesWithSourceLines) {
@@ -317,6 +346,30 @@ TEST(RecordReplay, RecordedHostLineSpaceFlagIsRejected) {
   recorded.flags = {kRemovedLineSpaceFlag + "=host"};
   EXPECT_THROW(workloads::config_from_recorded(recorded, &w, &threads, &scale),
                std::invalid_argument);
+}
+
+TEST(RecordReplayCli, EngineConfigByNameAcceptsOnlyPaperConfigs) {
+  const htm::SystemProfile p = htm::SystemProfile::zec12();
+  EXPECT_EQ(runtime::EngineConfig::by_name(p, "GIL").mode,
+            runtime::SyncMode::kGil);
+  const auto dynamic = runtime::EngineConfig::by_name(p, "HTM-dynamic");
+  EXPECT_EQ(dynamic.mode, runtime::SyncMode::kHtm);
+  EXPECT_EQ(dynamic.tle.fixed_length, -1);
+  const auto fixed = runtime::EngineConfig::by_name(p, "HTM-16");
+  EXPECT_EQ(fixed.mode, runtime::SyncMode::kHtm);
+  EXPECT_EQ(fixed.tle.fixed_length, 16);
+  EXPECT_EQ(runtime::EngineConfig::by_name(p, "HTM-1").tle.fixed_length, 1);
+  for (const std::string bad :
+       {"HTM-0", "HTM-x", "HTM-16x", "fine", "HTM-", "HTM--4", "gil"}) {
+    try {
+      runtime::EngineConfig::by_name(p, bad);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(RecordReplayCli, FaultAndStmFlagsRoundTripThroughToFlags) {

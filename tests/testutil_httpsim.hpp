@@ -133,4 +133,40 @@ inline ReferenceResult run_serialized_reference(
   return out;
 }
 
+/// The invariants of a sharded runner's fleet merge: the fleet counts and
+/// histogram totals are the per-shard sums, the makespan is the latest shard
+/// response, and the fleet log is format_request_log over the id-sorted
+/// union of the shard records. A template, so the in-process and cluster
+/// results are read alike.
+template <class Fleet>
+void expect_fleet_invariants(const Fleet& fleet,
+                             const std::vector<std::string>& paths) {
+  u64 completed = 0, dropped = 0, shed = 0, retries = 0;
+  u64 latency_total = 0, queue_total = 0;
+  Cycles makespan = 0;
+  std::vector<httpsim::RequestRecord> all;
+  for (const httpsim::ServerRunResult& s : fleet.shards) {
+    completed += s.completed;
+    dropped += s.dropped;
+    shed += s.shed;
+    retries += s.retries;
+    latency_total += s.latency_hist.total();
+    queue_total += s.queue_hist.total();
+    makespan = std::max(makespan, s.last_response);
+    all.insert(all.end(), s.records.begin(), s.records.end());
+  }
+  EXPECT_GT(fleet.completed, 0u);
+  EXPECT_EQ(fleet.completed, completed);
+  EXPECT_EQ(fleet.dropped, dropped);
+  EXPECT_EQ(fleet.shed, shed);
+  EXPECT_EQ(fleet.retries, retries);
+  EXPECT_EQ(fleet.makespan, makespan);
+  EXPECT_EQ(fleet.latency_hist.total(), latency_total);
+  EXPECT_EQ(fleet.queue_hist.total(), queue_total);
+  std::stable_sort(all.begin(), all.end(),
+                   [](const httpsim::RequestRecord& a,
+                      const httpsim::RequestRecord& b) { return a.id < b.id; });
+  EXPECT_EQ(fleet.request_log, httpsim::format_request_log(all, paths));
+}
+
 }  // namespace gilfree::testutil

@@ -8,7 +8,8 @@
 //                                        the stop state (time travel)
 //   ... --replay-bisect                  binary-search the first conflicting
 //                                        (guest address, source line) pair
-//   ... --replay-out=FILE                also write the replayed stream(s)
+//   ... --replay-out=FILE                also write every replayed run to
+//                                        FILE, numbered in replay order
 //
 // Exit status: 0 = replay matches the recording, 1 = divergence or failed
 // bisect confirmation, 2 = usage / malformed record file.
@@ -16,6 +17,7 @@
 #include <cstdio>
 #include <exception>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,13 +77,24 @@ int main(int argc, char** argv) {
   }
   if (runs.empty()) return fail_usage("record file has no runs: " + in);
 
+  // One recorder for the whole replay: FILE gets every replayed run, tagged
+  // in replay order.
+  obs::RecordConfig out_cfg;
+  out_cfg.path = out_path;
+  std::unique_ptr<obs::RunRecorder> out;
+  try {
+    out = std::make_unique<obs::RunRecorder>(out_cfg);
+  } catch (const std::exception& e) {
+    return fail_usage(e.what());
+  }
+
   bool all_ok = true;
   for (const obs::RecordedRun& r : runs) {
     if (run_filter >= 0 && r.run != static_cast<u32>(run_filter)) continue;
     print_scenario(r);
     try {
       const workloads::ReplayOutcome replayed = workloads::replay_run(
-          r, static_cast<u64>(until), out_path);
+          r, static_cast<u64>(until), out.get());
       if (until != 0) {
         std::printf(
             "stopped after event %llu (recorded run has %llu events)\n",
