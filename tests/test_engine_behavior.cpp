@@ -535,15 +535,45 @@ __record("count", $count)
 __record("a", $a[0] + $a[3] + $a[7])
 )";
 
-/// FNV-1a of the run's metrics document, its trace, recorded results and
-/// program output.
-std::string access_path_digest(EngineConfig cfg, const std::string& key) {
+/// A contended Mutex: lockers that find it held inside a transaction call
+/// require_nontx, whose persistent abort must go straight to the GIL.
+const char* const kContendedMutexSrc = R"(
+$m = Mutex.new
+$c = 0
+ts = []
+4.times do |i|
+  ts << Thread.new(i) do |tid|
+    200.times do |k|
+      $m.synchronize do
+        $c += 1
+      end
+    end
+  end
+end
+ts.each do |t|
+  t.join
+end
+__record("c", $c)
+)";
+
+/// One access-path run: FNV-1a of its metrics document, trace, recorded
+/// results and program output, plus the stats and trace the escalation
+/// cells check their branch against.
+struct AccessPathRun {
+  std::string digest;
+  RunStats stats;
+  std::string trace;
+};
+
+AccessPathRun access_path_run(EngineConfig cfg, const std::string& key,
+                              const char* src) {
   obs::ObsConfig oc;
   const std::string stem =
       ::testing::TempDir() + "access_golden_" +
       std::to_string(httpsim::cluster::fnv1a64(key));
   oc.metrics_path = stem + ".json";
   oc.trace_path = stem + ".jsonl";
+  AccessPathRun run;
   std::string all;
   {
     obs::Sink sink(oc);
@@ -551,21 +581,31 @@ std::string access_path_digest(EngineConfig cfg, const std::string& key) {
     cfg.heap.initial_slots = 80'000;
     cfg.max_insns = 10'000'000;
     Engine engine(std::move(cfg));
-    engine.load_program({kAccessPathSrc});
-    const RunStats stats = engine.run();
+    engine.load_program({src});
+    run.stats = engine.run();
     sink.flush();
     all = obs::metrics_to_json(sink.runs());
-    for (const auto& [k, v] : stats.results)
+    for (const auto& [k, v] : run.stats.results)
       all += k + "=" + std::to_string(v) + "\n";
-    all += stats.output;
+    all += run.stats.output;
   }
   std::ifstream trace(oc.trace_path);
   std::stringstream buf;
   buf << trace.rdbuf();
-  all += buf.str();
+  run.trace = buf.str();
+  all += run.trace;
   std::remove(oc.metrics_path.c_str());
   std::remove(oc.trace_path.c_str());
-  return std::to_string(httpsim::cluster::fnv1a64(all));
+  run.digest = std::to_string(httpsim::cluster::fnv1a64(all));
+  return run;
+}
+
+std::size_t count_of(const std::string& hay, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = hay.find(needle); at != std::string::npos;
+       at = hay.find(needle, at + needle.size()))
+    ++n;
+  return n;
 }
 
 TEST(EngineBehavior, HtmAccessPathGoldenDigests) {
@@ -585,6 +625,10 @@ TEST(EngineBehavior, HtmAccessPathGoldenDigests) {
       {"zec12/spurious", "17227743816739148674"},
       {"zec12/interrupt-storm", "9409142119595609085"},
       {"zec12/stm", "11070274524522398899"},
+      {"zec12/persistent-all", "6372413627330700372"},
+      {"zec12/persistent-all-stm-eager", "3448007796499394241"},
+      {"zec12/persistent-all-stm-lazy", "2919295267485271930"},
+      {"zec12/require-nontx", "8922652495207433859"},
   };
   const auto zec12 = htm::SystemProfile::zec12();
   const auto xeon = htm::SystemProfile::xeon_e3();
@@ -617,7 +661,57 @@ TEST(EngineBehavior, HtmAccessPathGoldenDigests) {
   stm.fault.capacity_factor = 0.15;
   engines.emplace_back("zec12/stm", stm);
   for (const auto& [key, cfg] : engines) {
-    EXPECT_EQ(access_path_digest(cfg, key), golden.at(key)) << key;
+    EXPECT_EQ(access_path_run(cfg, key, kAccessPathSrc).digest,
+              golden.at(key))
+        << key;
+  }
+
+  // The escalation branches (docs/TIERS.md § When each transition fires),
+  // each checked to fire. Persistent aborts at every yield point without
+  // the STM tier: spinners trip the spin-loop watchdog, quarantined yield
+  // points take GIL slices. A fixed length has no shrink phase, so every
+  // abort counts toward the quarantine streak.
+  EngineConfig persistent = EngineConfig::htm_fixed(zec12, 16);
+  persistent.fault.seed = 7;
+  persistent.fault.persistent_all_yps = true;
+  {
+    const AccessPathRun r =
+        access_path_run(persistent, "zec12/persistent-all", kAccessPathSrc);
+    EXPECT_EQ(r.digest, golden.at("zec12/persistent-all"));
+    EXPECT_GT(r.stats.watchdog_events, 0u);
+    EXPECT_GT(count_of(r.trace, "\"kind\":\"spin-loop\""), 0u);
+    EXPECT_GT(r.stats.quarantine_enters, 0u);
+    EXPECT_GT(r.stats.gil_fallbacks, 0u);
+  }
+  // The same with the STM tier, both subscriptions: quarantined yield
+  // points run STM slices, and overflows and retry exhaustion hand spans
+  // on to the GIL.
+  for (const auto sub : {stm::GilSubscription::kEager,
+                         stm::GilSubscription::kLazy}) {
+    EngineConfig cfg = persistent;
+    cfg.stm.enabled = true;
+    cfg.stm.subscription = sub;
+    const std::string key = std::string("zec12/persistent-all-stm-") +
+                            stm::gil_subscription_name(sub);
+    const AccessPathRun r = access_path_run(cfg, key, kAccessPathSrc);
+    EXPECT_EQ(r.digest, golden.at(key)) << key;
+    EXPECT_GT(r.stats.quarantine_enters, 0u) << key;
+    EXPECT_GT(r.stats.stm_escalations, 0u) << key;
+    EXPECT_GT(r.stats.stm.commits, 0u) << key;
+    EXPECT_GT(r.stats.stm_gil_fallbacks, 0u) << key;
+  }
+  // A restricted operation inside a transaction (a contended Mutex#lock):
+  // its require_nontx abort goes to the GIL regardless of retry budgets.
+  {
+    const AccessPathRun r = access_path_run(EngineConfig::htm_dynamic(zec12),
+                                            "zec12/require-nontx",
+                                            kContendedMutexSrc);
+    EXPECT_EQ(r.digest, golden.at("zec12/require-nontx"));
+    EXPECT_GT(r.stats.htm.aborts_by_reason[static_cast<std::size_t>(
+                  htm::AbortReason::kUnsupported)],
+              0u);
+    EXPECT_GT(r.stats.gil_fallbacks, 0u);
+    EXPECT_DOUBLE_EQ(r.stats.results.at("c"), 800.0);
   }
 }
 
