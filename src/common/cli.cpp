@@ -1,6 +1,8 @@
 #include "common/cli.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -63,10 +65,21 @@ long CliFlags::get_int(const std::string& name, long def) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(it->second.c_str(), &end, 10);
   if (it->second.empty() || end == nullptr || *end != '\0')
     fail("flag --" + name + " expects an integer, got '" + it->second + "'");
+  if (errno == ERANGE)
+    fail("flag --" + name + " is out of range: '" + it->second + "'");
   return v;
+}
+
+u32 CliFlags::get_u32(const std::string& name, u32 def, u32 min) const {
+  const long v = get_int(name, static_cast<long>(def));
+  if (v < static_cast<long>(min) || v > static_cast<long>(UINT32_MAX))
+    fail("flag --" + name + " must be in [" + std::to_string(min) + ", " +
+         std::to_string(UINT32_MAX) + "], got " + std::to_string(v));
+  return static_cast<u32>(v);
 }
 
 double CliFlags::get_double(const std::string& name, double def) const {

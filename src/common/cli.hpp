@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hpp"
+
 namespace gilfree {
 
 class CliFlags {
@@ -15,8 +17,9 @@ class CliFlags {
   /// Parses argv of the form: --name=value or bare --name (value "true").
   /// Positional arguments are collected separately.
   ///
-  /// Malformed input (single-dash flags, empty flag names, non-numeric
-  /// values handed to get_int/get_double, unknown flags at
+  /// Malformed input (single-dash flags, empty flag names, non-numeric or
+  /// out-of-range values handed to get_int/get_u32/get_double, unknown
+  /// flags at
   /// reject_unknown()) prints `error: ...` to stderr and exits with
   /// status 2 — sweep scripts fail fast. Tests construct with
   /// `throw_errors = true` to get std::invalid_argument instead.
@@ -29,6 +32,9 @@ class CliFlags {
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& def) const;
   long get_int(const std::string& name, long def) const;
+  /// An integer in [min, UINT32_MAX]; anything else is an error naming the
+  /// flag (a plain narrowing cast would wrap 2^32 to 0).
+  u32 get_u32(const std::string& name, u32 def, u32 min = 1) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
 

@@ -7,44 +7,25 @@
 
 namespace gilfree::runtime {
 
-namespace {
-
-u32 positive_u32(const CliFlags& flags, const std::string& name, u32 def) {
-  const long v = flags.get_int(name, static_cast<long>(def));
-  if (v <= 0)
-    throw std::invalid_argument("--" + name + " must be positive");
-  return static_cast<u32>(v);
-}
-
-}  // namespace
-
 void apply_gc_flags(const CliFlags& flags, vm::HeapConfig& heap) {
   heap.per_thread_arenas = flags.get_bool("gc-arena", heap.per_thread_arenas);
   heap.arena_min_segment =
-      positive_u32(flags, "gc-arena-min", heap.arena_min_segment);
+      flags.get_u32("gc-arena-min", heap.arena_min_segment);
   heap.arena_max_segment =
-      positive_u32(flags, "gc-arena-max", heap.arena_max_segment);
-  heap.arena_hot_refill_cycles = static_cast<Cycles>(positive_u32(
-      flags, "gc-arena-hot-cycles",
-      static_cast<u32>(heap.arena_hot_refill_cycles)));
-  heap.arena_idle_cycles = static_cast<Cycles>(positive_u32(
-      flags, "gc-arena-idle-cycles", static_cast<u32>(heap.arena_idle_cycles)));
+      flags.get_u32("gc-arena-max", heap.arena_max_segment);
+  heap.arena_hot_refill_cycles = flags.get_u32(
+      "gc-arena-hot-cycles", static_cast<u32>(heap.arena_hot_refill_cycles));
+  heap.arena_idle_cycles = flags.get_u32(
+      "gc-arena-idle-cycles", static_cast<u32>(heap.arena_idle_cycles));
   heap.lazy_sweep = flags.get_bool("gc-lazy-sweep", heap.lazy_sweep);
   heap.sweep_quantum_blocks =
-      positive_u32(flags, "gc-sweep-quantum", heap.sweep_quantum_blocks);
-  const long deal =
-      flags.get_int("gc-sweep-deal", static_cast<long>(heap.sweep_deal_threads));
-  if (deal < 0) throw std::invalid_argument("--gc-sweep-deal must be >= 0");
-  heap.sweep_deal_threads = static_cast<u32>(deal);
+      flags.get_u32("gc-sweep-quantum", heap.sweep_quantum_blocks);
+  heap.sweep_deal_threads =
+      flags.get_u32("gc-sweep-deal", heap.sweep_deal_threads, 0);
 
   heap.nursery = flags.get_bool("gc-nursery", heap.nursery);
-  heap.nursery_slots =
-      positive_u32(flags, "gc-nursery-slots", heap.nursery_slots);
-  const long mark_quantum = flags.get_int(
-      "gc-mark-quantum", static_cast<long>(heap.mark_quantum));
-  if (mark_quantum < 0)
-    throw std::invalid_argument("--gc-mark-quantum must be >= 0");
-  heap.mark_quantum = static_cast<u32>(mark_quantum);
+  heap.nursery_slots = flags.get_u32("gc-nursery-slots", heap.nursery_slots);
+  heap.mark_quantum = flags.get_u32("gc-mark-quantum", heap.mark_quantum, 0);
   heap.arena_steal = flags.get_bool("gc-steal", heap.arena_steal);
 
   // Mirror the Heap constructor's GILFREE_CHECKs as user-facing errors so a

@@ -5,17 +5,6 @@
 
 namespace gilfree::stm {
 
-namespace {
-
-u32 positive_u32(const CliFlags& flags, const std::string& name, u32 def) {
-  const long v = flags.get_int(name, static_cast<long>(def));
-  if (v <= 0)
-    throw std::invalid_argument("--" + name + " must be positive");
-  return static_cast<u32>(v);
-}
-
-}  // namespace
-
 StmConfig StmConfig::from_flags(const CliFlags& flags) {
   StmConfig c;
   c.enabled = flags.get_bool("stm", c.enabled);
@@ -27,12 +16,11 @@ StmConfig StmConfig::from_flags(const CliFlags& flags) {
   } else {
     throw std::invalid_argument("--gil-subscription must be eager or lazy");
   }
-  c.commit_retry_max = positive_u32(flags, "stm-commit-retry",
-                                    c.commit_retry_max);
-  c.slice_yields = positive_u32(flags, "stm-slice-yields", c.slice_yields);
-  c.max_read_lines = positive_u32(flags, "stm-max-read", c.max_read_lines);
+  c.commit_retry_max = flags.get_u32("stm-commit-retry", c.commit_retry_max);
+  c.slice_yields = flags.get_u32("stm-slice-yields", c.slice_yields);
+  c.max_read_lines = flags.get_u32("stm-max-read", c.max_read_lines);
   c.max_write_entries =
-      positive_u32(flags, "stm-max-write", c.max_write_entries);
+      flags.get_u32("stm-max-write", c.max_write_entries);
   return c;
 }
 

@@ -518,6 +518,12 @@ TEST(StmCli, EveryNewFlagRejectsBadValues) {
   expect_rejected("--stm-slice-yields=0");
   expect_rejected("--stm-max-read=0");
   expect_rejected("--stm-max-write=0");
+  // Values past u32 were once narrowed: 2^32 read lines became 0.
+  expect_rejected("--stm-max-read=4294967296");
+  expect_rejected("--stm-max-write=4294967296");
+  expect_rejected("--stm-slice-yields=4294967296");
+  expect_rejected("--stm-commit-retry=4294967296");
+  expect_rejected("--stm-commit-retry=99999999999999999999");
   // The bool flag --stm follows the CliFlags convention: false/0/no mean
   // false, anything else true — same as every other bool flag in the repo,
   // so no strictness test for it.
