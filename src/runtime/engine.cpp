@@ -131,6 +131,9 @@ EngineConfig EngineConfig::by_name(htm::SystemProfile p,
 
 Engine::Engine(EngineConfig config)
     : config_(std::move(config)),
+      tier_policy_(config_.mode == SyncMode::kHtm && config_.stm.enabled,
+                   config_.stm.subscription == stm::GilSubscription::kEager,
+                   config_.stm.commit_retry_max),
       rng_(config_.seed),
       backoff_rng_(config_.seed ^ 0xbacc0ffbacc0ffULL) {
   machine_ = std::make_unique<sim::Machine>(config_.profile.machine);
@@ -160,10 +163,8 @@ Engine::Engine(EngineConfig config)
       htm_->set_fault_injector(fault_.get());
     }
     if (config_.stm.enabled) {
-      // Both tiers conflict on the same line granularity, and the length
-      // table routes quarantined slices to the STM tier instead of the GIL.
+      // Both tiers conflict on the same line granularity.
       config_.stm.line_bytes = config_.profile.htm.line_bytes;
-      config_.tle.stm_tier = true;
       stm_ = std::make_unique<stm::StmEngine>(config_.stm, &gspace_,
                                               htm_.get());
       htm_->set_write_listener(stm_.get());
@@ -602,8 +603,8 @@ void Engine::gil_release_and_handoff(SchedThread& st) {
   const Cycles waited_until = machine_->clock(next.cpu);
   const Cycles waited = waited_until > since ? waited_until - since : 0;
   next.breakdown.gil_wait += waited;
-  next.watchdog_abort_streak = 0;  // the hand-off itself is forced progress
-  if (config_.watchdog.enabled && waited > config_.watchdog.gil_wait_budget) {
+  next.tier.on_progress();  // the hand-off itself is forced progress
+  if (waited > tle::kGilWaitBudget) {
     report_watchdog(next, obs::WatchdogKind::kGilWait);
   }
   charge_bucket(next, Bucket::kGilHeld,
@@ -644,7 +645,6 @@ void Engine::step_htm_mode(SchedThread& st, int& fuel) {
           !st.holds_gil && st.pending_begin_yp < -1 && !st.vm->finished()) {
         // Completed: resume transactional execution at the next insn.
         st.pending_begin_yp = -1;
-        st.pending_spin = false;
       }
       return;
     }
@@ -656,35 +656,11 @@ void Engine::step_htm_mode(SchedThread& st, int& fuel) {
     const i32 yp = st.pending_begin_yp;
     st.pending_begin_yp = -2;
     if (st.pending_spin) {
-      // spin_and_gil_acquire (Fig. 1 lines 40-45) spins *until the GIL is
-      // released*, then the caller retries transactionally. Waking with the
-      // GIL still held means we keep spinning — blocking acquisition happens
-      // only when the abort path exhausts its retries.
-      if (st.holds_gil) {  // handed the GIL while parked
-        st.pending_spin = false;
-        st.watchdog_spin_streak = 0;
-        return;
-      }
-      if (gil_->is_acquired()) {
-        // Starvation watchdog: a releaser that never lets go (or a hand-off
-        // chain that keeps skipping us) would spin here forever. Force a
-        // blocking acquisition — the wait queue guarantees a hand-off.
-        if (config_.watchdog.enabled &&
-            ++st.watchdog_spin_streak >= config_.watchdog.spin_streak_budget) {
-          st.watchdog_spin_streak = 0;
-          report_watchdog(st, obs::WatchdogKind::kSpinLoop);
-          st.pending_spin = false;
-          (void)gil_try_acquire_or_enqueue(st);
-          return;
-        }
-        st.pending_begin_yp = yp;
-        park(st, config_.tle.spin_wait_cycles, /*is_io=*/false);
-        return;
-      }
       st.pending_spin = false;
-      st.watchdog_spin_streak = 0;
-      st.skip_yield_once = true;
-      (void)attempt_tx(st);
+      const tle::GilView gil = st.holds_gil        ? tle::GilView::kOwn
+                               : gil_->is_acquired() ? tle::GilView::kHeld
+                                                     : tle::GilView::kFree;
+      run_tier_step(st, tier_policy_.on_spin_wake(st.tier, gil));
       return;
     }
     transaction_begin(st, yp);
@@ -786,71 +762,42 @@ void Engine::transaction_begin(SchedThread& st, i32 yp) {
 
   // Fig. 1 lines 2-3: single-threaded execution keeps the GIL.
   if (count_live_threads() <= 1) {
-    if (!st.holds_gil) {
-      if (!gil_try_acquire_or_enqueue(st)) {
-        st.pending_begin_yp = yp;  // re-begin once the GIL arrives
-      }
-    }
+    // Re-begin once the GIL arrives.
+    if (!gil_try_acquire_or_enqueue(st)) st.pending_begin_yp = yp;
     return;
   }
 
   st.tx_yp = yp;
 
   // Quarantine circuit breaker (docs/ROBUSTNESS.md): a yield point that
-  // keeps aborting at minimum length is routed straight to the GIL for a
-  // long slice; recovery probes re-try HTM on an exponential backoff.
-  const tle::Route route = length_table_->begin_route(yp);
-  if (route == tle::Route::kStm) {
-    // Quarantined with the STM tier on: run the slice as a software
-    // transaction instead of serializing on the GIL (docs/TIERS.md).
-    st.stm_retry_counter = static_cast<i32>(config_.stm.commit_retry_max);
-    stm_begin(st, yp, /*entering=*/true);
-    return;
-  }
-  if (route == tle::Route::kGil) {
-    ensure_cpu_tx_free(st.cpu, st.vm->tid());
-    // The slice deadline is armed once the GIL actually arrives (the
+  // keeps aborting at minimum length runs a long slice on the STM tier or
+  // the GIL; recovery probes re-try HTM on an exponential backoff.
+  const tle::BreakerRoute route = length_table_->begin_route(yp);
+  if (route == tle::BreakerRoute::kOpen) {
+    const tle::TierDecision d = tier_policy_.on_quarantined_begin(st.tier);
+    // A GIL slice's deadline is armed once the GIL actually arrives (the
     // thread may sit in the hand-off queue first).
-    st.quarantine_slice_pending = true;
-    (void)gil_try_acquire_or_enqueue(st);
+    if (d.step == tle::TierStep::kGil) st.quarantine_slice_pending = true;
+    run_tier_step(st, d);
     return;
   }
 
   // Fig. 1 line 5 (+ Fig. 3): runs once per begin, not per retry.
-  if (route == tle::Route::kProbe) {
-    // Minimum-footprint probe; one shot, back to the GIL on any abort.
-    st.tx_length = config_.tle.min_length;
-    st.transient_retry_counter = 1;
-    if (emitting_) {
-      emit({.kind = EventKind::kQuarantineProbe, .t = now_of(st.cpu),
-            .tid = st.vm->tid(), .cpu = st.cpu, .yp = yp});
-    }
-  } else {
-    st.tx_length = length_table_->set_transaction_length(yp);
-    st.transient_retry_counter = config_.tle.transient_retry_max;
+  // A recovery probe is a minimum-footprint attempt.
+  const bool probe = route == tle::BreakerRoute::kProbe;
+  st.tx_length = probe ? config_.tle.min_length
+                       : length_table_->set_transaction_length(yp);
+  if (probe && emitting_) {
+    emit({.kind = EventKind::kQuarantineProbe, .t = now_of(st.cpu),
+          .tid = st.vm->tid(), .cpu = st.cpu, .yp = yp});
   }
-  st.gil_retry_counter = config_.tle.gil_retry_max;
-  st.first_retry = true;
   // Publish the planned length to the thread structure (Fig. 2 line 10's
   // counter). Non-transactional store; false-shares when TCBs are packed.
   ensure_cpu_tx_free(st.cpu, st.vm->tid());
-  if (htm_) {
-    htm_->nontx_store(st.cpu, heap_->tcb_slot(st.vm->tid(),
-                                              vm::kTcbYieldCounter),
-                      st.tx_length);
-  } else {
-    *heap_->tcb_slot(st.vm->tid(), vm::kTcbYieldCounter) = st.tx_length;
-  }
-
-  // Fig. 1 lines 6-8: optimization — wait for a GIL release before TBEGIN.
-  if (gil_->is_acquired()) {
-    st.pending_begin_yp = yp;
-    st.pending_spin = true;
-    park(st, config_.tle.spin_wait_cycles, /*is_io=*/false);
-    return;
-  }
-
-  (void)attempt_tx(st);
+  htm_->nontx_store(st.cpu, heap_->tcb_slot(st.vm->tid(), vm::kTcbYieldCounter),
+                    st.tx_length);
+  run_tier_step(st, tier_policy_.on_begin(st.tier, probe,
+                                          gil_->is_acquired()));
 }
 
 bool Engine::attempt_tx(SchedThread& st) {
@@ -904,7 +851,7 @@ bool Engine::attempt_tx(SchedThread& st) {
 void Engine::transaction_end(SchedThread& st) {
   // Fig. 2 lines 1-4.
   if (st.holds_gil) {
-    st.watchdog_abort_streak = 0;  // a completed GIL slice is progress
+    st.tier.on_progress();  // a completed GIL slice is progress
     gil_release_and_handoff(st);
     return;
   }
@@ -920,7 +867,7 @@ void Engine::transaction_end(SchedThread& st) {
     cpu_tx_tid_[st.cpu] = -1;
   st.breakdown.tx_success += st.tx_pending_cycles;
   st.tx_pending_cycles = 0;
-  st.watchdog_abort_streak = 0;
+  st.tier.on_progress();
   if (emitting_) {
     emit({.kind = EventKind::kTxCommit, .t = now_of(st.cpu),
           .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp,
@@ -992,9 +939,9 @@ void Engine::handle_abort(SchedThread& st, AbortReason reason) {
   machine_->advance(st.cpu, config_.profile.machine.cost.abort_penalty);
   st.tx_pending_cycles = 0;
 
-  // Fig. 1 lines 17-20: adjust on the first retry only.
-  if (st.first_retry) {
-    st.first_retry = false;
+  const tle::TierDecision d =
+      tier_policy_.on_htm_abort(st.tier, reason, gil_->is_acquired());
+  if (d.adjust_length) {
     const tle::AdjustOutcome adj =
         length_table_->adjust_transaction_length(st.tx_yp);
     if (adj.entered_quarantine && emitting_) {
@@ -1002,94 +949,53 @@ void Engine::handle_abort(SchedThread& st, AbortReason reason) {
             .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp});
     }
   }
+  run_tier_step(st, d);
+}
 
-  // Starvation watchdog: a thread stuck in an abort loop (every retry and
-  // fallback path below can, pathologically, abort again before making
-  // progress) is forced onto the GIL, which guarantees a slice.
-  if (config_.watchdog.enabled &&
-      ++st.watchdog_abort_streak >= config_.watchdog.abort_streak_budget) {
-    st.watchdog_abort_streak = 0;
-    report_watchdog(st, obs::WatchdogKind::kAbortLoop);
-    st.force_gil = false;
-    (void)gil_try_acquire_or_enqueue(st);
-    return;
-  }
-
-  // A require_nontx abort must reach the GIL regardless of retry counters.
-  if (st.force_gil) {
-    st.force_gil = false;
-    (void)gil_try_acquire_or_enqueue(st);
-    return;
-  }
-
-  // Fig. 1 lines 21-27: conflict at the GIL.
-  if (gil_->is_acquired()) {
-    --st.gil_retry_counter;
-    if (st.gil_retry_counter > 0) {
-      // spin_and_gil_acquire: wait a little; retry transactionally if the
-      // GIL got released, else fall through to a blocking acquisition.
-      st.pending_begin_yp = st.tx_yp;
-      st.pending_spin = true;
-      park(st, config_.tle.spin_wait_cycles, /*is_io=*/false);
-      return;
-    }
-    (void)gil_try_acquire_or_enqueue(st);
-    return;
-  }
-
-  // Anti-lemming: the transaction died on the GIL word, but the GIL is free
-  // again — the lock-holder it collided with is gone. Retry immediately
-  // without burning transient budget instead of following it into the
-  // fallback (the watchdog above bounds the pathological case).
-  if (config_.tle.anti_lemming && reason == AbortReason::kExplicit) {
-    (void)attempt_tx(st);
-    return;
-  }
-
-  // Fig. 1 lines 28-29 — except that with the STM tier enabled, a
-  // persistent abort escalates to a software transaction first
-  // (HTM → STM → GIL, docs/TIERS.md).
-  if (htm::is_persistent(reason)) {
-    if (stm_) {
-      st.stm_retry_counter = static_cast<i32>(config_.stm.commit_retry_max);
-      stm_begin(st, st.tx_yp, /*entering=*/true);
-      return;
-    }
-    (void)gil_try_acquire_or_enqueue(st);
-    return;
-  }
-
-  // Fig. 1 lines 31-35: transient retry.
-  --st.transient_retry_counter;
-  if (st.transient_retry_counter > 0) {
-    if (config_.tle.anti_lemming) {
-      // Randomized (seeded) exponential backoff de-synchronizes the retry
-      // convoy: conflicting peers re-arrive spread out instead of in
-      // lockstep.
-      const u32 attempt = static_cast<u32>(std::max<i32>(
-          1, config_.tle.transient_retry_max - st.transient_retry_counter));
-      const double jitter = 0.5 + backoff_rng_.next_double();
-      const Cycles delay = static_cast<Cycles>(
-          static_cast<double>(config_.tle.transient_backoff_base
-                              << std::min<u32>(attempt - 1, 16)) *
-          jitter);
+void Engine::run_tier_step(SchedThread& st, const tle::TierDecision& d,
+                           bool leaving_stm) {
+  switch (d.step) {
+    case tle::TierStep::kBackoffRetryHtm:
       // Burn the delay on this CPU without leaving the scheduler slot: a
       // park here would turn the jittered wake time into a scheduling
-      // decision and make the event order timing-sensitive.
-      st.breakdown.tx_aborted += machine_->advance(st.cpu, delay);
+      // decision and make the event order timing-sensitive. The jitter has
+      // its own RNG stream, so Kernel#rand is unaffected.
+      st.breakdown.tx_aborted += machine_->advance(
+          st.cpu, tle::TierPolicy::backoff_delay(d.backoff_attempt,
+                                                 backoff_rng_.next_double()));
+      [[fallthrough]];
+    case tle::TierStep::kRetryHtm:
+      // Execution resumes at the yield-point instruction whose yield was
+      // already consumed.
+      st.skip_yield_once = true;
       (void)attempt_tx(st);
       return;
-    }
-    (void)attempt_tx(st);
-    return;
+    case tle::TierStep::kSpin:
+      st.pending_begin_yp = st.tx_yp;
+      st.pending_spin = true;
+      park(st, tle::kSpinWaitCycles, /*is_io=*/false);
+      return;
+    case tle::TierStep::kEnterStm:
+      stm_begin(st, st.tx_yp, /*entering=*/true);
+      return;
+    case tle::TierStep::kRetryStm:
+      stm_begin(st, st.tx_yp, /*entering=*/false);
+      return;
+    case tle::TierStep::kWatchdogGil:
+      report_watchdog(st, d.watchdog);
+      [[fallthrough]];
+    case tle::TierStep::kGil:
+      if (leaving_stm) {
+        ++stm_gil_fallbacks_;
+        if (emitting_) {
+          emit({.kind = EventKind::kTier, .t = now_of(st.cpu),
+                .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp,
+                .detail = static_cast<u8>(obs::TierTransition::kStmToGil)});
+        }
+      }
+      if (!st.holds_gil) (void)gil_try_acquire_or_enqueue(st);
+      return;
   }
-  // Transient retries exhausted: same escalation as the persistent path.
-  if (stm_) {
-    st.stm_retry_counter = static_cast<i32>(config_.stm.commit_retry_max);
-    stm_begin(st, st.tx_yp, /*entering=*/true);
-    return;
-  }
-  (void)gil_try_acquire_or_enqueue(st);
 }
 
 // ---------------------------------------------------------------------------
@@ -1126,7 +1032,7 @@ void Engine::stm_begin(SchedThread& st, i32 yp, bool entering) {
   if ((config_.stm.subscription == stm::GilSubscription::kEager &&
        gil_->is_acquired()) ||
       !stm_->can_begin()) {
-    stm_to_gil(st);
+    run_tier_step(st, {.step = tle::TierStep::kGil}, /*leaving_stm=*/true);
     return;
   }
 
@@ -1180,7 +1086,7 @@ void Engine::stm_end(SchedThread& st) {
   st.in_stm = false;
   st.breakdown.stm_work += st.stm_pending_cycles;
   st.stm_pending_cycles = 0;
-  st.watchdog_abort_streak = 0;
+  st.tier.on_progress();
   if (emitting_) {
     emit({.kind = EventKind::kStmCommit, .t = now_of(st.cpu),
           .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp});
@@ -1212,50 +1118,8 @@ void Engine::handle_stm_abort(SchedThread& st, stm::StmAbortCause cause) {
   st.stm_pending_cycles = 0;
   sync_fastpath();
 
-  // The cross-tier starvation watchdog also covers STM abort loops.
-  if (config_.watchdog.enabled &&
-      ++st.watchdog_abort_streak >= config_.watchdog.abort_streak_budget) {
-    st.watchdog_abort_streak = 0;
-    report_watchdog(st, obs::WatchdogKind::kAbortLoop);
-    st.force_gil = false;
-    stm_to_gil(st);
-    return;
-  }
-
-  // require_nontx and capacity overflows cannot succeed on a retry at this
-  // tier; only the GIL can run them.
-  if (st.force_gil || cause == stm::StmAbortCause::kUnsupported ||
-      cause == stm::StmAbortCause::kOverflowRead ||
-      cause == stm::StmAbortCause::kOverflowWrite) {
-    st.force_gil = false;
-    stm_to_gil(st);
-    return;
-  }
-
-  // Eager subscription: a GIL acquisition doomed us and the holder is still
-  // running — retrying before it releases would just be doomed again.
-  if (cause == stm::StmAbortCause::kGilSubscription &&
-      config_.stm.subscription == stm::GilSubscription::kEager) {
-    stm_to_gil(st);
-    return;
-  }
-
-  --st.stm_retry_counter;
-  if (st.stm_retry_counter > 0) {
-    stm_begin(st, st.tx_yp, /*entering=*/false);
-    return;
-  }
-  stm_to_gil(st);
-}
-
-void Engine::stm_to_gil(SchedThread& st) {
-  ++stm_gil_fallbacks_;
-  if (emitting_) {
-    emit({.kind = EventKind::kTier, .t = now_of(st.cpu),
-          .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp,
-          .detail = static_cast<u8>(obs::TierTransition::kStmToGil)});
-  }
-  (void)gil_try_acquire_or_enqueue(st);
+  run_tier_step(st, tier_policy_.on_stm_abort(st.tier, cause),
+                /*leaving_stm=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -1578,7 +1442,7 @@ void Engine::require_nontx() {
   if (stm_ && st.in_stm) {
     // Same contract as the HTM path below, one tier down: only the GIL can
     // run restricted operations.
-    st.force_gil = true;
+    st.tier.force_gil = true;
     stm_->abort(st.vm->tid(), stm::StmAbortCause::kUnsupported);
     return;  // unreachable: abort throws
   }
@@ -1586,7 +1450,7 @@ void Engine::require_nontx() {
   // Restricted operation inside a transaction: persistent abort, and the
   // retry must go straight to the GIL (a transactional retry would hit the
   // same instruction again).
-  st.force_gil = true;
+  st.tier.force_gil = true;
   htm_->tx_abort(st.cpu, AbortReason::kUnsupported);
   throw TxAbort{AbortReason::kUnsupported};
 }

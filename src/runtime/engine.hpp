@@ -27,6 +27,7 @@
 #include "sim/machine.hpp"
 #include "stm/stm.hpp"
 #include "tle/length_table.hpp"
+#include "tle/tier_policy.hpp"
 #include "vm/class_registry.hpp"
 #include "vm/compiler.hpp"
 #include "vm/heap.hpp"
@@ -180,14 +181,10 @@ class Engine final : public vm::Host, public fault::FaultListener {
     vm::ThreadRegs tx_snapshot;
     i32 tx_yp = -1;
     u32 tx_length = 0;
-    i32 transient_retry_counter = 0;
-    i32 gil_retry_counter = 0;
-    bool first_retry = true;
-    bool force_gil = false;      ///< require_nontx aborted: go straight to GIL.
+    tle::TierState tier;         ///< Retry budgets and watchdog streaks.
     i32 pending_begin_yp = -2;   ///< >= -1: a transaction_begin is pending.
-    bool pending_spin = false;   ///< Pending begin is a spin_and_gil_acquire
-                                 ///< retry: on wake, TBEGIN if the GIL got
-                                 ///< released, else acquire it.
+    bool pending_spin = false;   ///< Pending begin is a spin wake
+                                 ///< (TierPolicy::on_spin_wake).
     bool resume_nontx = false;  ///< Woken from a blocking-builtin park (HTM
                                 ///< mode): re-execute the instruction
                                 ///< outside both tx and GIL, like CRuby's
@@ -214,12 +211,6 @@ class Engine final : public vm::Host, public fault::FaultListener {
     // no stm analogue of tx_vanished.
     bool in_stm = false;
     u32 stm_yields_left = 0;     ///< Yield points left in the current slice.
-    i32 stm_retry_counter = 0;   ///< STM attempts left before tier 3 (GIL).
-
-    // Starvation watchdog streaks (reset on any completed transaction or
-    // GIL slice).
-    u32 watchdog_abort_streak = 0;
-    u32 watchdog_spin_streak = 0;
 
     CycleBreakdown breakdown;
     Cycles tx_pending_cycles = 0;  ///< Work since TBEGIN, bucketed at commit.
@@ -255,6 +246,10 @@ class Engine final : public vm::Host, public fault::FaultListener {
   void transaction_end(SchedThread& st);
   void transaction_yield(SchedThread& st, i32 yp);
   void handle_abort(SchedThread& st, htm::AbortReason reason);
+  /// Carries out a tle::TierPolicy decision. `leaving_stm`: the GIL steps
+  /// are an STM → GIL tier transition.
+  void run_tier_step(SchedThread& st, const tle::TierDecision& d,
+                     bool leaving_stm = false);
 
   // Tier-2 software-transaction fallback (docs/TIERS.md). `entering` marks
   // a fresh HTM → STM escalation (tier event + counter) as opposed to an
@@ -263,7 +258,6 @@ class Engine final : public vm::Host, public fault::FaultListener {
   void stm_end(SchedThread& st);
   void stm_yield(SchedThread& st, i32 yp);
   void handle_stm_abort(SchedThread& st, stm::StmAbortCause cause);
-  void stm_to_gil(SchedThread& st);
   void park(SchedThread& st, Cycles delay, bool is_io);
   void unpark(SchedThread& st);
 
@@ -349,6 +343,7 @@ class Engine final : public vm::Host, public fault::FaultListener {
   /// config_.stm.enabled (docs/TIERS.md).
   std::unique_ptr<stm::StmEngine> stm_;
   std::unique_ptr<tle::LengthTable> length_table_;
+  tle::TierPolicy tier_policy_;
   /// Flight recorder + metrics aggregator; null unless config_.obs_sink is
   /// set. Fed every trace event through emit(); drained into the sink at
   /// the end of run().

@@ -39,21 +39,6 @@ constexpr std::string_view sync_mode_name(SyncMode m) {
   return "?";
 }
 
-/// Starvation watchdog (docs/ROBUSTNESS.md): converts unbounded abort/spin
-/// loops and pathological GIL waits into forced progress plus structured
-/// `watchdog` trace events. Budgets are sized so healthy runs never trip.
-struct WatchdogConfig {
-  bool enabled = true;
-  /// Consecutive handle_abort calls without a completed transaction or GIL
-  /// slice before the thread is forced onto the GIL.
-  u32 abort_streak_budget = 64;
-  /// Consecutive spin_and_gil_acquire rounds before a blocking acquisition.
-  u32 spin_streak_budget = 256;
-  /// A single GIL wait longer than this is reported (the hand-off itself is
-  /// the forced progress).
-  Cycles gil_wait_budget = 50'000'000;
-};
-
 struct EngineConfig {
   SyncMode mode = SyncMode::kHtm;
   htm::SystemProfile profile = htm::SystemProfile::zec12();
@@ -68,7 +53,6 @@ struct EngineConfig {
   /// its escalation paths HTM → STM → GIL — only when stm.enabled is set,
   /// so default-configuration runs are byte-identical to an STM-less build.
   stm::StmConfig stm;
-  WatchdogConfig watchdog;
   u64 seed = 0x6112024;
 
   /// Multi-engine sharding (httpsim): this engine's shard id and the total

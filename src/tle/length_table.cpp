@@ -94,19 +94,11 @@ AdjustOutcome LengthTable::adjust_transaction_length(i32 yp) {
   return out;
 }
 
-Route LengthTable::begin_route(i32 yp) {
-  if (!config_.quarantine_enabled) return Route::kHtm;
-  const u32 i = index(yp);
-  switch (breaker_[i].route()) {
-    case BreakerRoute::kClosed:
-      return Route::kHtm;
-    case BreakerRoute::kOpen:
-      return config_.stm_tier ? Route::kStm : Route::kGil;
-    case BreakerRoute::kProbe:
-      ++quarantine_probes_;
-      return Route::kProbe;
-  }
-  return Route::kHtm;
+BreakerRoute LengthTable::begin_route(i32 yp) {
+  if (!config_.quarantine_enabled) return BreakerRoute::kClosed;
+  const BreakerRoute route = breaker_[index(yp)].route();
+  if (route == BreakerRoute::kProbe) ++quarantine_probes_;
+  return route;
 }
 
 bool LengthTable::on_commit(i32 yp) {

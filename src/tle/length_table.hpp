@@ -14,7 +14,8 @@
 // On top of Fig. 3 the table implements a per-yield-point *quarantine*
 // (circuit breaker, docs/ROBUSTNESS.md): a yield point that keeps aborting
 // with no intervening commit even at its minimum transaction length is
-// routed straight to the GIL, and HTM is re-probed with exponential backoff.
+// routed off HTM (to the GIL, or to the STM tier when it is on), and HTM is
+// re-probed with exponential backoff.
 // A successful probe resets the yield point's Fig. 3 entry so the length
 // re-learns from scratch.
 #pragma once
@@ -27,15 +28,6 @@
 #include "tle/tle_config.hpp"
 
 namespace gilfree::tle {
-
-/// Where a transaction about to start at a yield point should go.
-enum class Route : u8 {
-  kHtm,    ///< Normal transactional attempt.
-  kGil,    ///< Quarantined: take the GIL for one slice, no TBEGIN.
-  kStm,    ///< Quarantined with the STM tier enabled: run the slice as a
-           ///< software transaction instead of serializing (docs/TIERS.md).
-  kProbe,  ///< Quarantined, probe due: one minimum-length HTM attempt.
-};
 
 /// What adjust_transaction_length observed (beyond the Fig. 3 shrink).
 struct AdjustOutcome {
@@ -62,11 +54,11 @@ class LengthTable {
   /// probe doubles the probe backoff.
   AdjustOutcome adjust_transaction_length(i32 yp);
 
-  /// Consulted before every transaction begin: kHtm for healthy yield
-  /// points; quarantined ones alternate kGil (or, with the STM tier
-  /// enabled, kStm) slices with kProbe attempts on the exponential-backoff
-  /// schedule.
-  Route begin_route(i32 yp);
+  /// Consulted before every transaction begin: kClosed (HTM) for healthy
+  /// yield points; quarantined ones alternate kOpen slices, which TierPolicy
+  /// sends to the STM tier or the GIL, with minimum-length kProbe HTM
+  /// attempts on the exponential-backoff schedule.
+  BreakerRoute begin_route(i32 yp);
 
   /// Called on every successful commit at `yp`. Resets the abort streak;
   /// a committing recovery probe leaves quarantine (the Fig. 3 entry

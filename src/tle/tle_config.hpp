@@ -1,5 +1,6 @@
-// Constants of the TLE algorithm and the dynamic transaction-length
-// adjustment, with the paper's values (§5.1) as defaults.
+// Settings of the dynamic transaction-length adjustment (Fig. 3) and the
+// yield-point quarantine, with the paper's values (§5.1) as defaults. The
+// retry budgets of Fig. 1 are constants of tle::TierPolicy.
 #pragma once
 
 #include "common/types.hpp"
@@ -7,16 +8,6 @@
 namespace gilfree::tle {
 
 struct TleConfig {
-  /// Retries on transient aborts before falling back to the GIL (Fig. 1
-  /// lines 31-35). "It was unlikely that a transaction would ever succeed
-  /// after 3-or-more consecutive transient aborts."
-  i32 transient_retry_max = 3;
-
-  /// Spin-then-retry rounds while the GIL is held before forcibly acquiring
-  /// it (Fig. 1 lines 21-27). "A thread should wait more patiently for the
-  /// GIL release."
-  i32 gil_retry_max = 16;
-
   /// Fixed transaction length (HTM-1 / HTM-16 / HTM-256 configurations);
   /// -1 selects the dynamic adjustment (HTM-dynamic).
   i32 fixed_length = -1;
@@ -28,14 +19,11 @@ struct TleConfig {
   double attenuation_rate = 0.75;
   u32 min_length = 1;
 
-  /// Cycles spent spinning per round while waiting for a GIL release
-  /// (spin_and_gil_acquire, Fig. 1 lines 40-45).
-  Cycles spin_wait_cycles = 400;
-
   // --- Yield-point quarantine (circuit breaker; docs/ROBUSTNESS.md) -------
   /// When a yield point keeps aborting even at its minimum transaction
-  /// length, route it straight to the GIL instead of burning retry cycles,
-  /// and probe HTM again with exponential backoff.
+  /// length, route its slices off HTM (to the GIL, or to the STM tier)
+  /// instead of burning retry cycles, and probe HTM again with exponential
+  /// backoff.
   bool quarantine_enabled = true;
   /// Consecutive aborted transactions (no intervening commit) at the floor
   /// length that trip the breaker.
@@ -44,11 +32,6 @@ struct TleConfig {
   /// per failed probe up to `probe_max`.
   u32 quarantine_probe_initial = 4;
   u32 quarantine_probe_max = 64;
-  /// Route quarantined slices to the tier-2 software-transaction engine
-  /// instead of the GIL (docs/TIERS.md). Stamped by the runtime from
-  /// StmConfig::enabled; recovery probes still go to HTM on the same
-  /// backoff schedule either way.
-  bool stm_tier = false;
 
   /// Original-yield-point checks per GIL slice while quarantined.
   /// Quarantined slices run like the stock GIL interpreter — original yield
@@ -58,14 +41,6 @@ struct TleConfig {
   /// boundaries, and the trace events they emit, stay independent of host
   /// allocation addresses.
   u32 quarantine_slice_yields = 3000;
-
-  // --- Anti-lemming retry (docs/ROBUSTNESS.md) -----------------------------
-  /// Avoid retry convoys: a GIL-word abort whose GIL is already free again
-  /// retries without burning transient budget, and transient retries back
-  /// off for a randomized (seeded) exponentially growing delay instead of
-  /// retrying in lockstep.
-  bool anti_lemming = true;
-  Cycles transient_backoff_base = 150;
 };
 
 }  // namespace gilfree::tle

@@ -1,13 +1,17 @@
-// TLE algorithm tests: the Fig. 3 length table in isolation, the Gil class,
-// the sim machine, and engine-level TLE semantics (single-thread GIL
+// TLE algorithm tests: the Fig. 3 length table in isolation, the tier
+// policy's transitions as a table, the Gil class, the sim machine, and
+// engine-level TLE semantics (single-thread GIL
 // reversion, transaction counts vs configured lengths, dynamic shrinkage
 // under conflicts, atomicity as a property over engines).
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "gil/gil.hpp"
 #include "runtime/engine.hpp"
 #include "sim/machine.hpp"
 #include "tle/length_table.hpp"
+#include "tle/tier_policy.hpp"
 
 namespace gilfree {
 namespace {
@@ -116,7 +120,7 @@ TEST(Quarantine, FloorAbortStreakTripsTheBreaker) {
   EXPECT_FALSE(t.quarantined(1)) << "quarantine is per yield point";
   EXPECT_EQ(t.quarantine_enters(), 1u);
   EXPECT_EQ(t.quarantine_enters_at(0), 1u);
-  EXPECT_EQ(t.begin_route(1), tle::Route::kHtm);
+  EXPECT_EQ(t.begin_route(1), tle::BreakerRoute::kClosed);
 }
 
 TEST(Quarantine, CommitResetsTheAbortStreak) {
@@ -132,17 +136,17 @@ TEST(Quarantine, ProbesOnExponentialBackoffAndExitsOnCommit) {
   ASSERT_TRUE(abort_n(t, 0, 6));
 
   // probe_initial = 2 GIL slices, then one minimum-length HTM probe.
-  EXPECT_EQ(t.begin_route(0), tle::Route::kGil);
-  EXPECT_EQ(t.begin_route(0), tle::Route::kGil);
-  EXPECT_EQ(t.begin_route(0), tle::Route::kProbe);
+  EXPECT_EQ(t.begin_route(0), tle::BreakerRoute::kOpen);
+  EXPECT_EQ(t.begin_route(0), tle::BreakerRoute::kOpen);
+  EXPECT_EQ(t.begin_route(0), tle::BreakerRoute::kProbe);
   EXPECT_EQ(t.quarantine_probes(), 1u);
 
   // The probe aborts: backoff doubles to 4, then 8, then caps at 8.
   for (const int gap : {4, 8, 8}) {
     EXPECT_TRUE(t.adjust_transaction_length(0).probe_failed);
     for (int i = 0; i < gap; ++i)
-      EXPECT_EQ(t.begin_route(0), tle::Route::kGil) << "gap " << gap;
-    EXPECT_EQ(t.begin_route(0), tle::Route::kProbe);
+      EXPECT_EQ(t.begin_route(0), tle::BreakerRoute::kOpen) << "gap " << gap;
+    EXPECT_EQ(t.begin_route(0), tle::BreakerRoute::kProbe);
   }
 
   // A committing probe leaves quarantine.
@@ -150,7 +154,7 @@ TEST(Quarantine, ProbesOnExponentialBackoffAndExitsOnCommit) {
   EXPECT_FALSE(t.quarantined(0));
   EXPECT_EQ(t.quarantine_exits(), 1u);
   EXPECT_EQ(t.quarantine_exits_at(0), 1u);
-  EXPECT_EQ(t.begin_route(0), tle::Route::kHtm);
+  EXPECT_EQ(t.begin_route(0), tle::BreakerRoute::kClosed);
 }
 
 TEST(Quarantine, ExitRestartsTheLengthEntryFromScratch) {
@@ -166,8 +170,8 @@ TEST(Quarantine, ExitRestartsTheLengthEntryFromScratch) {
   }
   ASSERT_TRUE(t.quarantined(0));
   EXPECT_EQ(t.length(0), 1u);
-  EXPECT_EQ(t.begin_route(0), tle::Route::kGil);
-  EXPECT_EQ(t.begin_route(0), tle::Route::kProbe);
+  EXPECT_EQ(t.begin_route(0), tle::BreakerRoute::kOpen);
+  EXPECT_EQ(t.begin_route(0), tle::BreakerRoute::kProbe);
   ASSERT_TRUE(t.on_commit(0));
   EXPECT_EQ(t.set_transaction_length(0), 255u)
       << "the length re-learns from INITIAL_TRANSACTION_LENGTH after exit";
@@ -178,8 +182,419 @@ TEST(Quarantine, DisabledConfigNeverRoutesAwayFromHtm) {
   cfg.quarantine_enabled = false;
   tle::LengthTable t(2, cfg);
   EXPECT_FALSE(abort_n(t, 0, 100));
-  EXPECT_EQ(t.begin_route(0), tle::Route::kHtm);
+  EXPECT_EQ(t.begin_route(0), tle::BreakerRoute::kClosed);
   EXPECT_EQ(t.quarantine_enters(), 0u);
+}
+
+// --- Tier policy (Fig. 1 + docs/TIERS.md + docs/ROBUSTNESS.md) ------------
+
+using tle::GilView;
+using tle::TierStep;
+using AR = htm::AbortReason;
+using SC = stm::StmAbortCause;
+
+/// What happened to the thread before the policy is asked.
+enum class TierEvent : u8 {
+  kBegin,             ///< on_begin, not a probe.
+  kProbeBegin,        ///< on_begin for a recovery probe.
+  kQuarantinedBegin,  ///< on_quarantined_begin.
+  kHtmAbort,          ///< on_htm_abort(reason, gil == kHeld).
+  kStmAbort,          ///< on_stm_abort(cause).
+  kSpinWake,          ///< on_spin_wake(gil).
+};
+
+constexpr u32 kStmRetry = 4;  // StmConfig::commit_retry_max
+
+/// A thread right after on_begin at a healthy yield point.
+constexpr tle::TierState kFresh = {.transient_retries = tle::kTransientRetryMax,
+                                   .gil_retries = tle::kGilRetryMax,
+                                   .first_retry = true};
+
+struct PolicyRow {
+  const char* name;
+  bool stm_tier = false;
+  bool eager = true;
+  tle::TierState before = kFresh;
+  TierEvent event = TierEvent::kHtmAbort;
+  AR reason = AR::kConflict;
+  SC cause = SC::kValidation;
+  GilView gil = GilView::kFree;
+  TierStep step = TierStep::kGil;
+  tle::TierState after = kFresh;
+  bool adjust_length = false;
+  u32 backoff_attempt = 0;
+  obs::WatchdogKind watchdog = obs::WatchdogKind::kAbortLoop;
+};
+
+tle::TierState with(tle::TierState s, void (*f)(tle::TierState&)) {
+  f(s);
+  return s;
+}
+
+// One row per transition of docs/TIERS.md § When each transition fires, the
+// HTM → GIL fallbacks of Fig. 1, and the robustness rows (watchdogs,
+// anti-lemming, backoff).
+const PolicyRow kPolicyRows[] = {
+    // --- begins ------------------------------------------------------------
+    {.name = "begin with the GIL free: TBEGIN, fresh budgets (stm-htm)",
+     .before = {.transient_retries = 0, .gil_retries = 0, .first_retry = false,
+                .abort_streak = 5},
+     .event = TierEvent::kBegin,
+     .step = TierStep::kRetryHtm,
+     .after = with(kFresh, [](tle::TierState& s) { s.abort_streak = 5; })},
+    {.name = "begin with the GIL held: spin first (Fig. 1 lines 6-8)",
+     .event = TierEvent::kBegin,
+     .gil = GilView::kHeld,
+     .step = TierStep::kSpin},
+    {.name = "a probe begins with one transient retry",
+     .event = TierEvent::kProbeBegin,
+     .step = TierStep::kRetryHtm,
+     .after = with(kFresh, [](tle::TierState& s) { s.transient_retries = 1; })},
+    {.name = "quarantined begin without STM: GIL slice",
+     .event = TierEvent::kQuarantinedBegin,
+     .step = TierStep::kGil},
+    {.name = "quarantined begin with STM: htm-stm",
+     .stm_tier = true,
+     .event = TierEvent::kQuarantinedBegin,
+     .step = TierStep::kEnterStm,
+     .after = with(kFresh,
+                   [](tle::TierState& s) { s.stm_retries = kStmRetry; })},
+    // --- HTM aborts --------------------------------------------------------
+    {.name = "first transient abort: adjust length, back off, retry",
+     .step = TierStep::kBackoffRetryHtm,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.transient_retries = 2;
+                     s.first_retry = false;
+                     s.abort_streak = 1;
+                   }),
+     .adjust_length = true,
+     .backoff_attempt = 1},
+    {.name = "second transient abort: backoff attempt 2, no adjust",
+     .before = with(kFresh,
+                    [](tle::TierState& s) {
+                      s.transient_retries = 2;
+                      s.first_retry = false;
+                    }),
+     .reason = AR::kInterrupt,
+     .step = TierStep::kBackoffRetryHtm,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.transient_retries = 1;
+                     s.first_retry = false;
+                     s.abort_streak = 1;
+                   }),
+     .backoff_attempt = 2},
+    {.name = "transient budget spent without STM: GIL (Fig. 1 line 35)",
+     .before = with(kFresh, [](tle::TierState& s) { s.transient_retries = 1; }),
+     .step = TierStep::kGil,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.transient_retries = 0;
+                     s.first_retry = false;
+                     s.abort_streak = 1;
+                   }),
+     .adjust_length = true},
+    {.name = "transient budget spent with STM: htm-stm",
+     .stm_tier = true,
+     .before = with(kFresh, [](tle::TierState& s) { s.transient_retries = 1; }),
+     .step = TierStep::kEnterStm,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.transient_retries = 0;
+                     s.stm_retries = kStmRetry;
+                     s.first_retry = false;
+                     s.abort_streak = 1;
+                   }),
+     .adjust_length = true},
+    {.name = "persistent abort without STM: GIL (Fig. 1 lines 28-29)",
+     .reason = AR::kOverflowWrite,
+     .step = TierStep::kGil,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.first_retry = false;
+                     s.abort_streak = 1;
+                   }),
+     .adjust_length = true},
+    {.name = "persistent abort with STM: htm-stm",
+     .stm_tier = true,
+     .reason = AR::kOverflowRead,
+     .step = TierStep::kEnterStm,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.stm_retries = kStmRetry;
+                     s.first_retry = false;
+                     s.abort_streak = 1;
+                   }),
+     .adjust_length = true},
+    {.name = "require_nontx abort: GIL regardless of budgets",
+     .stm_tier = true,
+     .before = with(kFresh, [](tle::TierState& s) { s.force_gil = true; }),
+     .reason = AR::kUnsupported,
+     .step = TierStep::kGil,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.first_retry = false;
+                     s.abort_streak = 1;
+                   }),
+     .adjust_length = true},
+    {.name = "GIL held at the abort: spin (Fig. 1 lines 21-27)",
+     .reason = AR::kExplicit,
+     .gil = GilView::kHeld,
+     .step = TierStep::kSpin,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.gil_retries = tle::kGilRetryMax - 1;
+                     s.first_retry = false;
+                     s.abort_streak = 1;
+                   }),
+     .adjust_length = true},
+    {.name = "GIL held, spin budget spent: blocking acquire",
+     .before = with(kFresh,
+                    [](tle::TierState& s) {
+                      s.gil_retries = 1;
+                      s.first_retry = false;
+                    }),
+     .reason = AR::kExplicit,
+     .gil = GilView::kHeld,
+     .step = TierStep::kGil,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.gil_retries = 0;
+                     s.first_retry = false;
+                     s.abort_streak = 1;
+                   })},
+    {.name = "anti-lemming: GIL-word abort, GIL free again: retry, no budget",
+     .before = with(kFresh, [](tle::TierState& s) { s.first_retry = false; }),
+     .reason = AR::kExplicit,
+     .step = TierStep::kRetryHtm,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.first_retry = false;
+                     s.abort_streak = 1;
+                   })},
+    {.name = "abort-loop watchdog on an HTM abort",
+     .before = with(kFresh,
+                    [](tle::TierState& s) {
+                      s.first_retry = false;
+                      s.force_gil = true;
+                      s.abort_streak = tle::kAbortStreakBudget - 1;
+                    }),
+     .step = TierStep::kWatchdogGil,
+     .after = with(kFresh, [](tle::TierState& s) { s.first_retry = false; }),
+     .watchdog = obs::WatchdogKind::kAbortLoop},
+    // --- STM aborts --------------------------------------------------------
+    {.name = "stm validation abort with budget left: retry STM",
+     .stm_tier = true,
+     .before = with(kFresh, [](tle::TierState& s) { s.stm_retries = 2; }),
+     .event = TierEvent::kStmAbort,
+     .step = TierStep::kRetryStm,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.stm_retries = 1;
+                     s.abort_streak = 1;
+                   })},
+    {.name = "stm-gil: commit-retry budget spent",
+     .stm_tier = true,
+     .before = with(kFresh, [](tle::TierState& s) { s.stm_retries = 1; }),
+     .event = TierEvent::kStmAbort,
+     .step = TierStep::kGil,
+     .after = with(kFresh, [](tle::TierState& s) { s.abort_streak = 1; })},
+    {.name = "stm-gil: unsupported operation",
+     .stm_tier = true,
+     .before = with(kFresh,
+                    [](tle::TierState& s) {
+                      s.stm_retries = 3;
+                      s.force_gil = true;
+                    }),
+     .event = TierEvent::kStmAbort,
+     .cause = SC::kUnsupported,
+     .step = TierStep::kGil,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.stm_retries = 3;
+                     s.abort_streak = 1;
+                   })},
+    {.name = "stm-gil: read-set overflow",
+     .stm_tier = true,
+     .before = with(kFresh, [](tle::TierState& s) { s.stm_retries = 3; }),
+     .event = TierEvent::kStmAbort,
+     .cause = SC::kOverflowRead,
+     .step = TierStep::kGil,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.stm_retries = 3;
+                     s.abort_streak = 1;
+                   })},
+    {.name = "stm-gil: write-buffer overflow",
+     .stm_tier = true,
+     .before = with(kFresh, [](tle::TierState& s) { s.stm_retries = 3; }),
+     .event = TierEvent::kStmAbort,
+     .cause = SC::kOverflowWrite,
+     .step = TierStep::kGil,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.stm_retries = 3;
+                     s.abort_streak = 1;
+                   })},
+    {.name = "stm-gil: eager GIL-subscription doom",
+     .stm_tier = true,
+     .before = with(kFresh, [](tle::TierState& s) { s.stm_retries = 3; }),
+     .event = TierEvent::kStmAbort,
+     .cause = SC::kGilSubscription,
+     .step = TierStep::kGil,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.stm_retries = 3;
+                     s.abort_streak = 1;
+                   })},
+    {.name = "lazy GIL-subscription abort: retry STM",
+     .stm_tier = true,
+     .eager = false,
+     .before = with(kFresh, [](tle::TierState& s) { s.stm_retries = 3; }),
+     .event = TierEvent::kStmAbort,
+     .cause = SC::kGilSubscription,
+     .step = TierStep::kRetryStm,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.stm_retries = 2;
+                     s.abort_streak = 1;
+                   })},
+    {.name = "a commit-retry budget above INT32_MAX keeps retrying",
+     .stm_tier = true,
+     .before = with(kFresh,
+                    [](tle::TierState& s) { s.stm_retries = UINT32_MAX; }),
+     .event = TierEvent::kStmAbort,
+     .step = TierStep::kRetryStm,
+     .after = with(kFresh,
+                   [](tle::TierState& s) {
+                     s.stm_retries = UINT32_MAX - 1;
+                     s.abort_streak = 1;
+                   })},
+    {.name = "stm-gil: the cross-tier abort-loop watchdog",
+     .stm_tier = true,
+     .before = with(kFresh,
+                    [](tle::TierState& s) {
+                      s.stm_retries = 3;
+                      s.abort_streak = tle::kAbortStreakBudget - 1;
+                    }),
+     .event = TierEvent::kStmAbort,
+     .step = TierStep::kWatchdogGil,
+     .after = with(kFresh, [](tle::TierState& s) { s.stm_retries = 3; }),
+     .watchdog = obs::WatchdogKind::kAbortLoop},
+    // --- spin wakes ----------------------------------------------------------
+    {.name = "spin wake, GIL released: retry HTM",
+     .before = with(kFresh, [](tle::TierState& s) { s.spin_streak = 9; }),
+     .event = TierEvent::kSpinWake,
+     .step = TierStep::kRetryHtm},
+    {.name = "spin wake, GIL still held: spin again",
+     .before = with(kFresh, [](tle::TierState& s) { s.spin_streak = 9; }),
+     .event = TierEvent::kSpinWake,
+     .gil = GilView::kHeld,
+     .step = TierStep::kSpin,
+     .after = with(kFresh, [](tle::TierState& s) { s.spin_streak = 10; })},
+    {.name = "spin wake, handed the GIL while parked: carry on under it",
+     .before = with(kFresh, [](tle::TierState& s) { s.spin_streak = 9; }),
+     .event = TierEvent::kSpinWake,
+     .gil = GilView::kOwn,
+     .step = TierStep::kGil},
+    {.name = "spin-loop watchdog",
+     .before = with(kFresh,
+                    [](tle::TierState& s) {
+                      s.spin_streak = tle::kSpinStreakBudget - 1;
+                    }),
+     .event = TierEvent::kSpinWake,
+     .gil = GilView::kHeld,
+     .step = TierStep::kWatchdogGil,
+     .watchdog = obs::WatchdogKind::kSpinLoop},
+};
+
+void expect_state(const tle::TierState& got, const tle::TierState& want,
+                  const char* row) {
+  EXPECT_EQ(got.transient_retries, want.transient_retries) << row;
+  EXPECT_EQ(got.gil_retries, want.gil_retries) << row;
+  EXPECT_EQ(got.stm_retries, want.stm_retries) << row;
+  EXPECT_EQ(got.first_retry, want.first_retry) << row;
+  EXPECT_EQ(got.force_gil, want.force_gil) << row;
+  EXPECT_EQ(got.abort_streak, want.abort_streak) << row;
+  EXPECT_EQ(got.spin_streak, want.spin_streak) << row;
+}
+
+TEST(TierPolicy, EveryTransitionRow) {
+  for (const PolicyRow& row : kPolicyRows) {
+    const tle::TierPolicy policy(row.stm_tier, row.eager, kStmRetry);
+    tle::TierState s = row.before;
+    const bool gil_held = row.gil == GilView::kHeld;
+    tle::TierDecision d;
+    switch (row.event) {
+      case TierEvent::kBegin:
+        d = policy.on_begin(s, /*probe=*/false, gil_held);
+        break;
+      case TierEvent::kProbeBegin:
+        d = policy.on_begin(s, /*probe=*/true, gil_held);
+        break;
+      case TierEvent::kQuarantinedBegin:
+        d = policy.on_quarantined_begin(s);
+        break;
+      case TierEvent::kHtmAbort:
+        d = policy.on_htm_abort(s, row.reason, gil_held);
+        break;
+      case TierEvent::kStmAbort:
+        d = policy.on_stm_abort(s, row.cause);
+        break;
+      case TierEvent::kSpinWake:
+        d = policy.on_spin_wake(s, row.gil);
+        break;
+    }
+    EXPECT_EQ(d.step, row.step) << row.name;
+    EXPECT_EQ(d.adjust_length, row.adjust_length) << row.name;
+    EXPECT_EQ(d.backoff_attempt, row.backoff_attempt) << row.name;
+    if (d.step == TierStep::kWatchdogGil) {
+      EXPECT_EQ(d.watchdog, row.watchdog) << row.name;
+    }
+    expect_state(s, row.after, row.name);
+  }
+}
+
+TEST(TierPolicy, WatchdogsTripExactlyAtTheirBudgets) {
+  const tle::TierPolicy policy(false, true, kStmRetry);
+  // Abort loop: conflicts under a held GIL spin until the spin budget is
+  // spent, then block; every abort counts toward the streak until progress.
+  tle::TierState s = kFresh;
+  for (u32 i = 1; i < tle::kAbortStreakBudget; ++i)
+    EXPECT_NE(policy.on_htm_abort(s, AR::kExplicit, true).step,
+              TierStep::kWatchdogGil)
+        << i;
+  s.on_progress();
+  EXPECT_EQ(s.abort_streak, 0u);
+  for (u32 i = 1; i < tle::kAbortStreakBudget; ++i)
+    (void)policy.on_htm_abort(s, AR::kExplicit, false);
+  EXPECT_EQ(policy.on_htm_abort(s, AR::kExplicit, false).step,
+            TierStep::kWatchdogGil);
+  EXPECT_EQ(s.abort_streak, 0u);
+
+  // Spin loop: kSpinStreakBudget - 1 wakes on a held GIL keep spinning.
+  tle::TierState w = kFresh;
+  for (u32 i = 1; i < tle::kSpinStreakBudget; ++i)
+    EXPECT_EQ(policy.on_spin_wake(w, GilView::kHeld).step, TierStep::kSpin);
+  const tle::TierDecision d = policy.on_spin_wake(w, GilView::kHeld);
+  EXPECT_EQ(d.step, TierStep::kWatchdogGil);
+  EXPECT_EQ(d.watchdog, obs::WatchdogKind::kSpinLoop);
+  EXPECT_EQ(w.spin_streak, 0u);
+}
+
+TEST(TierPolicy, BackoffDelayDoublesPerAttemptWithJitter) {
+  using tle::TierPolicy;
+  EXPECT_EQ(TierPolicy::backoff_delay(1, 0.0), tle::kBackoffBaseCycles / 2);
+  EXPECT_EQ(TierPolicy::backoff_delay(1, 0.5), tle::kBackoffBaseCycles);
+  EXPECT_EQ(TierPolicy::backoff_delay(2, 0.5), 2 * tle::kBackoffBaseCycles);
+  EXPECT_EQ(TierPolicy::backoff_delay(3, 0.5), 4 * tle::kBackoffBaseCycles);
+  // The jitter spans [0.5, 1.5) of the nominal delay.
+  EXPECT_LT(TierPolicy::backoff_delay(2, 0.999),
+            3 * tle::kBackoffBaseCycles);
+  // The exponent saturates at 2^16.
+  EXPECT_EQ(TierPolicy::backoff_delay(40, 0.5),
+            TierPolicy::backoff_delay(17, 0.5));
 }
 
 // --- Gil ---------------------------------------------------------------------
