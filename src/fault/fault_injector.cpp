@@ -10,10 +10,17 @@ namespace gilfree::fault {
 
 namespace {
 
+/// A cycle count; a negative one would wrap to ~2^64 cycles.
+Cycles cycles_flag(const CliFlags& flags, const std::string& name) {
+  const long v = flags.get_int(name, 0);
+  if (v < 0) throw std::invalid_argument("--" + name + " must be >= 0");
+  return static_cast<Cycles>(v);
+}
+
 FaultWindow window_from_flags(const CliFlags& flags, const std::string& stem) {
   FaultWindow w;
-  w.from = static_cast<Cycles>(flags.get_int("fault-" + stem + "-from", 0));
-  w.until = static_cast<Cycles>(flags.get_int("fault-" + stem + "-until", 0));
+  w.from = cycles_flag(flags, "fault-" + stem + "-from");
+  w.until = cycles_flag(flags, "fault-" + stem + "-until");
   if (w.until != 0 && w.until <= w.from) {
     throw std::invalid_argument("--fault-" + stem + "-until must exceed --fault-" +
                                 stem + "-from");
@@ -27,8 +34,7 @@ FaultConfig FaultConfig::from_flags(const CliFlags& flags) {
   FaultConfig c;
   c.seed = static_cast<u64>(flags.get_int(
       "fault-seed", static_cast<long>(c.seed & 0x7fffffffffffffffULL)));
-  c.spurious_mean_cycles =
-      static_cast<Cycles>(flags.get_int("fault-spurious-mean", 0));
+  c.spurious_mean_cycles = cycles_flag(flags, "fault-spurious-mean");
   c.spurious_window = window_from_flags(flags, "spurious");
   const std::string yps = flags.get("fault-persistent-yps", "");
   if (yps == "all") {
@@ -37,7 +43,12 @@ FaultConfig FaultConfig::from_flags(const CliFlags& flags) {
     for (const std::string& part : split(yps, ',')) {
       if (part.empty()) continue;
       std::size_t pos = 0;
-      const int v = std::stoi(part, &pos);
+      int v = 0;
+      try {
+        v = std::stoi(part, &pos);
+      } catch (const std::out_of_range&) {
+        pos = 0;  // reported as a bad id below
+      }
       if (pos != part.size())
         throw std::invalid_argument("--fault-persistent-yps: bad id \"" +
                                     part + "\"");
@@ -45,15 +56,13 @@ FaultConfig FaultConfig::from_flags(const CliFlags& flags) {
     }
   }
   c.persistent_window = window_from_flags(flags, "persistent");
-  c.interrupt_storm_mean_cycles =
-      static_cast<Cycles>(flags.get_int("fault-interrupt-mean", 0));
+  c.interrupt_storm_mean_cycles = cycles_flag(flags, "fault-interrupt-mean");
   c.interrupt_window = window_from_flags(flags, "interrupt");
   c.capacity_factor = flags.get_double("fault-capacity-factor", 1.0);
   if (c.capacity_factor < 0.0 || c.capacity_factor > 1.0)
     throw std::invalid_argument("--fault-capacity-factor must be in [0,1]");
   c.capacity_window = window_from_flags(flags, "capacity");
-  c.gil_handoff_delay_cycles =
-      static_cast<Cycles>(flags.get_int("fault-handoff-delay", 0));
+  c.gil_handoff_delay_cycles = cycles_flag(flags, "fault-handoff-delay");
   c.handoff_window = window_from_flags(flags, "handoff");
   return c;
 }
