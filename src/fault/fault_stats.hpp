@@ -22,6 +22,7 @@ struct FaultStats {
   u64 count(FaultKind k) const {
     return injected[static_cast<std::size_t>(k)];
   }
+  bool operator==(const FaultStats&) const = default;
   void merge(const FaultStats& o) {
     for (std::size_t k = 0; k < injected.size(); ++k)
       injected[k] += o.injected[k];

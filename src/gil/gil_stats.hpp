@@ -11,6 +11,8 @@ struct GilStats {
   u64 contended_acquisitions = 0;
   u64 yields = 0;            ///< Voluntary yields at timer-flagged points.
   Cycles held_cycles = 0;    ///< Total cycles the GIL was held.
+
+  bool operator==(const GilStats&) const = default;
 };
 
 }  // namespace gilfree::gil

@@ -23,6 +23,7 @@ struct HtmStats {
     for (u64 a : aborts_by_reason) t += a;
     return t;
   }
+  bool operator==(const HtmStats&) const = default;
   void merge(const HtmStats& o) {
     begins += o.begins;
     commits += o.commits;

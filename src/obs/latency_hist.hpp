@@ -65,6 +65,8 @@ class LatencyHistogram {
   /// input (counts not summing to total, non-bucket-edge keys, ...).
   static LatencyHistogram deserialize(const std::string& s);
 
+  bool operator==(const LatencyHistogram&) const = default;
+
  private:
   std::array<u64, kNumBuckets> counts_{};
   u64 total_ = 0;

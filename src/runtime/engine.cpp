@@ -138,6 +138,7 @@ Engine::Engine(EngineConfig config)
       backoff_rng_(config_.seed ^ 0xbacc0ffbacc0ffULL) {
   machine_ = std::make_unique<sim::Machine>(config_.profile.machine);
   cpu_tx_tid_.assign(machine_->num_cpus(), -1);
+  cpu_threads_.assign(machine_->num_cpus(), 0);
   // Cost constants are valid even while the fast path is inactive (boot):
   // charge_fast falls back to the virtual charge() with the same amounts.
   fast.mem_access_cost = config_.profile.machine.cost.mem_access;
@@ -185,7 +186,7 @@ void Engine::on_fault_injected(fault::FaultKind kind, CpuId cpu, Cycles t) {
 }
 
 void Engine::report_watchdog(SchedThread& st, obs::WatchdogKind kind) {
-  ++watchdog_events_;
+  ++watchdogs_[static_cast<std::size_t>(kind)];
   if (emitting_) {
     emit({.kind = EventKind::kWatchdog, .t = now_of(st.cpu),
           .tid = st.vm->tid(), .cpu = st.cpu, .yp = st.tx_yp,
@@ -241,15 +242,15 @@ void Engine::load_program(const std::vector<std::string>& sources) {
   emitting_ = obs_ != nullptr || config_.recorder != nullptr;
 
   // Main thread.
-  threads_.emplace_back();
-  active_tids_.push_back(0);
+  SchedThread& main = threads_.emplace_back();
+  active_.push_back(&main);
   live_count_ = 1;
-  SchedThread& main = threads_.front();
   main.vm = std::make_unique<vm::VmThread>(0, config_.stack_slots);
   gspace_.add_segment("stack-t0", main.vm->stack_base(),
                       u64{main.vm->stack_slots()} * 8);
   main.cpu = 0;
-  current_tid_ = 0;
+  ++cpu_threads_[0];
+  set_current(main);
 
   // Boot allocations run "pre-measurement": direct-ish accesses on CPU 0.
   interp_->boot();
@@ -283,49 +284,52 @@ void Engine::load_program(const std::vector<std::string>& sources) {
 u32 Engine::count_live_threads() const { return live_count_; }
 
 u32 Engine::pick_cpu() const {
-  // Only live threads load a CPU, and finished ones have left active_tids_.
-  std::vector<u32> load(machine_->num_cpus(), 0);
-  for (const u32 i : active_tids_)
-    if (!threads_[i].vm->finished()) ++load[threads_[i].cpu];
   u32 best = 0;
   for (u32 c = 1; c < machine_->num_cpus(); ++c)
-    if (load[c] < load[best]) best = c;
+    if (cpu_threads_[c] < cpu_threads_[best]) best = c;
   return best;
 }
 
-i32 Engine::pick_next() {
-  i32 best = -1;
+Engine::SchedThread* Engine::pick_next() {
+  SchedThread* best = nullptr;
   Cycles best_time = ~Cycles{0};
-  for (const u32 i : active_tids_) {
-    const SchedThread& t = threads_[i];
+  u32 best_pos = 0;
+  for (u32 pos = 0; pos < active_.size(); ++pos) {
+    SchedThread* t = active_[pos];
     Cycles time;
-    if (t.status == ThreadStatus::kRunnable) {
-      time = machine_->clock(t.cpu);
-    } else if (t.status == ThreadStatus::kParked) {
-      time = std::max(machine_->clock(t.cpu), t.wake_at);
+    if (t->status == ThreadStatus::kRunnable) {
+      time = machine_->clock(t->cpu);
+    } else if (t->status == ThreadStatus::kParked) {
+      time = std::max(machine_->clock(t->cpu), t->wake_at);
     } else {
       continue;
     }
+    t->scan_pos = pos;
     if (time < best_time) {
       best_time = time;
-      best = static_cast<i32>(i);
+      best = t;
+      best_pos = pos;
     }
   }
-  if (best < 0) {
+  if (best == nullptr) {
     GILFREE_CHECK_MSG(false, "scheduler deadlock: no runnable or parked "
                              "threads, but live threads remain");
   }
-  SchedThread& st = threads_[static_cast<std::size_t>(best)];
+  pick_time_ = best_time;
+  pick_pos_ = best_pos;
+  SchedThread& st = *best;
   // A join park has no wake time of its own (only the joined thread's exit
   // sets one), so it is the earliest candidate only when every live thread
   // is blocked in a join.
   GILFREE_CHECK_MSG(
       st.status != ThreadStatus::kParked || st.join_target < 0,
       "scheduler deadlock: every live thread is blocked in Thread#join "
-      "(thread " << best << " joins thread " << st.join_target << ")");
+      "(thread " << st.vm->tid() << " joins thread " << st.join_target
+                 << ")");
   if (st.status == ThreadStatus::kParked) {
+    if (st.dormant) wake_dormant(st);  // its spin-loop trip poll
     unpark(st);
-    if (st.status != ThreadStatus::kRunnable) return -1;  // now kWaitGil
+    if (st.status != ThreadStatus::kRunnable) return nullptr;  // kWaitGil
   }
   return best;
 }
@@ -346,6 +350,44 @@ void Engine::unpark(SchedThread& st) {
     st.reacquire_gil = false;
     (void)gil_try_acquire_or_enqueue(st);
   }
+}
+
+void Engine::maybe_go_dormant(SchedThread& st) {
+  // A recorder logs every poll as a scheduling decision. Another thread on
+  // the CPU moves its clock between polls. A GIL holder, reacquirer or
+  // queued waiter can be handed the GIL while parked, which moves its clock.
+  if (config_.recorder != nullptr || cpu_threads_[st.cpu] > 1 ||
+      st.holds_gil || st.reacquire_gil ||
+      gil_->is_waiting(st.vm->tid()) || !gil_->is_acquired())
+    return;
+  st.dormant = true;
+  st.wake_at = st.parked_since +
+               tle::kSpinWaitCycles *
+                   (tle::kSpinStreakBudget - st.tier.spin_streak);
+  dormant_.push_back(&st);
+}
+
+void Engine::wake_dormant(SchedThread& st) {
+  // The per-poll loop ran every poll on the grid parked_since + j * 400
+  // that pick_next chose before the current burst: each one before the
+  // burst's pick time, and one at the pick time if that scan reached `st`
+  // before the picked thread. Each saw the GIL held (a burst that ends with
+  // the GIL free wakes every dormant spinner), so each only parked again.
+  const Cycles horizon = pick_time_ + (st.scan_pos < pick_pos_ ? 1 : 0);
+  const u64 k = horizon > st.parked_since
+                    ? (horizon - st.parked_since - 1) / tle::kSpinWaitCycles
+                    : 0;
+  // The trip poll reports the watchdog: it always runs for real.
+  GILFREE_CHECK(st.tier.spin_streak + k < tle::kSpinStreakBudget);
+  st.tier.spin_streak += static_cast<u32>(k);
+  parks_ += k;
+  const Cycles skipped = k * tle::kSpinWaitCycles;
+  st.breakdown.gil_wait += skipped;
+  st.parked_since += skipped;
+  st.wake_at = st.parked_since + tle::kSpinWaitCycles;
+  machine_->advance_to(st.cpu, st.parked_since);
+  st.dormant = false;
+  dormant_.erase(std::find(dormant_.begin(), dormant_.end(), &st));
 }
 
 void Engine::park(SchedThread& st, Cycles delay, bool is_io) {
@@ -379,17 +421,20 @@ RunStats Engine::run() {
     // previous burst; stop at this scheduling boundary with VM state intact.
     if (config_.recorder != nullptr && config_.recorder->stop_requested())
       break;
-    const i32 tid = pick_next();
-    if (tid < 0) continue;
+    // The previous burst ended with the GIL free: every dormant spinner's
+    // next poll sees it.
+    while (!dormant_.empty() && !gil_->is_acquired())
+      wake_dormant(*dormant_.back());
+    SchedThread* const next = pick_next();
+    if (next == nullptr) continue;
+    SchedThread& st = *next;
     if (config_.recorder != nullptr) {
-      const CpuId cpu = threads_[static_cast<u32>(tid)].cpu;
-      emit({.kind = EventKind::kSched, .t = machine_->clock(cpu),
-            .tid = static_cast<u32>(tid), .cpu = cpu});
+      emit({.kind = EventKind::kSched, .t = machine_->clock(st.cpu),
+            .tid = st.vm->tid(), .cpu = st.cpu});
     }
     int fuel = kBurst;
     while (fuel > 0) {
-      step_thread(static_cast<u32>(tid), fuel);
-      const SchedThread& st = threads_[static_cast<u32>(tid)];
+      step_thread(st, fuel);
       if (st.status != ThreadStatus::kRunnable) break;
     }
     flush_fastpath();  // pick_next reads raw clocks
@@ -419,7 +464,8 @@ RunStats Engine::run() {
   stats.quarantine_enters = length_table_->quarantine_enters();
   stats.quarantine_probes = length_table_->quarantine_probes();
   stats.quarantine_exits = length_table_->quarantine_exits();
-  stats.watchdog_events = watchdog_events_;
+  stats.watchdogs_by_kind = watchdogs_;
+  for (const u64 n : watchdogs_) stats.watchdog_events += n;
   if (stm_) stats.stm = stm_->stats();
   stats.stm_escalations = stm_escalations_;
   stats.stm_gil_fallbacks = stm_gil_fallbacks_;
@@ -461,9 +507,8 @@ RunStats Engine::run() {
   return stats;
 }
 
-void Engine::step_thread(u32 tid, int& fuel) {
-  current_tid_ = tid;
-  SchedThread& st = threads_[tid];
+void Engine::step_thread(SchedThread& st, int& fuel) {
+  set_current(st);
   GILFREE_CHECK(st.status == ThreadStatus::kRunnable);
   GILFREE_CHECK(!st.vm->finished());
   live_peak_ = std::max<u64>(live_peak_, live_count_);
@@ -471,7 +516,7 @@ void Engine::step_thread(u32 tid, int& fuel) {
   // Context switch: HTM state is per-CPU, so scheduling a different thread
   // onto a CPU aborts the transaction resident there (the victim processes
   // the abort when it resumes).
-  ensure_cpu_tx_free(st.cpu, tid);
+  ensure_cpu_tx_free(st.cpu, st.vm->tid());
   sync_fastpath();
 
   const int fuel_before = fuel;
@@ -581,6 +626,7 @@ void Engine::gil_release_and_handoff(SchedThread& st) {
 
   // Direct hand-off to the head waiter.
   SchedThread& next = threads_[static_cast<u32>(head)];
+  GILFREE_CHECK(!next.dormant);  // queued waiters never go dormant
   ensure_cpu_tx_free(next.cpu, next.vm->tid());
   gil_->remove_waiter(static_cast<u32>(head));
   Cycles wake = config_.profile.machine.cost.wakeup_latency;
@@ -974,6 +1020,7 @@ void Engine::run_tier_step(SchedThread& st, const tle::TierDecision& d,
       st.pending_begin_yp = st.tx_yp;
       st.pending_spin = true;
       park(st, tle::kSpinWaitCycles, /*is_io=*/false);
+      maybe_go_dormant(st);
       return;
     case tle::TierStep::kEnterStm:
       stm_begin(st, st.tx_yp, /*entering=*/true);
@@ -1248,12 +1295,12 @@ void Engine::on_finished(SchedThread& st) {
   st.status = ThreadStatus::kFinished;
   GILFREE_CHECK(live_count_ > 0);
   --live_count_;
+  --cpu_threads_[st.cpu];
   machine_->set_busy(st.cpu, false);
-  const u32 my_tid = st.vm->tid();
-  for (std::size_t i = 0; i < active_tids_.size(); ++i) {
-    if (active_tids_[i] == my_tid) {
-      active_tids_[i] = active_tids_.back();
-      active_tids_.pop_back();
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    if (active_[i] == &st) {
+      active_[i] = active_.back();
+      active_.pop_back();
       break;
     }
   }
@@ -1261,11 +1308,11 @@ void Engine::on_finished(SchedThread& st) {
   // Wake joiners blocked on this thread's exit.
   const i32 self_tid = static_cast<i32>(st.vm->tid());
   const Cycles now = now_of(st.cpu);
-  for (auto& other : threads_) {
-    if (other.status == ThreadStatus::kParked &&
-        other.join_target == self_tid) {
-      other.join_target = -1;
-      other.wake_at = now + config_.profile.machine.cost.wakeup_latency;
+  for (SchedThread* other : active_) {
+    if (other->status == ThreadStatus::kParked &&
+        other->join_target == self_tid) {
+      other->join_target = -1;
+      other->wake_at = now + config_.profile.machine.cost.wakeup_latency;
     }
   }
 }
@@ -1519,10 +1566,18 @@ vm::Value Engine::spawn_thread(vm::Value proc_val,
                     "too many VM threads");
 
   const u32 chosen_cpu = pick_cpu();
-  threads_.emplace_back();
-  active_tids_.push_back(tid);
+  // The child will move the CPU's clock: a dormant spinner there returns
+  // to the per-poll path first.
+  for (SchedThread* d : dormant_) {
+    if (d->cpu == chosen_cpu) {
+      wake_dormant(*d);
+      break;
+    }
+  }
+  SchedThread& st = threads_.emplace_back();
+  active_.push_back(&st);
   ++live_count_;
-  SchedThread& st = threads_.back();
+  ++cpu_threads_[chosen_cpu];
   st.vm = std::make_unique<vm::VmThread>(tid, config_.stack_slots);
   gspace_.add_segment("stack-t" + std::to_string(tid), st.vm->stack_base(),
                       u64{st.vm->stack_slots()} * 8);
@@ -1531,9 +1586,7 @@ vm::Value Engine::spawn_thread(vm::Value proc_val,
   // Allocate the Thread object while `proc_val` is still rooted on the
   // creator's stack.
   temp_roots_.push_back(proc_val);
-  const u32 saved_tid = current_tid_;
   st.vm->thread_object = heap_->new_thread_object(*this, tid);
-  current_tid_ = saved_tid;
   temp_roots_.pop_back();
 
   interp_->init_proc_frame(*st.vm, proc_val, args);
@@ -1605,7 +1658,7 @@ void Engine::respond(i64 request_id, std::string_view payload) {
                                                          : 0});
   }
   server_->respond(request_id, payload, now);
-  threads_[current_tid_].serving_request = -1;
+  cur().serving_request = -1;
 }
 
 bool Engine::server_shutdown() {

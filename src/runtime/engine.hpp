@@ -9,6 +9,7 @@
 // facility straight from the interpreter).
 #pragma once
 
+#include <array>
 #include <deque>
 #include <map>
 #include <memory>
@@ -220,12 +221,20 @@ class Engine final : public vm::Host, public fault::FaultListener {
     /// cleared by respond); -1 when not serving. Lets the engine shed the
     /// thread mid-service when the request's deadline expires.
     i64 serving_request = -1;
+
+    /// A dormant spinner (docs/ARCHITECTURE.md § Dormant spinners): parked
+    /// in dormant_, with wake_at at its spin-loop trip poll; the polls
+    /// before it are booked when it wakes.
+    bool dormant = false;
+    u32 scan_pos = 0;  ///< Index in active_ at the latest pick_next scan.
   };
 
   // Scheduling loop. `fuel` is the remaining instruction budget of the
   // current scheduling burst; each step consumes at least one unit.
-  i32 pick_next();
-  void step_thread(u32 tid, int& fuel);
+  /// The thread to run next (null: the earliest parked thread woke into
+  /// the GIL queue instead).
+  SchedThread* pick_next();
+  void step_thread(SchedThread& st, int& fuel);
   void step_gil_mode(SchedThread& st, int& fuel);
   void step_htm_mode(SchedThread& st, int& fuel);
   void step_free_mode(SchedThread& st, int& fuel);
@@ -260,6 +269,14 @@ class Engine final : public vm::Host, public fault::FaultListener {
   void handle_stm_abort(SchedThread& st, stm::StmAbortCause cause);
   void park(SchedThread& st, Cycles delay, bool is_io);
   void unpark(SchedThread& st);
+
+  /// After a spin park: a spinner whose every poll until a GIL release
+  /// would see the GIL held leaves the per-poll path (docs/ARCHITECTURE.md
+  /// § Dormant spinners).
+  void maybe_go_dormant(SchedThread& st);
+  /// Books the spin polls a dormant spinner skipped before the current
+  /// burst, as if each had run, and puts it back on the per-poll path.
+  void wake_dormant(SchedThread& st);
 
   /// What one idle accept poll moves (docs/ARCHITECTURE.md § Idle accept
   /// polls): taken at each idle-accept park, or the difference of two.
@@ -298,7 +315,12 @@ class Engine final : public vm::Host, public fault::FaultListener {
   bool maybe_shed_request(SchedThread& st);
 
   void charge_bucket(SchedThread& st, Bucket b, Cycles c);
-  SchedThread& cur() { return threads_[current_tid_]; }
+  SchedThread& cur() { return *cur_; }
+  /// Makes `st` the running thread (current_tid_ and cur()).
+  void set_current(SchedThread& st) {
+    cur_ = &st;
+    current_tid_ = st.vm->tid();
+  }
 
   // --- Host fast path (vm::HostFastPath wiring) ----------------------------
   /// Activates the fast path at run() start: cost constants, batching policy.
@@ -357,12 +379,21 @@ class Engine final : public vm::Host, public fault::FaultListener {
 
   // deque: stable references across spawn_thread growth mid-step.
   std::deque<SchedThread> threads_;
-  /// Unfinished thread ids — keeps the scheduler O(live), not O(ever
+  /// Unfinished threads — keeps the scheduler O(live), not O(ever
   /// created), which matters for thread-per-request servers.
-  std::vector<u32> active_tids_;
+  std::vector<SchedThread*> active_;
+  /// Unfinished threads per CPU: spawns go to the least loaded, and a
+  /// spinner goes dormant only alone on its CPU.
+  std::vector<u32> cpu_threads_;
+  /// Dormant spinners, in the order they went dormant.
+  std::vector<SchedThread*> dormant_;
+  /// The latest pick_next choice: its time and its index in active_.
+  Cycles pick_time_ = 0;
+  u32 pick_pos_ = 0;
   std::vector<vm::Value> temp_roots_;
   u32 live_count_ = 0;
   u32 current_tid_ = 0;
+  SchedThread* cur_ = nullptr;  ///< threads_[current_tid_].
   ServerPort* server_ = nullptr;
   /// Which thread's transaction occupies each CPU's HTM state (-1 none).
   std::vector<i32> cpu_tx_tid_;
@@ -388,7 +419,7 @@ class Engine final : public vm::Host, public fault::FaultListener {
   u64 gil_fallbacks_ = 0;
   u64 stm_escalations_ = 0;    ///< Tier transitions HTM → STM.
   u64 stm_gil_fallbacks_ = 0;  ///< Tier transitions STM → GIL.
-  u64 watchdog_events_ = 0;
+  std::array<u64, obs::kNumWatchdogKinds> watchdogs_{};  ///< Per kind.
   u64 live_peak_ = 0;
 
   std::string stdout_;

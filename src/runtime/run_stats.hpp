@@ -7,6 +7,7 @@
 // linking against the engine.
 #pragma once
 
+#include <array>
 #include <map>
 #include <string>
 
@@ -14,6 +15,7 @@
 #include "fault/fault_stats.hpp"
 #include "gil/gil_stats.hpp"
 #include "htm/htm_stats.hpp"
+#include "obs/trace.hpp"
 #include "stm/stm_stats.hpp"
 #include "vm/gc_stats.hpp"
 #include "vm/interp_stats.hpp"
@@ -46,6 +48,7 @@ struct CycleBreakdown {
     blocked_io += o.blocked_io;
     other += o.other;
   }
+  bool operator==(const CycleBreakdown&) const = default;
 };
 
 struct RunStats {
@@ -76,10 +79,18 @@ struct RunStats {
   u64 quarantine_probes = 0;   ///< Recovery probe attempts.
   u64 quarantine_exits = 0;    ///< Probes that committed (left quarantine).
   u64 watchdog_events = 0;     ///< Starvation-watchdog reports.
+  /// The same reports per obs::WatchdogKind (not in the metrics document).
+  std::array<u64, obs::kNumWatchdogKinds> watchdogs_by_kind{};
   fault::FaultStats faults;    ///< Injected-fault campaign totals.
 
   std::map<std::string, double> results;  ///< __record'ed values.
   std::string output;                     ///< puts/print output.
+
+  u64 watchdogs(obs::WatchdogKind k) const {
+    return watchdogs_by_kind[static_cast<std::size_t>(k)];
+  }
+
+  bool operator==(const RunStats&) const = default;
 
   /// True when the STM tier saw any traffic; gates the metrics `stm` block.
   bool stm_engaged() const {

@@ -27,6 +27,7 @@ struct StmStats {
     for (u64 a : aborts_by_cause) t += a;
     return t;
   }
+  bool operator==(const StmStats&) const = default;
   /// Cross-run merge: counters add, high-water marks combine.
   void merge(const StmStats& o) {
     begins += o.begins;

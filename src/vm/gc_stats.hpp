@@ -47,6 +47,7 @@ struct GcStats {
   Cycles max_pause = 0;
   obs::LatencyHistogram pause_hist;
 
+  bool operator==(const GcStats&) const = default;
   /// Cross-run merge: counters add, extrema combine, histograms add. The
   /// last_* fields describe one collection of one run and are left alone.
   void merge(const GcStats& o) {

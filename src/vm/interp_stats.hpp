@@ -17,6 +17,8 @@ struct InterpStats {
   /// Instructions executed as the tail of a fused superinstruction pair
   /// (host-time accounting only; simulated cycles are mode-invariant).
   u64 fused_instructions = 0;
+
+  bool operator==(const InterpStats&) const = default;
 };
 
 }  // namespace gilfree::vm

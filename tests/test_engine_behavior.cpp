@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -17,9 +18,11 @@
 #include "httpsim/cluster/supervisor.hpp"
 #include "httpsim/server_programs.hpp"
 #include "obs/metrics.hpp"
+#include "obs/record.hpp"
 #include "obs/sink.hpp"
 #include "runtime/engine.hpp"
 #include "vm/interp.hpp"
+#include "workloads/workload.hpp"
 
 namespace gilfree {
 namespace {
@@ -918,6 +921,184 @@ TEST(EngineBehavior, CoalescedIdlePollsMatchEveryPoll) {
       EXPECT_EQ(coalesced.completed, lead_in_load().total_requests) << key;
       EXPECT_GT(every.accepts, 100'000u) << key;
       EXPECT_LE(coalesced.accepts, 4u * coalesced.completed) << key;
+    }
+  }
+}
+
+/// Racy workers that abort persistently at every yield point: spinners
+/// wait on each other's GIL slices. `waves` batches of `per_wave` threads
+/// are spawned, each wave while the previous one still runs.
+std::string spinner_src(int waves, int per_wave) {
+  return "$a = [0, 0, 0, 0, 0, 0, 0, 0]\nts = []\n" +
+         std::to_string(waves) + R"(.times do |w|
+  )" + std::to_string(per_wave) + R"(.times do |i|
+    ts << Thread.new(w * 100 + i) do |tid|
+      k = 0
+      s = 0
+      while k < 300
+        s += (k * tid) % 7
+        if k % 9 == tid % 9
+          $a[k % 8] = $a[(k + tid) % 8] + 1
+        end
+        k += 1
+      end
+      __record("s" + tid.to_s, s)
+    end
+  end
+  j = 0
+  while j < 200
+    j += 1
+  end
+end
+ts.each do |t|
+  t.join
+end
+__record("a", $a[0] + $a[3] + $a[7])
+)";
+}
+
+/// One run's simulated output: stats, metrics document, full-sample trace
+/// and, for a server slice, the request log.
+struct SpinRun {
+  RunStats stats;
+  std::string metrics;
+  std::string trace;
+  std::string log;
+};
+
+/// Runs an engine with the given config; a server slice sets `log`.
+using SpinRunner = std::function<RunStats(EngineConfig, std::string* log)>;
+
+SpinRunner program_runner(std::vector<std::string> sources) {
+  return [sources](EngineConfig cfg, std::string*) {
+    Engine engine(std::move(cfg));
+    engine.load_program(sources);
+    return engine.run();
+  };
+}
+
+/// A webrick open-loop slice after a short lead-in.
+RunStats webrick_slice(EngineConfig cfg, std::string* log) {
+  const httpsim::DriverConfig d = lead_in_load();
+  const double ghz = cfg.profile.machine.ghz;
+  cfg.heap.initial_slots = 80'000;
+  httpsim::ServerRunResult r = httpsim::run_open_loop_slice(
+      std::move(cfg), httpsim::webrick_source(), d,
+      lead_in_slice(d, ghz, 1'000'000), d.total_requests);
+  *log = std::move(r.request_log);
+  return r.stats;
+}
+
+/// Runs `runner`, with a recorder attached when `record` (every spin poll
+/// is then a scheduling decision the run takes).
+SpinRun spin_run(EngineConfig cfg, const SpinRunner& runner,
+                 const std::string& key, bool record) {
+  obs::ObsConfig oc;
+  const std::string stem = ::testing::TempDir() + "dormant_" +
+                           std::to_string(httpsim::cluster::fnv1a64(key)) +
+                           (record ? "_rec" : "_plain");
+  oc.metrics_path = stem + ".json";
+  oc.trace_path = stem + ".jsonl";
+  oc.ring_capacity = std::size_t{1} << 24;
+  // The recorder's in-memory stream keeps one event; it still sees them all.
+  obs::RunRecorder recorder(obs::RecordConfig{.path = "", .limit = 1});
+  SpinRun run;
+  {
+    obs::Sink sink(oc);
+    cfg.obs_sink = &sink;
+    if (record) cfg.recorder = &recorder;
+    run.stats = runner(std::move(cfg), &run.log);
+    sink.flush();
+    run.metrics = obs::metrics_to_json(sink.runs());
+  }
+  std::ifstream trace(oc.trace_path);
+  std::stringstream buf;
+  buf << trace.rdbuf();
+  run.trace = buf.str();
+  std::remove(oc.metrics_path.c_str());
+  std::remove(oc.trace_path.c_str());
+  return run;
+}
+
+TEST(EngineBehavior, DormantSpinnersMatchEveryPoll) {
+  // A spinner that finds the GIL held sleeps through its polls until its
+  // spin-loop trip or the first burst that frees the GIL, and they are
+  // booked when it wakes. A recorder keeps every spinner on the per-poll
+  // path, which is the reference: both runs must agree on everything
+  // simulated.
+  const auto zec12 = htm::SystemProfile::zec12();
+  const auto xeon = htm::SystemProfile::xeon_e3();
+  const auto persistent = [](EngineConfig c) {
+    c.fault.seed = 1;
+    c.fault.persistent_all_yps = true;
+    return c;
+  };
+  const auto with_stm = [](EngineConfig c, stm::GilSubscription sub) {
+    c.stm.enabled = true;
+    c.stm.subscription = sub;
+    return c;
+  };
+  const auto npb = [](const char* name) {
+    const workloads::Workload* w = workloads::by_name(name);
+    EXPECT_NE(w, nullptr) << name;
+    return program_runner(workloads::sources_for(*w, 12, 1));
+  };
+  struct Cell {
+    std::string key;
+    EngineConfig cfg;
+    SpinRunner runner;
+    bool spin_loop;  ///< Expect spin-loop watchdog reports.
+  };
+  const SpinRunner racy = program_runner({spinner_src(1, 10)});
+  // The NPB cells each include GIL-free bursts picked at exactly a dormant
+  // spinner's poll time, on both sides of the tie rule.
+  std::vector<Cell> cells = {
+      // The hostbench bt-stm-fallback configuration, at scale 1.
+      {"zec12/bt-stm-fallback",
+       persistent(with_stm(EngineConfig::htm_dynamic(zec12),
+                           stm::GilSubscription::kEager)),
+       npb("BT"), true},
+      {"zec12/htm16-persistent",
+       persistent(EngineConfig::htm_fixed(zec12, 16)), racy, true},
+      {"zec12/stm-eager",
+       persistent(with_stm(EngineConfig::htm_dynamic(zec12),
+                           stm::GilSubscription::kEager)),
+       racy, true},
+      {"zec12/stm-lazy",
+       persistent(with_stm(EngineConfig::htm_dynamic(zec12),
+                           stm::GilSubscription::kLazy)),
+       npb("CG"), true},
+      // 13 threads on 4 cores x 2 SMT: spinners share CPUs.
+      {"xeon/smt-oversubscribed",
+       persistent(with_stm(EngineConfig::htm_dynamic(xeon),
+                           stm::GilSubscription::kEager)),
+       npb("CG"), true},
+      // Later waves land on CPUs whose only thread is a dormant spinner.
+      {"zec12/spawn-onto-spinner",
+       persistent(EngineConfig::htm_fixed(zec12, 16)),
+       program_runner({spinner_src(4, 8)}), true},
+  };
+  // Handler threads spin on each other's GIL slices between idle
+  // stretches of the acceptor.
+  for (auto& [name, cfg] : serve_engines(zec12)) {
+    if (name != "gil")
+      cells.push_back({"webrick/" + name, cfg, webrick_slice, false});
+  }
+  for (const Cell& c : cells) {
+    const SpinRun every = spin_run(c.cfg, c.runner, c.key, true);
+    const SpinRun dormant = spin_run(c.cfg, c.runner, c.key, false);
+    EXPECT_EQ(dormant.metrics, every.metrics) << c.key;
+    EXPECT_TRUE(dormant.stats == every.stats) << c.key;
+    EXPECT_EQ(dormant.stats.breakdown.gil_wait,
+              every.stats.breakdown.gil_wait) << c.key;
+    EXPECT_EQ(dormant.stats.watchdogs_by_kind, every.stats.watchdogs_by_kind)
+        << c.key;
+    EXPECT_TRUE(dormant.trace == every.trace) << c.key;
+    EXPECT_EQ(dormant.log, every.log) << c.key;
+    EXPECT_GT(every.stats.gil_fallbacks, 0u) << c.key;
+    if (c.spin_loop) {
+      EXPECT_GT(every.stats.watchdogs(obs::WatchdogKind::kSpinLoop), 0u)
+          << c.key;
     }
   }
 }

@@ -179,6 +179,13 @@ TEST(FaultEngine, PersistentAbortsEverywhereStayWithinTheGilEnvelope) {
   // The watchdog converts GIL-saturated spinning into reported events
   // rather than silent starvation; the run still finishes.
   EXPECT_GT(storm.watchdog_events, 0u);
+  // Every report is a spinner's: the quarantined GIL slices keep the GIL
+  // held through whole spin budgets, while no retry loop runs away and no
+  // hand-off waits anywhere near the GIL-wait budget.
+  EXPECT_EQ(storm.watchdogs(obs::WatchdogKind::kSpinLoop),
+            storm.watchdog_events);
+  EXPECT_EQ(storm.watchdogs(obs::WatchdogKind::kAbortLoop), 0u);
+  EXPECT_EQ(storm.watchdogs(obs::WatchdogKind::kGilWait), 0u);
 }
 
 TEST(FaultEngine, QuarantineRecoversAfterThePersistentWindow) {
