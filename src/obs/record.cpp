@@ -95,18 +95,25 @@ void RunRecorder::flush() {
   if (to_file_) out_.flush();
 }
 
-std::vector<RecordedRun> parse_record_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read record file " + path);
-  std::vector<RecordedRun> runs;
+RecordReader::RecordReader(const std::string& path)
+    : path_(path), in_(path) {
+  if (!in_) throw std::runtime_error("cannot read record file " + path);
+}
+
+bool RecordReader::next(RecordedRun& run) {
+  bool open = header_.has_value();
+  if (open) {
+    run = std::move(*header_);
+    header_.reset();
+  }
   std::string line;
-  while (std::getline(in, line)) {
+  while (std::getline(in_, line)) {
     if (line.empty()) continue;
     const JsonValue v = JsonValue::parse(line);
     if (v.has("record")) {
       const std::string& schema = v.at("record").as_string();
       if (schema != kRecordSchema)
-        throw std::runtime_error("record file " + path +
+        throw std::runtime_error("record file " + path_ +
                                  ": unsupported schema '" + schema +
                                  "' (expected " + std::string(kRecordSchema) +
                                  ")");
@@ -116,26 +123,38 @@ std::vector<RecordedRun> parse_record_file(const std::string& path) {
         r.scenario[k] = val.as_string();
       for (const JsonValue& f : v.at("flags").as_array())
         r.flags.push_back(f.as_string());
-      runs.push_back(std::move(r));
+      if (open) {
+        header_ = std::move(r);
+        return true;
+      }
+      run = std::move(r);
+      open = true;
       continue;
     }
-    if (runs.empty())
-      throw std::runtime_error("record file " + path +
+    if (!open)
+      throw std::runtime_error("record file " + path_ +
                                ": event before header");
-    RecordedRun& r = runs.back();
     if (v.at("ev").as_string() == "end") {
-      r.total_events = v.at("events").as_u64();
-      r.truncated = v.at("truncated").as_bool();
+      run.total_events = v.at("events").as_u64();
+      run.truncated = v.at("truncated").as_bool();
       for (const auto& [key, val] : v.as_object()) {
         if (key == "ev" || key == "run" || key == "events" ||
             key == "truncated")
           continue;
-        r.summary[key] = val.as_u64();
+        run.summary[key] = val.as_u64();
       }
       continue;
     }
-    r.events.push_back(trace_event_from_json(v));
+    run.events.push_back(trace_event_from_json(v));
   }
+  return open;
+}
+
+std::vector<RecordedRun> parse_record_file(const std::string& path) {
+  RecordReader reader(path);
+  std::vector<RecordedRun> runs;
+  RecordedRun run;
+  while (reader.next(run)) runs.push_back(std::move(run));
   return runs;
 }
 

@@ -28,6 +28,7 @@
 
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,8 +73,26 @@ struct RecordedRun {
   bool truncated = false;
 };
 
-/// Parses a record file; throws std::runtime_error on malformed input and
-/// on any schema other than kRecordSchema (named in the message).
+/// Reads a record file one run at a time, so a reader holds one run's
+/// events at most.
+class RecordReader {
+ public:
+  /// Throws std::runtime_error when `path` cannot be read.
+  explicit RecordReader(const std::string& path);
+
+  /// Replaces `run` with the next run of the file; false at the end.
+  /// Throws std::runtime_error on malformed input and on any schema other
+  /// than kRecordSchema (named in the message).
+  bool next(RecordedRun& run);
+
+ private:
+  std::string path_;
+  std::ifstream in_;
+  /// The header that ended the previous run: the next run's start.
+  std::optional<RecordedRun> header_;
+};
+
+/// Every run of a record file (RecordReader::next until the end).
 std::vector<RecordedRun> parse_record_file(const std::string& path);
 
 class RunRecorder {

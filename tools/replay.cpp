@@ -11,6 +11,9 @@
 //   ... --replay-out=FILE                also write every replayed run to
 //                                        FILE, numbered in replay order
 //
+// Runs are read and replayed one at a time, so a malformed line is reported
+// (exit 2) when the replay reaches its run.
+//
 // Exit status: 0 = replay matches the recording, 1 = divergence or failed
 // bisect confirmation, 2 = usage / malformed record file.
 #include <algorithm>
@@ -69,13 +72,17 @@ int main(int argc, char** argv) {
   if (until != 0 && run_filter < 0)
     return fail_usage("--replay-until needs --replay-run=N (one run)");
 
-  std::vector<obs::RecordedRun> runs;
+  // Runs are read and replayed one at a time: memory holds one recorded
+  // run, not the whole file.
+  std::unique_ptr<obs::RecordReader> reader;
+  obs::RecordedRun r;
   try {
-    runs = obs::parse_record_file(in);
+    reader = std::make_unique<obs::RecordReader>(in);
+    if (!reader->next(r))
+      return fail_usage("record file has no runs: " + in);
   } catch (const std::exception& e) {
     return fail_usage(e.what());
   }
-  if (runs.empty()) return fail_usage("record file has no runs: " + in);
 
   // One recorder for the whole replay: FILE gets every replayed run, tagged
   // in replay order.
@@ -89,10 +96,13 @@ int main(int argc, char** argv) {
   }
 
   bool all_ok = true;
-  for (const obs::RecordedRun& r : runs) {
-    if (run_filter >= 0 && r.run != static_cast<u32>(run_filter)) continue;
-    print_scenario(r);
+  for (bool more = true; more;) {
     try {
+      if (run_filter >= 0 && r.run != static_cast<u32>(run_filter)) {
+        more = reader->next(r);
+        continue;
+      }
+      print_scenario(r);
       const workloads::ReplayOutcome replayed = workloads::replay_run(
           r, static_cast<u64>(until), out.get());
       if (until != 0) {
@@ -153,6 +163,7 @@ int main(int argc, char** argv) {
           std::printf("bisect FAILED: %s\n", b.error.c_str());
         }
       }
+      more = reader->next(r);
     } catch (const std::exception& e) {
       return fail_usage(e.what());
     }
