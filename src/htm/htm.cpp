@@ -11,7 +11,7 @@ HtmFacility::HtmFacility(const HtmConfig& config, sim::Machine* machine,
     : config_(config),
       machine_(machine),
       guest_(guest),
-      lines_(config.line_bytes) {
+      lines_(guest, config.line_bytes) {
   GILFREE_CHECK(machine_ != nullptr);
   GILFREE_CHECK(guest_ != nullptr);
   GILFREE_CHECK_MSG(machine_->num_cpus() <= 32,
@@ -132,7 +132,7 @@ void HtmFacility::doom_all(CpuId except, AbortReason reason) {
   }
 }
 
-void HtmFacility::first_touch(CpuId cpu, LineRecord& r, sim::GuestLoc loc,
+void HtmFacility::first_touch(CpuId cpu, LineRecord& r, const u64* addr,
                               bool write) {
   TxState& t = tx_[cpu];
   (write ? r.write_fp : r.read_fp) |= bit(cpu);
@@ -143,7 +143,7 @@ void HtmFacility::first_touch(CpuId cpu, LineRecord& r, sim::GuestLoc loc,
   const u32 victims =
       (write ? r.tx_readers | r.tx_writers : r.tx_writers) & ~bit(cpu);
   (write ? r.tx_writers : r.tx_readers) |= bit(cpu);
-  if (victims) conflict(victims, loc);
+  if (victims) conflict(victims, addr);
 }
 
 void HtmFacility::first_touch_private(CpuId cpu, u32 line, bool write) {
@@ -197,8 +197,13 @@ void HtmFacility::close_window(TxState& t, bool publish) {
   win.stored.clear();
 }
 
-void HtmFacility::conflict(u32 victims, sim::GuestLoc loc) {
-  const LineId line = lines_.line_id(loc);
+void HtmFacility::outside_window() {
+  detail::check_failed("off / 8 < t.win.slots", __FILE__, __LINE__,
+                       "private access outside the transaction's window");
+}
+
+void HtmFacility::conflict(u32 victims, const u64* addr) {
+  const LineId line = lines_.line_id(addr);
   if (collect_conflicts_) ++conflict_lines_[line];
   doom_mask(victims, AbortReason::kConflict, line);
 }
@@ -219,21 +224,22 @@ void HtmFacility::nontx_store_run(CpuId cpu, u64* addr, const u64* values,
                                   u32 n) {
   GILFREE_CHECK(!tx_.at(cpu).active);
   if (n == 0) return;
-  sim::GuestLoc loc = guest_->locate(addr);
-  GILFREE_CHECK(guest_->locate(addr + (n - 1)).segment == loc.segment);
+  GILFREE_CHECK(guest_->locate(addr + (n - 1)).segment ==
+                guest_->locate(addr).segment);
   const u32 line_bytes = config_.line_bytes;
   for (u32 i = 0; i < n;) {
-    // Slots starting in this line.
-    const u32 rest = line_bytes - (loc.offset & (line_bytes - 1));
+    // Slots starting in this line; segment bases are line-aligned, so host
+    // and guest line boundaries coincide.
+    const auto at = reinterpret_cast<std::uintptr_t>(addr + i);
+    const u32 rest = line_bytes - static_cast<u32>(at & (line_bytes - 1));
     const u32 m = std::min(n - i, (rest + 7) / 8);
-    if (const LineRecord* r = lines_.find(loc)) {
+    if (const LineRecord* r = lines_.find(addr + i)) {
       const u32 holders = (r->tx_readers | r->tx_writers) & ~bit(cpu);
-      if (holders) conflict(holders, loc);
+      if (holders) conflict(holders, addr + i);
     }
     std::copy_n(values + i, m, addr + i);
     if (write_listener_ != nullptr) write_listener_->on_nontx_write(addr + i);
     i += m;
-    loc.offset += m * 8;
   }
 }
 

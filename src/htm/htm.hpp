@@ -113,14 +113,13 @@ class HtmFacility {
   u64 tx_load(CpuId cpu, const u64* addr, bool shared) {
     TxState& t = enter_access(cpu);
     if (!shared) return load_private(cpu, t, addr);
-    const sim::GuestLoc loc = guest_->locate(addr);
-    LineRecord& r = lines_.at(loc);
+    LineRecord& r = lines_.at(addr);
     // Read own speculative writes; only lines this transaction wrote can
     // hold a buffered value.
     if (r.write_fp & bit(cpu)) {
       if (const u64* v = t.redo.find(addr)) return *v;
     }
-    if (!(r.read_fp & bit(cpu))) first_touch(cpu, r, loc, false);
+    if (!(r.read_fp & bit(cpu))) first_touch(cpu, r, addr, false);
     return *addr;
   }
 
@@ -132,9 +131,8 @@ class HtmFacility {
       store_private(cpu, t, addr, value);
       return;
     }
-    const sim::GuestLoc loc = guest_->locate(addr);
-    LineRecord& r = lines_.at(loc);
-    if (!(r.write_fp & bit(cpu))) first_touch(cpu, r, loc, true);
+    LineRecord& r = lines_.at(addr);
+    if (!(r.write_fp & bit(cpu))) first_touch(cpu, r, addr, true);
     t.redo.put(addr, value);
   }
 
@@ -154,20 +152,18 @@ class HtmFacility {
   /// line table and never allocate metadata.
   u64 nontx_load(CpuId cpu, const u64* addr) {
     GILFREE_CHECK(!tx_.at(cpu).active);
-    const sim::GuestLoc loc = guest_->locate(addr);
-    if (const LineRecord* r = lines_.find(loc)) {
+    if (const LineRecord* r = lines_.find(addr)) {
       const u32 writers = r->tx_writers & ~bit(cpu);
-      if (writers) conflict(writers, loc);
+      if (writers) conflict(writers, addr);
     }
     return *addr;
   }
 
   void nontx_store(CpuId cpu, u64* addr, u64 value) {
     GILFREE_CHECK(!tx_.at(cpu).active);
-    const sim::GuestLoc loc = guest_->locate(addr);
-    if (const LineRecord* r = lines_.find(loc)) {
+    if (const LineRecord* r = lines_.find(addr)) {
       const u32 holders = (r->tx_readers | r->tx_writers) & ~bit(cpu);
-      if (holders) conflict(holders, loc);
+      if (holders) conflict(holders, addr);
     }
     *addr = value;
     if (write_listener_ != nullptr) write_listener_->on_nontx_write(addr);
@@ -322,10 +318,12 @@ class HtmFacility {
   u32 window_slot(const TxState& t, const u64* addr) const {
     const std::uintptr_t off = reinterpret_cast<std::uintptr_t>(addr) -
                                reinterpret_cast<std::uintptr_t>(t.win.base);
-    GILFREE_CHECK_MSG(off / 8 < t.win.slots,
-                      "private access outside the transaction's window");
+    if (off / 8 >= t.win.slots) outside_window();
     return static_cast<u32>(off / 8);
   }
+  /// window_slot's failed check, kept out of line so the message stream
+  /// does not stop window_slot from inlining.
+  [[noreturn, gnu::cold, gnu::noinline]] static void outside_window();
   u64 load_private(CpuId cpu, TxState& t, const u64* addr) {
     const u32 slot = window_slot(t, addr);
     if (test_bit(t.win.written, slot)) return t.win.values[slot];
@@ -347,8 +345,8 @@ class HtmFacility {
   }
 
   /// First read (or write) of a shared line in this transaction: footprint,
-  /// capacity and conflict tracking.
-  void first_touch(CpuId cpu, LineRecord& r, sim::GuestLoc loc, bool write);
+  /// capacity and conflict tracking. `addr` is any slot of the line.
+  void first_touch(CpuId cpu, LineRecord& r, const u64* addr, bool write);
   /// The same for a private-window line: footprint and capacity only.
   void first_touch_private(CpuId cpu, u32 line, bool write);
   /// Aborts when the footprint (shared lines plus private lines) exceeds
@@ -359,8 +357,8 @@ class HtmFacility {
   /// Writes the window's buffered stores to memory (commit) or drops them
   /// (rollback); either way the buffer is empty afterwards.
   void close_window(TxState& t, bool publish);
-  /// Requester wins: dooms `victims` on the line holding `loc`.
-  void conflict(u32 victims, sim::GuestLoc loc);
+  /// Requester wins: dooms `victims` on the line holding `addr`.
+  void conflict(u32 victims, const u64* addr);
   /// Drops this CPU's footprint bits and line lists (next tx_begin).
   void clear_footprint(CpuId cpu, TxState& t);
 

@@ -27,6 +27,10 @@ void append_hex(std::string& out, u64 v) {
 u32 GuestSpace::add_segment(std::string name, const void* base, u64 bytes) {
   GILFREE_CHECK_MSG(bytes > 0 && bytes < (1ull << kSegmentShift),
                     "guest segment must fit one 2^32 window: " << name);
+  GILFREE_CHECK_MSG(
+      reinterpret_cast<std::uintptr_t>(base) % kSegmentAlign == 0,
+      "guest segment base must be " << kSegmentAlign
+                                    << "-byte aligned: " << name);
   const auto* b = static_cast<const std::byte*>(base);
   const u32 index = static_cast<u32>(segments_.size());
   segments_.push_back(Segment{std::move(name), b, bytes, index});

@@ -14,11 +14,13 @@
 //
 // which is stable across processes because registration order is part of
 // the simulation, not of the host allocator. Segment bases are 2^32-aligned
-// in guest space (and >= 256-byte aligned in host space), so dividing a
-// guest address by any power-of-two line size up to 256 yields the same
-// line *grouping* as the host address did — behaviour is unchanged — while
-// the line *values* become process-independent and can be emitted in traces,
-// metrics, and the record/replay stream.
+// in guest space and kSegmentAlign (256)-byte aligned in host space, which
+// add_segment enforces, so dividing a guest address by any power-of-two line
+// size up to 256 yields the same line *grouping* as the host address did —
+// behaviour is unchanged — while the line *values* become
+// process-independent and can be emitted in traces, metrics, and the
+// record/replay stream. sim::LineTable's host-line memo relies on the same
+// alignment.
 //
 // Every access the HTM/STM tiers track must land in a registered segment:
 // locate() fails a GILFREE_CHECK on host memory outside all of them, so a
@@ -58,10 +60,14 @@ class GuestSpace {
 
   /// Each guest segment occupies a disjoint 2^32-byte guest window.
   static constexpr unsigned kSegmentShift = 32;
+  /// Host alignment of every segment base, and so the largest line size
+  /// whose host lines each fall in one segment as one guest line.
+  static constexpr u32 kSegmentAlign = 256;
 
   /// Registers a host range and returns its guest segment index. Ranges
   /// must not overlap; registration order must be deterministic (it defines
-  /// the guest addresses). `bytes` must fit in 32 bits.
+  /// the guest addresses). `base` must be kSegmentAlign-aligned and `bytes`
+  /// must fit in 32 bits.
   u32 add_segment(std::string name, const void* base, u64 bytes);
 
   /// Host pointer -> (segment, offset): one probe of a direct-mapped

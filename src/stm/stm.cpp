@@ -28,13 +28,12 @@ htm::AbortReason mapped_reason(StmAbortCause c) {
 StmEngine::StmEngine(const StmConfig& config, const sim::GuestSpace* guest,
                      htm::HtmFacility* htm)
     : config_(config),
-      guest_(guest),
       htm_(htm),
-      lines_(static_cast<u32>(config.line_bytes)) {
-  GILFREE_CHECK(config_.line_bytes > 0 && config_.line_bytes <= 4096);
-  GILFREE_CHECK(guest_ != nullptr);
+      lines_(guest, static_cast<u32>(config.line_bytes)) {
+  GILFREE_CHECK(config_.line_bytes > 0 &&
+                config_.line_bytes <= sim::GuestSpace::kSegmentAlign);
   GILFREE_CHECK_MSG(htm_ == nullptr ||
-                        (&htm_->guest_space() == guest_ &&
+                        (&htm_->guest_space() == guest &&
                          htm_->config().line_bytes == config_.line_bytes),
                     "the STM and HTM tiers must share one line space");
 }
@@ -91,7 +90,7 @@ u64 StmEngine::load(u32 tid, CpuId cpu, const u64* addr, bool shared) {
   if (const u64* v = (shared ? t.shared_writes : t.private_writes).find(addr))
     return *v;
   if (!shared) return *addr;
-  Holders& h = lines_.at(guest_->locate(addr));
+  Holders& h = lines_.at(addr);
   const u64 bit = u64{1} << t.slot;
   if ((h.readers & bit) == 0) {
     if (t.read_lines.size() >= config_.max_read_lines)
@@ -114,7 +113,7 @@ void StmEngine::store(u32 tid, CpuId cpu, u64* addr, u64 value, bool shared) {
     // Holding the line as a writer makes any other publish to it doom this
     // transaction — so two writers of one line can never both commit, even
     // when neither ever read it (blind stores).
-    Holders& h = lines_.at(guest_->locate(addr));
+    Holders& h = lines_.at(addr);
     const u64 bit = u64{1} << t.slot;
     if ((h.writers & bit) == 0) {
       h.writers |= bit;
@@ -191,7 +190,7 @@ void StmEngine::doom(u64 slots, StmAbortCause cause) {
 void StmEngine::on_nontx_write(const u64* addr) {
   // With no live software transaction no line has a holder.
   if (live_ == 0) return;
-  if (const Holders* h = lines_.find(guest_->locate(addr)))
+  if (const Holders* h = lines_.find(addr))
     doom(h->readers | h->writers, StmAbortCause::kValidation);
 }
 

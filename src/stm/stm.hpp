@@ -146,7 +146,6 @@ class StmEngine : public htm::MemWriteListener, public gil::AcquireListener {
   [[noreturn]] void abort_self(u32 tid, StmAbortCause cause);
 
   StmConfig config_;
-  const sim::GuestSpace* guest_;
   htm::HtmFacility* htm_;
   const u64* gil_word_ = nullptr;
   sim::LineTable<Holders> lines_;

@@ -7,12 +7,15 @@
 // The binary re-executes itself: `test_cross_process --child ...` runs one
 // scenario and writes the three artifacts, the gtest side spawns two fresh
 // children per scenario and compares the files byte for byte. Covers both
-// HTM profiles (zEC12, Xeon E3) and both engines of the paper's comparison
-// (GIL and HTM-dynamic).
+// HTM profiles (zEC12, Xeon E3), both engines of the paper's comparison
+// (GIL and HTM-dynamic), and the STM tier under persistent aborts, whose
+// line table, like the HTM facility's, memoises lookups in slots picked by
+// host addresses that ASLR moves.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -31,6 +34,8 @@ namespace {
 
 // --child <machine> <config> <workload> <threads> <scale> <seed>
 //         <trace> <metrics> <record>
+// A "+stm" suffix on <config> adds the STM tier and persistent aborts at
+// every yield point (hostbench's bt-stm-fallback shape).
 int child_main(int argc, char** argv) {
   if (argc != 11) {
     std::cerr << "child: expected 9 operands after --child\n";
@@ -39,6 +44,12 @@ int child_main(int argc, char** argv) {
   try {
     const std::string machine = argv[2];
     const std::string config = argv[3];
+    const std::string kStm = "+stm";
+    const bool stm = config.size() > kStm.size() &&
+                     config.compare(config.size() - kStm.size(), kStm.size(),
+                                    kStm) == 0;
+    const std::string engine_config =
+        stm ? config.substr(0, config.size() - kStm.size()) : config;
     const workloads::Workload* w = workloads::by_name(argv[4]);
     if (w == nullptr) throw std::invalid_argument("unknown workload");
     const unsigned threads = static_cast<unsigned>(std::stoul(argv[5]));
@@ -49,9 +60,14 @@ int child_main(int argc, char** argv) {
                                            ? htm::SystemProfile::xeon_e3()
                                            : htm::SystemProfile::zec12();
     runtime::EngineConfig cfg =
-        config == "GIL" ? runtime::EngineConfig::gil(profile)
-                        : runtime::EngineConfig::htm_dynamic(profile);
+        engine_config == "GIL" ? runtime::EngineConfig::gil(profile)
+                               : runtime::EngineConfig::htm_dynamic(profile);
     cfg.seed = seed;
+    if (stm) {
+      cfg.stm.enabled = true;
+      cfg.fault.persistent_all_yps = true;
+      cfg.fault.seed = seed;
+    }
 
     obs::ObsConfig oc;
     oc.trace_path = argv[8];
@@ -68,7 +84,8 @@ int child_main(int argc, char** argv) {
     rc.path = argv[10];
     obs::RunRecorder rec(rc);
     rec.begin_run(workloads::make_scenario(w->name, profile.machine.name,
-                                           config, threads, scale, seed),
+                                           engine_config, threads, scale,
+                                           seed),
                   workloads::replay_flags(cfg.fault, cfg.stm, nullptr));
     cfg.recorder = &rec;
 
@@ -119,19 +136,33 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-void expect_identical_artifacts(const std::string& machine,
-                                const std::string& config) {
+/// Runs the scenario in two processes and compares their artifacts, which
+/// are deleted once they match; returns the first process's metrics.
+std::string expect_identical_artifacts(const std::string& machine,
+                                       const std::string& config,
+                                       const std::string& workload = "While",
+                                       unsigned threads = 4) {
   const std::string base = testing::TempDir() + "xproc_" + machine + "_" +
-                           config;
-  spawn_scenario(machine, config, "While", 4, 1, 0x6112024, base + "_a");
-  spawn_scenario(machine, config, "While", 4, 1, 0x6112024, base + "_b");
+                           config + "_" + workload;
+  spawn_scenario(machine, config, workload, threads, 1, 0x6112024,
+                 base + "_a");
+  spawn_scenario(machine, config, workload, threads, 1, 0x6112024,
+                 base + "_b");
+  std::string metrics;
   for (const char* ext : {".trace", ".metrics", ".rec"}) {
     const std::string a = read_file(base + "_a" + ext);
     const std::string b = read_file(base + "_b" + ext);
-    ASSERT_FALSE(a.empty()) << machine << "/" << config << ext;
+    EXPECT_FALSE(a.empty()) << machine << "/" << config << ext;
     EXPECT_EQ(a, b) << "processes diverged: " << machine << "/" << config
                     << ext;
+    if (std::string(ext) == ".metrics") metrics = a;
   }
+  if (!testing::Test::HasFailure()) {
+    for (const char* run : {"_a", "_b"})
+      for (const char* ext : {".trace", ".metrics", ".rec"})
+        std::remove((base + run + ext).c_str());
+  }
+  return metrics;
 }
 
 TEST(CrossProcess, Zec12HtmDynamicArtifactsAreByteIdentical) {
@@ -148,6 +179,15 @@ TEST(CrossProcess, XeonHtmDynamicArtifactsAreByteIdentical) {
 
 TEST(CrossProcess, XeonGilArtifactsAreByteIdentical) {
   expect_identical_artifacts("xeon", "GIL");
+}
+
+TEST(CrossProcess, Zec12StmFallbackArtifactsAreByteIdentical) {
+  // BT on 12 threads at scale 1 with every yield point persistently
+  // aborting: HTM retries escalate to software transactions and the GIL.
+  const std::string metrics =
+      expect_identical_artifacts("zec12", "HTM-dynamic+stm", "BT", 12);
+  EXPECT_NE(metrics.find("\"stm\":"), std::string::npos)
+      << "the STM tier never engaged";
 }
 
 TEST(CrossProcess, DifferentSeedsActuallyDiverge) {

@@ -1,7 +1,8 @@
 // Guest address space unit tests (src/sim/guest_space.hpp): stable
 // segment:offset addresses, round-trips, overlap rejection, the check that
 // stops accesses to unregistered host memory, the page cache behind
-// locate(), and the line-grouping invariant the HTM/STM rebase relies on.
+// locate(), and the alignment and line-grouping invariants the HTM/STM
+// line tables rely on.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,6 +11,7 @@
 
 #include "common/check.hpp"
 #include "sim/guest_space.hpp"
+#include "sim/line_table.hpp"
 
 using namespace gilfree;
 using sim::GuestAddr;
@@ -88,6 +90,32 @@ TEST(GuestSpace, OverlappingSegmentsAreRejected) {
                CheckFailure);
   EXPECT_THROW(gs.add_segment("empty", a.bytes.data() + a.bytes.size(), 0),
                CheckFailure);
+}
+
+TEST(GuestSpace, MisalignedSegmentBasesAreRejected) {
+  // A base off the kSegmentAlign grid would split a host line between two
+  // guest lines (or two segments), which sim::LineTable's host-line memo
+  // cannot represent.
+  Slab a;
+  GuestSpace gs;
+  EXPECT_THROW(gs.add_segment("misaligned", a.bytes.data() + 8, 256),
+               CheckFailure);
+  EXPECT_THROW(gs.add_segment("half-line", a.bytes.data() + 128, 256),
+               CheckFailure);
+  EXPECT_EQ(gs.segment_count(), 0u);
+  const std::byte* aligned = a.bytes.data() + GuestSpace::kSegmentAlign;
+  EXPECT_EQ(gs.add_segment("aligned", aligned, 256), 0u);
+}
+
+TEST(GuestSpace, LineTablesRejectLinesLongerThanTheSegmentAlignment) {
+  // With 512-byte lines one 256-aligned segment's host line could span two
+  // guest lines.
+  Slab a;
+  GuestSpace gs;
+  gs.add_segment("arena-0", a.bytes.data(), a.bytes.size());
+  EXPECT_THROW(sim::LineTable<u64>(&gs, 512), CheckFailure);
+  sim::LineTable<u64> ok(&gs, GuestSpace::kSegmentAlign);
+  EXPECT_EQ(ok.find(a.bytes.data()), nullptr);
 }
 
 TEST(GuestSpace, LineGroupingMatchesHostGrouping) {

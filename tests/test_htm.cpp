@@ -14,6 +14,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/zero_pages.hpp"
 #include "htm/htm.hpp"
 #include "htm/profile.hpp"
 #include "sim/line_table.hpp"
@@ -397,18 +398,18 @@ TEST(LineTable, ReaderWriterTracking) {
   };
   auto mem = std::make_unique<Memory>();
   const sim::GuestSpace gs = guest_over(*mem);
-  sim::LineTable<Masks> table(256);
-  const sim::GuestLoc loc = gs.locate(&mem->slots[10 * 32]);  // line 10
-  EXPECT_EQ(table.find(loc), nullptr) << "peeking never allocates";
+  sim::LineTable<Masks> table(&gs, 256);
+  const u64* line10 = &mem->slots[10 * 32];
+  EXPECT_EQ(table.find(line10), nullptr) << "peeking never allocates";
   EXPECT_EQ(table.chunks(), 0u);
 
   const auto add_reader = [&](CpuId cpu) {
-    Masks& m = table.at(loc);
+    Masks& m = table.at(line10);
     m.readers |= 1u << cpu;
     return m.writers & ~(1u << cpu);
   };
   const auto add_writer = [&](CpuId cpu) {
-    Masks& m = table.at(loc);
+    Masks& m = table.at(line10);
     const u32 others = (m.readers | m.writers) & ~(1u << cpu);
     m.writers |= 1u << cpu;
     return others;
@@ -419,23 +420,117 @@ TEST(LineTable, ReaderWriterTracking) {
   EXPECT_EQ(add_reader(3), 1u << 2);  // a reader sees the writer
   EXPECT_EQ(table.chunks(), 1u);
 
-  // Every word of the line, and its guest LineId, reach the same record.
-  const LineId line = table.line_id(loc);
-  EXPECT_EQ(line, gs.line_of(&mem->slots[10 * 32], 256));
-  EXPECT_EQ(&table.at(line), &table.at(gs.locate(&mem->slots[10 * 32 + 31])));
-  EXPECT_EQ(table.find(line)->readers, 0b1011u);
-  EXPECT_EQ(table.find(line)->writers, 0b0100u);
+  // The line's last word reaches the same record, and the table names the
+  // line by its guest LineId.
+  EXPECT_EQ(table.line_id(line10), gs.line_of(line10, 256));
+  EXPECT_EQ(table.line_id(line10 + 31), table.line_id(line10));
+  EXPECT_EQ(table.find(line10 + 31)->readers, 0b1011u);
+  EXPECT_EQ(table.find(line10 + 31)->writers, 0b0100u);
 
   // Neighbouring lines get their own zeroed records in the same chunk; a
   // line kChunkLines further on needs a second chunk.
-  EXPECT_EQ(table.at(gs.locate(&mem->slots[11 * 32])).readers, 0u);
+  EXPECT_EQ(table.at(&mem->slots[11 * 32]).readers, 0u);
   EXPECT_EQ(table.chunks(), 1u);
-  (void)table.at(gs.locate(&mem->slots[(10 + 64) * 32]));
+  (void)table.at(&mem->slots[(10 + 64) * 32]);
   EXPECT_EQ(table.chunks(), 2u);
 
   table.clear();
   EXPECT_EQ(table.chunks(), 0u);
+  EXPECT_EQ(table.find(line10), nullptr);
+}
+
+/// A registered segment far larger than the memo's reach. The table never
+/// dereferences the addresses it is handed, so the pages stay untouched.
+struct BigSegment {
+  static constexpr std::size_t kBytes = std::size_t{4} << 20;
+  BigSegment() : words(kBytes / 8) {
+    gs.add_segment("big", words.get(), kBytes);
+  }
+  const u64* line(u32 line_bytes, std::size_t n) const {
+    return words.get() + n * (line_bytes / 8);
+  }
+  ZeroPages<u64> words;
+  sim::GuestSpace gs;
+};
+
+struct Probe {
+  u64 value = 0;
+};
+
+constexpr std::size_t kMemoSlots = sim::LineTable<Probe>::kMemoSlots;
+
+// Lines kMemoSlots apart share a memo slot: each lookup evicts the other,
+// and each still reaches its own record.
+TEST(LineTable, MemoCollisionsEvictEachOther) {
+  const BigSegment seg;
+  for (const u32 line_bytes : {64u, 256u}) {
+    sim::LineTable<Probe> table(&seg.gs, line_bytes);
+    const u64* a = seg.line(line_bytes, 3);
+    const u64* b = seg.line(line_bytes, 3 + kMemoSlots);
+    const u64* c = seg.line(line_bytes, 3 + 2 * kMemoSlots);
+    table.at(a).value = 1;
+    table.at(b).value = 2;
+    EXPECT_NE(&table.at(a), &table.at(b));
+    EXPECT_EQ(table.chunks(), 2u);
+    for (int round = 0; round < 4; ++round) {
+      EXPECT_EQ(table.at(a).value, 1u) << line_bytes;
+      EXPECT_EQ(table.find(b)->value, 2u) << line_bytes;
+      EXPECT_EQ(table.find(c), nullptr) << line_bytes;
+      EXPECT_EQ(table.find(a)->value, 1u) << line_bytes;
+      EXPECT_EQ(table.at(b).value, 2u) << line_bytes;
+    }
+    EXPECT_EQ(table.chunks(), 2u) << "find() never allocates";
+  }
+}
+
+// find() caches absence, so allocating a chunk must drop what it cached for
+// every line of that chunk, not only for the line at() was asked about.
+TEST(LineTable, FindSeesAChunkANeighbourAllocated) {
+  const BigSegment seg;
+  for (const u32 line_bytes : {64u, 256u}) {
+    sim::LineTable<Probe> table(&seg.gs, line_bytes);
+    const u64* neighbour = seg.line(line_bytes, 70);
+    const u64* other_chunk = seg.line(line_bytes, 130);
+    EXPECT_EQ(table.find(neighbour), nullptr);
+    EXPECT_EQ(table.find(other_chunk), nullptr);
+    table.at(seg.line(line_bytes, 65)).value = 5;  // chunk 1: lines 64..127
+    ASSERT_NE(table.find(neighbour), nullptr) << line_bytes;
+    EXPECT_EQ(table.find(neighbour), &table.at(neighbour));
+    EXPECT_EQ(table.find(other_chunk), nullptr) << "chunk 2 is still absent";
+    EXPECT_EQ(table.chunks(), 1u);
+  }
+}
+
+// Every word of a line reaches one record, whichever word resolved it
+// first; the next line has its own.
+TEST(LineTable, EveryWordOfALineReachesOneRecord) {
+  const BigSegment seg;
+  for (const u32 line_bytes : {64u, 256u}) {
+    sim::LineTable<Probe> table(&seg.gs, line_bytes);
+    const u32 words = line_bytes / 8;
+    const u64* line = seg.line(line_bytes, 9);
+    EXPECT_EQ(table.find(line + words - 1), nullptr);
+    const Probe* r = &table.at(line + words / 2);
+    for (u32 w = 0; w < words; ++w) {
+      EXPECT_EQ(table.find(line + w), r) << line_bytes << " word " << w;
+      EXPECT_EQ(&table.at(line + w), r) << line_bytes << " word " << w;
+    }
+    EXPECT_NE(&table.at(line + words), r);
+  }
+}
+
+// clear() frees the chunks and forgets every memoised record with them.
+TEST(LineTable, ClearEmptiesTheMemo) {
+  const BigSegment seg;
+  sim::LineTable<Probe> table(&seg.gs, 256);
+  const u64* line = seg.line(256, 12);
+  table.at(line).value = 7;
+  EXPECT_EQ(table.find(line)->value, 7u);
+  table.clear();
   EXPECT_EQ(table.find(line), nullptr);
+  EXPECT_EQ(table.chunks(), 0u);
+  EXPECT_EQ(table.at(line).value, 0u) << "a fresh, zeroed record";
+  EXPECT_EQ(table.chunks(), 1u);
 }
 
 TEST(HtmLineTable, ChunksAreLazyAndResetFreesThem) {
@@ -670,7 +765,15 @@ Outcome outcome_of(F&& op) {
   return o;
 }
 
-void run_differential(u64 seed, u32 line_bytes) {
+/// Where the two shared segments lie in host memory.
+enum class SharedLayout {
+  kAdjacent,  ///< Back to back, ahead of the stacks.
+  /// kMemoSlots lines apart, so line k of one and line k of the other share
+  /// a slot of the line table's memo and keep evicting each other.
+  kMemoAliased,
+};
+
+void run_differential(u64 seed, u32 line_bytes, SharedLayout layout) {
   // Two shared segments of 256 words; shared accesses hit the first four
   // lines of each so that CPUs collide often. A third segment holds one
   // four-line private window per CPU (its "stack"); private accesses stay
@@ -683,14 +786,25 @@ void run_differential(u64 seed, u32 line_bytes) {
   const std::size_t words_per_line = line_bytes / 8;
   const std::size_t window_words = 4 * words_per_line;
   auto slabs = std::make_unique<std::array<Slab, 4>>();
+  const std::size_t alias_words = kMemoSlots * words_per_line;
+  ZeroPages<u64> far;
+  u64* seg_a = (*slabs)[0].words;
+  u64* seg_b = (*slabs)[1].words;
+  if (layout == SharedLayout::kMemoAliased) {
+    far = ZeroPages<u64>(alias_words + kWords);
+    seg_a = far.get();
+    seg_b = far.get() + alias_words;
+  }
   sim::GuestSpace gs;
-  gs.add_segment("seg-a", (*slabs)[0].words, sizeof(Slab));
-  gs.add_segment("seg-b", (*slabs)[1].words, sizeof(Slab));
+  gs.add_segment("seg-a", seg_a, sizeof(Slab));
+  gs.add_segment("seg-b", seg_b, sizeof(Slab));
   gs.add_segment("stacks", (*slabs)[2].words, 2 * sizeof(Slab));
   const std::size_t total = kShared + kDiffCpus * window_words;
   ASSERT_LE(total, 4 * kWords);
   const auto word = [&](std::size_t i) {
-    return &(*slabs)[i / kWords].words[i % kWords];
+    if (i < kWords) return seg_a + i;
+    if (i < kShared) return seg_b + (i - kWords);
+    return &(*slabs)[i / kWords].words[i % kWords];  // a stack
   };
   const auto window = [&](CpuId c) {
     return PrivateWindow{word(kShared + c * window_words),
@@ -777,9 +891,10 @@ void run_differential(u64 seed, u32 line_bytes) {
       ref.rollback(c);
     }
     const auto where = [&] {
-      return ::testing::Message() << "seed " << seed << " line_bytes "
-                                  << line_bytes << " step " << step << " op "
-                                  << op << " cpu " << c;
+      return ::testing::Message()
+             << "seed " << seed << " line_bytes " << line_bytes << " layout "
+             << static_cast<int>(layout) << " step " << step << " op " << op
+             << " cpu " << c;
     };
     ASSERT_EQ(got, want) << where() << " value " << got.value << " vs "
                          << want.value << " reason "
@@ -805,7 +920,16 @@ void run_differential(u64 seed, u32 line_bytes) {
 TEST(HtmDifferential, MatchesReferenceModelOverSeededOpSequences) {
   for (u32 line_bytes : {64u, 256u}) {
     for (u64 seed = 1; seed <= 200; ++seed) {
-      run_differential(seed, line_bytes);
+      run_differential(seed, line_bytes, SharedLayout::kAdjacent);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(HtmDifferential, MatchesReferenceModelWhenSharedLinesAliasInTheMemo) {
+  for (u32 line_bytes : {64u, 256u}) {
+    for (u64 seed = 1; seed <= 200; ++seed) {
+      run_differential(seed, line_bytes, SharedLayout::kMemoAliased);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
