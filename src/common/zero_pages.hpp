@@ -9,17 +9,43 @@
 //
 // Every mapping is followed by one PROT_NONE guard page: running off the end
 // of a slab faults in every build, not only under a sanitizer's redzones.
+//
+// Mappings are made once per process. A dying ZeroPages makes its pages read
+// all-zero again and hands the mapping, guard page included, to a
+// process-wide pool keyed by usable byte size; a new ZeroPages of that size
+// takes the oldest pooled mapping before it maps a new one (zero_pages.cpp).
+// A fleet worker that boots an engine per epoch thus faults its slabs in
+// once, not once per engine.
 #pragma once
-
-#include <sys/mman.h>
-#include <unistd.h>
 
 #include <cstddef>
 #include <memory>
-#include <new>
 #include <type_traits>
 
 namespace gilfree {
+
+namespace zero_pages {
+
+/// At least `bytes` all-zero bytes, page-aligned, in whole pages followed by
+/// a PROT_NONE guard page: the oldest pooled mapping of that many pages,
+/// else a new one. Throws std::bad_alloc when the kernel refuses.
+void* acquire(std::size_t bytes);
+
+/// Makes the mapping from acquire(bytes) read all-zero again and pools it.
+void release(void* p, std::size_t bytes) noexcept;
+
+/// What the pool has done in this process.
+struct PoolStats {
+  std::size_t mapped = 0;    ///< Mappings made with mmap.
+  std::size_t recycled = 0;  ///< acquire() calls served from the pool.
+};
+PoolStats pool_stats();
+
+/// Unmaps every pooled mapping, so the next acquire() of any size maps
+/// fresh memory.
+void trim();
+
+}  // namespace zero_pages
 
 template <typename T>
 class ZeroPages {
@@ -30,7 +56,7 @@ class ZeroPages {
  public:
   ZeroPages() = default;
 
-  /// Maps `count` all-zero Ts, page-aligned, then the guard page.
+  /// `count` all-zero Ts, page-aligned, then the guard page.
   explicit ZeroPages(std::size_t count) : count_(count), map_(map(count)) {}
 
   T* get() const { return map_.get(); }
@@ -38,26 +64,18 @@ class ZeroPages {
   T& operator[](std::size_t i) const { return map_[i]; }
 
  private:
-  struct Unmap {
+  struct Release {
     std::size_t bytes = 0;
-    void operator()(T* p) const { ::munmap(p, bytes); }
+    void operator()(T* p) const { zero_pages::release(p, bytes); }
   };
 
-  static std::unique_ptr<T[], Unmap> map(std::size_t count) {
-    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-    const std::size_t usable = (count * sizeof(T) + page - 1) / page * page;
-    const std::size_t bytes = usable + page;
-    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    std::unique_ptr<T[], Unmap> owned(static_cast<T*>(p), Unmap{bytes});
-    if (::mprotect(static_cast<std::byte*>(p) + usable, page, PROT_NONE) != 0)
-      throw std::bad_alloc();
-    return owned;
+  static std::unique_ptr<T[], Release> map(std::size_t count) {
+    const std::size_t bytes = count * sizeof(T);
+    return {static_cast<T*>(zero_pages::acquire(bytes)), Release{bytes}};
   }
 
   std::size_t count_ = 0;
-  std::unique_ptr<T[], Unmap> map_;
+  std::unique_ptr<T[], Release> map_;
 };
 
 }  // namespace gilfree

@@ -9,10 +9,12 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/zero_pages.hpp"
 #include "httpsim/bench_server.hpp"
 #include "httpsim/client_driver.hpp"
 #include "httpsim/cluster/supervisor.hpp"
@@ -1100,6 +1102,43 @@ TEST(EngineBehavior, DormantSpinnersMatchEveryPoll) {
       EXPECT_GT(every.stats.watchdogs(obs::WatchdogKind::kSpinLoop), 0u)
           << c.key;
     }
+  }
+}
+
+TEST(EngineBehavior, RecycledMemoryMatchesFreshMemory) {
+  // Heap slabs, VM stacks and HTM windows come from the process-wide
+  // ZeroPages pool. Each cell's first engine starts from an empty pool; the
+  // second finds every mapping it needs there, re-zeroed at other host
+  // addresses than a fresh map would give. Host addresses never reach
+  // simulated output, so both must agree on everything.
+  const auto zec12 = htm::SystemProfile::zec12();
+  EngineConfig stm_fallback = EngineConfig::htm_dynamic(zec12);
+  stm_fallback.stm.enabled = true;
+  stm_fallback.fault.seed = 1;
+  stm_fallback.fault.persistent_all_yps = true;
+  const workloads::Workload* bt = workloads::by_name("BT");
+  ASSERT_NE(bt, nullptr);
+  const SpinRunner bt_runner =
+      program_runner(workloads::sources_for(*bt, 12, 1));
+  const std::vector<std::tuple<std::string, EngineConfig, SpinRunner>> cells =
+      {{"zec12/bt-htm-dynamic", EngineConfig::htm_dynamic(zec12), bt_runner},
+       {"zec12/bt-stm-fallback", stm_fallback, bt_runner},
+       {"webrick/htm-dynamic", EngineConfig::htm_dynamic(zec12),
+        webrick_slice}};
+  for (const auto& [key, cfg, runner] : cells) {
+    zero_pages::trim();
+    const SpinRun fresh = spin_run(cfg, runner, key, false);
+    const zero_pages::PoolStats pool = zero_pages::pool_stats();
+    const SpinRun recycled = spin_run(cfg, runner, key, false);
+    EXPECT_EQ(zero_pages::pool_stats().mapped, pool.mapped)
+        << key << ": the second engine maps no memory";
+    EXPECT_GT(zero_pages::pool_stats().recycled, pool.recycled) << key;
+    EXPECT_TRUE(recycled.stats == fresh.stats) << key;
+    EXPECT_EQ(recycled.stats.results, fresh.stats.results) << key;
+    EXPECT_EQ(recycled.metrics, fresh.metrics) << key;
+    EXPECT_TRUE(recycled.trace == fresh.trace) << key;
+    EXPECT_EQ(recycled.log, fresh.log) << key;
+    EXPECT_GT(fresh.stats.htm.begins, 0u) << key;
   }
 }
 

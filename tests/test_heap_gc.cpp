@@ -17,6 +17,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/zero_pages.hpp"
 #include "obs/sink.hpp"
 #include "runtime/engine.hpp"
 #include "testutil_programs.hpp"
@@ -904,13 +905,14 @@ TEST(HeapZeroPages, ConstructionTouchesAlmostNothing) {
   const HeapConfig cfg;  // the pre-sized 1M-slot default
   // What the eager constructor zeroed: the arena plus the first spill block.
   const u64 eager = u64{cfg.initial_slots} * sizeof(RBasic) + (32ull << 20);
+  zero_pages::trim();  // the first heap maps fresh memory
   const u64 before = testutil::resident_bytes();
   ASSERT_GT(before, 0u) << "/proc/self/statm unreadable";
   auto heap = std::make_unique<Heap>(cfg);
   const u64 grown = testutil::resident_bytes() - before;
   EXPECT_LT(grown, eager / 16) << "constructing a heap must not touch it";
 
-  // Allocating touches pages on demand; destroying the heap unmaps them.
+  // Allocating touches pages on demand.
   DirectHost host;
   host.heap = heap.get();
   constexpr u32 kTouched = 200'000;  // 12.8 MB of RVALUEs
@@ -918,11 +920,21 @@ TEST(HeapZeroPages, ConstructionTouchesAlmostNothing) {
     (void)heap->alloc_rvalue(host, ObjType::kFloat, kClassFloat);
   const u64 used = testutil::resident_bytes();
   EXPECT_GT(used - before, u64{kTouched} * sizeof(RBasic) / 2);
+
+  // Destroying the heap pools its mappings, re-zeroed with the touched
+  // pages kept resident: a second heap of the same config maps nothing and
+  // touches the same pages again.
+  const std::size_t mapped = zero_pages::pool_stats().mapped;
   heap.reset();
-  const auto left = static_cast<i64>(testutil::resident_bytes()) -
-                    static_cast<i64>(before);
-  EXPECT_LT(left, static_cast<i64>(eager / 16))
-      << "destroying a heap must return its pages";
+  heap = std::make_unique<Heap>(cfg);
+  host.heap = heap.get();
+  for (u32 i = 0; i < kTouched; ++i)
+    (void)heap->alloc_rvalue(host, ObjType::kFloat, kClassFloat);
+  EXPECT_EQ(zero_pages::pool_stats().mapped, mapped);
+  const auto regrown = static_cast<i64>(testutil::resident_bytes()) -
+                       static_cast<i64>(used);
+  EXPECT_LT(regrown, static_cast<i64>(eager / 16))
+      << "a second heap must reuse the first heap's pages";
 }
 
 TEST(HeapZeroPagesDeathTest, SlabOverrunFaults) {
