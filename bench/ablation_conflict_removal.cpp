@@ -34,9 +34,6 @@ int main(int argc, char** argv) {
     record.wire(base_cfg, w.name, "GIL", 1, scale);
     const auto base = workloads::run_workload(std::move(base_cfg), w, 1, scale);
     auto speedup = [&](runtime::EngineConfig cfg, const char* variant) {
-      // Variant configs mutate engine knobs a record header cannot carry, so
-      // they get the address mode but never a record stream.
-      record.wire(cfg, w.name, variant, threads, scale);
       observe(cfg, sink,
               {{"figure", "ablation_conflict_removal"},
                {"machine", profile.machine.name},

@@ -30,9 +30,6 @@ int main(int argc, char** argv) {
   auto run_with = [&](const char* variant, auto mutate) {
     auto cfg = make_config(profile, {"HTM-dynamic", -1}, fault_cfg, stm_cfg, &flags);
     mutate(cfg);
-    // Variants mutate tuning constants a record header cannot carry, so they
-    // get the address mode but never a record stream.
-    record.wire(cfg, w.name, variant, threads, scale);
     observe(cfg, sink,
             {{"figure", "ablation_dynlen_params"},
              {"machine", profile.machine.name},

@@ -45,9 +45,6 @@ int main(int argc, char** argv) {
 
     auto without_cfg = make_config(profile, {"HTM-dynamic", -1}, fault_cfg, stm_cfg, &flags);
     without_cfg.vm.extended_yield_points = false;
-    // The yield-point mutation is not carried by a record header, so this
-    // variant gets the address mode but no record stream.
-    record.wire(without_cfg, w.name, "without_extended_yp", threads, scale);
     observe(without_cfg, sink,
             {{"figure", "ablation_yield_points"},
              {"machine", profile.machine.name},

@@ -2,8 +2,11 @@
 // shared-nothing simulator process per shard (src/httpsim/cluster), drives
 // the fleet over the pipe protocol, and merges the per-shard results into
 // the fleet-level report. Cross-shard work stealing (--steal=on) and
-// queue-driven autoscaling (--autoscale=on) act at epoch boundaries; both
-// are deterministic and trace-visible (`steal` / `scale` events).
+// queue-driven autoscaling (--autoscale=on) act at epoch boundaries, as do
+// per-shard circuit breakers (--breaker=on, docs/ROBUSTNESS.md), which
+// brown out an unhealthy shard and spill its keys to healthy neighbours.
+// All three are deterministic and trace-visible (`steal` / `scale` /
+// `breaker` events).
 //
 // Single-run mode prints the per-slot + merged table (same columns as
 // httpsim_openloop). --record-out= writes the gilfree.record/httpsim.1
@@ -488,5 +491,13 @@ int main(int argc, char** argv) {
             << " scale_downs=" << scales_down(result)
             << " peak_depth_presteal=" << result.peak_depth_presteal
             << " peak_depth=" << result.peak_depth << "\n";
+  if (spec.options.breaker.enabled) {
+    std::cout << "breaker: spilled=" << result.spilled << " transitions="
+              << result.breaker_transitions.size() << "\n";
+    for (const auto& tr : result.breaker_transitions) {
+      std::cout << "  epoch=" << tr.epoch << " shard=" << tr.shard << " "
+                << tr.state << "\n";
+    }
+  }
   return 0;
 }

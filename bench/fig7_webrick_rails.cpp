@@ -20,8 +20,7 @@ void run_panel(const htm::SystemProfile& profile, const std::string& program,
                const char* title, u32 requests, bool csv,
                TablePrinter* abort_table, obs::Sink& sink,
                const fault::FaultConfig& fault_cfg,
-               const stm::StmConfig& stm_cfg, const CliFlags* flags,
-               RecordWiring& record) {
+               const stm::StmConfig& stm_cfg, const CliFlags* flags) {
   std::cout << "== Fig.7 " << title << " (throughput, 1 = 1-client GIL) ==\n";
   std::vector<std::string> headers = {"clients"};
   for (const auto& nc : paper_configs()) headers.push_back(nc.name);
@@ -35,8 +34,6 @@ void run_panel(const htm::SystemProfile& profile, const std::string& program,
     d.clients = clients;
     d.total_requests = requests;
     auto cfg = make_config(profile, nc, fault_cfg, stm_cfg, flags);
-    // httpsim phases are not replayable; this applies the address mode only.
-    record.wire(cfg, title, nc.name, clients, requests);
     observe(cfg, sink,
             {{"figure", "fig7_webrick_rails"},
              {"machine", profile.machine.name},
@@ -84,17 +81,19 @@ int main(int argc, char** argv) {
   const stm::StmConfig stm_cfg = parse_stm_flags(flags);
   vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
   parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
+  // Accepts --record-out like every harness; httpsim runs are not
+  // replayable, so none is ever recorded.
   RecordWiring record(flags);
   flags.reject_unknown();
 
   TablePrinter abort_table({"server", "clients", "abort_ratio_pct"});
 
   run_panel(htm::SystemProfile::zec12(), httpsim::webrick_source(),
-            "WEBrick / zEC12", requests, csv, &abort_table, sink, fault_cfg, stm_cfg, &flags, record);
+            "WEBrick / zEC12", requests, csv, &abort_table, sink, fault_cfg, stm_cfg, &flags);
   run_panel(htm::SystemProfile::xeon_e3(), httpsim::webrick_source(),
-            "WEBrick / XeonE3-1275v3", requests, csv, &abort_table, sink, fault_cfg, stm_cfg, &flags, record);
+            "WEBrick / XeonE3-1275v3", requests, csv, &abort_table, sink, fault_cfg, stm_cfg, &flags);
   run_panel(htm::SystemProfile::xeon_e3(), httpsim::rails_source(),
-            "Rails / XeonE3-1275v3", requests, csv, &abort_table, sink, fault_cfg, stm_cfg, &flags, record);
+            "Rails / XeonE3-1275v3", requests, csv, &abort_table, sink, fault_cfg, stm_cfg, &flags);
 
   std::cout << "== Fig.7 right: abort ratios of HTM-dynamic ==\n";
   emit(abort_table, csv);

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
   parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
   // HTM-dynamic runs are replayable; the FineGrained/Unsynced engines have
-  // no record-header spelling and get the address mode only.
+  // no record-header spelling and get no record stream.
   RecordWiring record(flags);
   flags.reject_unknown();
 

@@ -54,6 +54,8 @@ int main(int argc, char** argv) {
   }
   vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
   parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
+  // Accepts --record-out like every harness; httpsim runs are not
+  // replayable, so none is ever recorded.
   RecordWiring record(flags);
   flags.reject_unknown();
 
@@ -88,8 +90,6 @@ int main(int argc, char** argv) {
 
   auto cfg = make_config(profile, *nc, fault_cfg, stm_cfg, &flags);
   cfg.seed = seed;
-  // httpsim phases are not replayable; this applies the address mode only.
-  record.wire(cfg, program_name, nc->name, shard_opts.shards, 1);
 
   std::map<std::string, std::string> labels = {
       {"figure", "httpsim_openloop"},
@@ -134,13 +134,5 @@ int main(int argc, char** argv) {
                                    0),
                  TablePrinter::num(result.queue_hist.percentile(99.0), 0)});
   emit(table, csv);
-  if (shard_opts.breaker.enabled) {
-    std::cout << "breaker: spilled=" << result.spilled << " transitions="
-              << result.breaker_transitions.size() << "\n";
-    for (const auto& tr : result.breaker_transitions) {
-      std::cout << "  epoch=" << tr.epoch << " shard=" << tr.shard << " "
-                << tr.state << "\n";
-    }
-  }
   return 0;
 }

@@ -20,24 +20,28 @@
 // {While, NPB BT, NPB LU} kernels under {fault-free, interrupt-storm,
 // capacity-loss, handoff-delay, stm-persistent, spurious-lazy} campaigns
 // (the last two exercise the STM tier and lazy GIL subscription under
-// faults), plus an httpsim open-loop pair — fault-free vs the worst fault
-// phase with deadlines, CoDel shedding, and per-shard circuit breakers
-// enabled. Exit-code gates: every faulted cell reproduces its workload's
-// fault-free verify checksum, and the worst httpsim fault phase retains
-// >= 70% of fault-free goodput with p99.9 <= 5x fault-free. --json=FILE
-// writes the machine-readable result (schema gilfree.chaos/1).
+// faults), plus an httpsim open-loop pair served by a multi-process cluster
+// fleet (src/httpsim/cluster) — fault-free vs the worst fault phase with
+// deadlines, CoDel shedding, and per-shard circuit breakers enabled. With
+// --trace-out/--metrics-out the breaker transitions land in the trace and
+// each shard process writes <out>.<phase>.shard<k>.trace.jsonl /
+// .metrics.json next to it. Exit-code gates: every faulted cell reproduces
+// its workload's fault-free verify checksum, and the worst httpsim fault
+// phase retains >= 70% of fault-free goodput with p99.9 <= 5x fault-free.
+// --json=FILE writes the machine-readable result (schema gilfree.chaos/1).
 //
 //   $ ./build/bench/robustness_campaign --quick
 //   $ ./build/bench/robustness_campaign --csv --trace-out=t.jsonl
 //         --metrics-out=m.json
 //   $ ./build/bench/robustness_campaign --chaos --json=BENCH_chaos.json
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "bench/bench_common.hpp"
-#include "httpsim/bench_server.hpp"
-#include "httpsim/server_programs.hpp"
+#include "httpsim/cluster/supervisor.hpp"
+#include "httpsim/cluster/worker.hpp"
 
 using namespace gilfree;
 using namespace gilfree::bench;
@@ -121,7 +125,7 @@ std::string jnum(double v) {
 }
 
 void append_httpsim_json(std::ostringstream& os, const char* key,
-                         const httpsim::ShardedRunResult& r) {
+                         const httpsim::cluster::ClusterRunResult& r) {
   os << "    \"" << key << "\": {\"completed\": " << r.completed
      << ", \"dropped\": " << r.dropped << ", \"shed\": " << r.shed
      << ", \"retries\": " << r.retries << ", \"spilled\": " << r.spilled
@@ -198,8 +202,9 @@ int run_chaos(const htm::SystemProfile& profile, bool csv, bool quick,
   // within the healthy shards' spill headroom (quick only shrinks the
   // engine-workload matrix): the brown-out, spill, and recovery sequence
   // is deterministic for a fixed seed.
-  const std::string program = httpsim::webrick_source();
-  httpsim::DriverConfig dcfg;
+  httpsim::cluster::ClusterSpec spec;
+  spec.machine = profile.machine.name;
+  httpsim::DriverConfig& dcfg = spec.driver;
   dcfg.arrival = httpsim::Arrival::kPoisson;
   dcfg.total_requests = 240;
   dcfg.rps = 2'400'000.0;
@@ -207,29 +212,24 @@ int run_chaos(const htm::SystemProfile& profile, bool csv, bool quick,
   dcfg.overload.deadline = 2'000'000;
   dcfg.overload.retry_budget = 1;
   dcfg.overload.codel = true;
-
-  httpsim::ShardOptions sopt;
-  sopt.shards = 4;
-  sopt.breaker.enabled = true;
-  sopt.breaker.epochs = 8;
-  sopt.breaker.trip_streak = 2;
-  sopt.breaker.latency_budget = 400'000;
-  sopt.breaker.fault_shard = 1;  // worst phase: faults confined to shard 1
+  spec.options.shards = 4;
+  spec.options.epochs = 8;
+  spec.options.breaker.enabled = true;
+  spec.options.breaker.trip_streak = 2;
+  spec.options.breaker.latency_budget = 400'000;
+  spec.options.breaker.fault_shard = 1;  // worst phase: faults on shard 1 only
 
   auto run_httpsim = [&](const std::string& phase,
                          const fault::FaultConfig& fc) {
-    auto cfg = make_config(profile, {"HTM-dynamic", -1}, fc, {}, &flags);
-    // httpsim phases are not replayable; this applies the address mode only.
-    record.wire(cfg, "webrick", "HTM-dynamic", sopt.shards, scale);
-    std::map<std::string, std::string> labels = {
-        {"figure", "chaos_campaign"},
-        {"machine", profile.machine.name},
-        {"workload", "webrick"},
-        {"config", "HTM-dynamic"},
-        {"phase", phase}};
-    if (sink.enabled()) sink.next_labels(labels);
-    return httpsim::run_sharded(cfg, program, dcfg, sopt,
-                                sink.enabled() ? &sink : nullptr, labels);
+    httpsim::cluster::ClusterSpec s = spec;
+    s.engine_flags = workloads::replay_flags(fc, {}, &flags);
+    if (sink.enabled()) {
+      const obs::ObsConfig& oc = sink.config();
+      s.artifact_stem =
+          (oc.trace_path.empty() ? oc.metrics_path : oc.trace_path) + "." +
+          phase;
+    }
+    return httpsim::cluster::run_cluster(s, sink.enabled() ? &sink : nullptr);
   };
 
   // The worst fault phase of the matrix for a serving shard: every TBEGIN
@@ -245,12 +245,12 @@ int run_chaos(const htm::SystemProfile& profile, bool csv, bool quick,
   const auto wf = run_httpsim("httpsim-worst-fault", worst_fc);
 
   std::cout << "== Chaos httpsim: webrick open-loop, poisson rps="
-            << jnum(dcfg.rps) << ", " << sopt.shards
+            << jnum(dcfg.rps) << ", " << spec.options.shards
             << " shards, deadlines+CoDel+breakers on ==\n";
   TablePrinter htable({"phase", "completed", "dropped", "shed", "retries",
                        "spilled", "transitions", "p50", "p99", "p99.9"});
   auto add_hrow = [&](const std::string& name,
-                      const httpsim::ShardedRunResult& r) {
+                      const httpsim::cluster::ClusterRunResult& r) {
     htable.add_row({name, std::to_string(r.completed),
                     std::to_string(r.dropped), std::to_string(r.shed),
                     std::to_string(r.retries), std::to_string(r.spilled),
@@ -308,7 +308,7 @@ int run_chaos(const htm::SystemProfile& profile, bool csv, bool quick,
     }
     os << "  ],\n  \"httpsim\": {\n    \"requests\": " << dcfg.total_requests
        << ", \"offered_rps\": " << jnum(dcfg.rps)
-       << ", \"shards\": " << sopt.shards
+       << ", \"shards\": " << spec.options.shards
        << ", \"deadline\": " << dcfg.overload.deadline
        << ", \"retry_budget\": " << dcfg.overload.retry_budget << ",\n";
     append_httpsim_json(os, "fault_free", ff);
@@ -342,6 +342,11 @@ int run_chaos(const htm::SystemProfile& profile, bool csv, bool quick,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The chaos httpsim pair re-execs /proc/self/exe as its shard workers;
+  // dispatch to the worker body before any flag machinery.
+  if (argc > 1 && std::strcmp(argv[1], "--cluster-worker") == 0)
+    return httpsim::cluster::worker_main();
+
   CliFlags flags(argc, argv);
   const bool csv = flags.get_bool("csv", false);
   const bool quick = flags.get_bool("quick", false);

@@ -89,8 +89,6 @@ int main(int argc, char** argv) {
     d.clients = 4;
     d.total_requests = 600;
     cfg.heap.max_threads = d.total_requests + 8;
-    // httpsim phases are not replayable; this applies the address mode only.
-    record.wire(cfg, "Rails", "HTM-dynamic", d.clients, scale);
     observe(cfg, sink,
             {{"figure", "stats_abort_reasons"},
              {"machine", "XeonE3-1275v3"},

@@ -6,7 +6,6 @@
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "obs/sink.hpp"
-#include "tle/breaker.hpp"
 
 namespace gilfree::httpsim {
 
@@ -111,52 +110,6 @@ ShardOptions ShardOptions::from_flags(const CliFlags& flags) {
   o.shards = static_cast<u32>(shards);
   o.router =
       parse_router(flags.get("router", std::string(router_name(o.router))));
-
-  const std::string breaker = flags.get("breaker", "off");
-  if (breaker == "on") {
-    o.breaker.enabled = true;
-  } else if (breaker != "off") {
-    throw std::invalid_argument("--breaker must be on or off (got \"" +
-                                breaker + "\")");
-  }
-  const long epochs =
-      flags.get_int("breaker-epochs", static_cast<long>(o.breaker.epochs));
-  if (epochs < 2 || epochs > 256)
-    throw std::invalid_argument("--breaker-epochs must be in [2,256]");
-  o.breaker.epochs = static_cast<u32>(epochs);
-  const long streak =
-      flags.get_int("breaker-streak", static_cast<long>(o.breaker.trip_streak));
-  if (streak < 1 || streak > 64)
-    throw std::invalid_argument("--breaker-streak must be in [1,64]");
-  o.breaker.trip_streak = static_cast<u32>(streak);
-  const long probe = flags.get_int("breaker-probe",
-                                   static_cast<long>(o.breaker.probe_initial));
-  if (probe < 1 || probe > 64)
-    throw std::invalid_argument("--breaker-probe must be in [1,64]");
-  o.breaker.probe_initial = static_cast<u32>(probe);
-  const long probe_max =
-      flags.get_int("breaker-probe-max", static_cast<long>(o.breaker.probe_max));
-  if (probe_max < probe || probe_max > 256)
-    throw std::invalid_argument(
-        "--breaker-probe-max must be in [--breaker-probe,256]");
-  o.breaker.probe_max = static_cast<u32>(probe_max);
-  o.breaker.shed_ratio =
-      flags.get_double("breaker-shed-ratio", o.breaker.shed_ratio);
-  if (o.breaker.shed_ratio <= 0.0 || o.breaker.shed_ratio > 1.0)
-    throw std::invalid_argument("--breaker-shed-ratio must be in (0,1]");
-  const long latency = flags.get_int(
-      "breaker-latency", static_cast<long>(o.breaker.latency_budget));
-  if (latency < 0)
-    throw std::invalid_argument("--breaker-latency must be >= 0 cycles");
-  o.breaker.latency_budget = static_cast<Cycles>(latency);
-  const long fault_shard = flags.get_int(
-      "breaker-fault-shard", static_cast<long>(o.breaker.fault_shard));
-  if (fault_shard < -1 || fault_shard >= shards)
-    throw std::invalid_argument(
-        "--breaker-fault-shard must be -1 or a shard index < --shards");
-  o.breaker.fault_shard = static_cast<i32>(fault_shard);
-  if (o.breaker.enabled && o.shards < 2)
-    throw std::invalid_argument("--breaker=on requires --shards >= 2");
   return o;
 }
 
@@ -204,139 +157,12 @@ ServerRunResult run_open_loop_slice(runtime::EngineConfig cfg,
   return run_one(std::move(cfg), program_source, driver, driver.scheduled());
 }
 
-namespace {
-
-/// Records one breaker transition and mirrors it into the trace stream so
-/// trace consumers see brown-outs inline with the per-shard engine events.
-void note_transition(ShardedRunResult& out, obs::Sink* sink, u32 epoch,
-                     u32 shard, const char* state) {
-  out.breaker_transitions.push_back(BreakerTransition{epoch, shard, state});
-  if (sink != nullptr && sink->enabled()) {
-    std::string line = "{\"ev\":\"breaker\",\"shard\":";
-    line += std::to_string(shard);
-    line += ",\"epoch\":";
-    line += std::to_string(epoch);
-    line += ",\"state\":\"";
-    line += state;
-    line += "\"}";
-    sink->write_raw(line);
-  }
-}
-
-/// The breaker-enabled sharded run: the schedule is sliced into epochs; each
-/// (epoch, shard) slice runs on its own engine; epoch health feeds the
-/// per-shard tle::BreakerCore and an open shard's keys spill to the next
-/// healthy shard in ring order. Fully deterministic for a fixed seed: the
-/// schedule, the routing, the health evaluation, and therefore every
-/// transition depend only on configuration.
-ShardedRunResult run_sharded_breaker(
-    const runtime::EngineConfig& base, const std::string& program_source,
-    const DriverConfig& driver_config, const ShardOptions& options,
-    obs::Sink* sink, const std::map<std::string, std::string>& labels) {
-  GILFREE_CHECK_MSG(driver_config.arrival != Arrival::kClosed,
-                    "--breaker=on requires an open-loop arrival");
-  const double ghz = base.profile.machine.ghz;
-  const BreakerOptions& bo = options.breaker;
-  const auto schedule = make_schedule(driver_config, ghz);
-  GILFREE_CHECK(!schedule.empty());
-
-  const tle::BreakerParams params{bo.trip_streak, bo.probe_initial,
-                                  bo.probe_max};
-  std::vector<tle::BreakerCore> breaker(options.shards);
-
-  ShardedRunResult out;
-  out.shards.resize(options.shards);
-
-  for (u32 e = 0; e < bo.epochs; ++e) {
-    const std::size_t lo = schedule.size() * e / bo.epochs;
-    const std::size_t hi =
-        schedule.size() * static_cast<std::size_t>(e + 1) / bo.epochs;
-    if (lo == hi) continue;
-
-    // Epoch routing state per shard. A probe epoch serves the shard's own
-    // keys; an open epoch spills them.
-    std::vector<tle::BreakerRoute> route(options.shards);
-    for (u32 s = 0; s < options.shards; ++s) {
-      route[s] = breaker[s].route();
-      if (route[s] == tle::BreakerRoute::kProbe)
-        note_transition(out, sink, e, s, "probe");
-    }
-    std::vector<std::vector<ScheduledRequest>> slice(options.shards);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const ScheduledRequest& r = schedule[i];
-      u32 target = route_key(options.router, r.id, r.key, options.shards,
-                             driver_config.seed);
-      if (route[target] == tle::BreakerRoute::kOpen) {
-        for (u32 step = 1; step < options.shards; ++step) {
-          const u32 cand = (target + step) % options.shards;
-          if (route[cand] != tle::BreakerRoute::kOpen) {
-            target = cand;
-            ++out.spilled;
-            break;
-          }
-        }  // every shard open: the preferred shard keeps the request
-      }
-      slice[target].push_back(r);
-    }
-
-    for (u32 s = 0; s < options.shards; ++s) {
-      if (slice[s].empty()) continue;  // no traffic, no health evidence
-      runtime::EngineConfig cfg = base;
-      cfg.shard_id = s;
-      cfg.shard_count = options.shards;
-      // Asymmetric brown-out demonstration: the fault campaign hits only
-      // the designated shard, the others stay healthy spill targets.
-      if (bo.fault_shard >= 0 && static_cast<i32>(s) != bo.fault_shard)
-        cfg.fault = fault::FaultConfig{};
-      if (sink != nullptr) {
-        auto run_labels = labels;
-        run_labels["shard"] = std::to_string(s);
-        run_labels["shards"] = std::to_string(options.shards);
-        run_labels["epoch"] = std::to_string(e);
-        run_labels["epochs"] = std::to_string(bo.epochs);
-        sink->next_labels(std::move(run_labels));
-        cfg.obs_sink = sink;
-      }
-      ServerRunResult r = run_open_loop_slice(
-          std::move(cfg), program_source, driver_config, slice[s], hi - lo);
-
-      const double bad =
-          static_cast<double>(r.dropped + r.shed) /
-          static_cast<double>(slice[s].size());
-      bool unhealthy = bad > bo.shed_ratio;
-      if (bo.latency_budget > 0 && r.completed > 0 &&
-          r.latency_hist.percentile(99.0) >
-              static_cast<double>(bo.latency_budget)) {
-        unhealthy = true;
-      }
-      if (unhealthy) {
-        const tle::BreakerOutcome bko = breaker[s].on_failure(params, true);
-        if (bko.probe_failed) note_transition(out, sink, e, s, "probe-failed");
-        if (bko.tripped) note_transition(out, sink, e, s, "open");
-      } else if (breaker[s].on_success()) {
-        note_transition(out, sink, e, s, "closed");
-      }
-
-      out.shards[s].add_epoch(std::move(r));
-    }
-  }
-  out.finish(driver_config.paths, ghz);
-  return out;
-}
-
-}  // namespace
-
-ShardedRunResult run_sharded(const runtime::EngineConfig& base,
-                             const std::string& program_source,
-                             const DriverConfig& driver_config,
-                             const ShardOptions& options,
-                             obs::Sink* sink,
-                             std::map<std::string, std::string> labels) {
+FleetResult run_sharded(const runtime::EngineConfig& base,
+                        const std::string& program_source,
+                        const DriverConfig& driver_config,
+                        const ShardOptions& options, obs::Sink* sink,
+                        std::map<std::string, std::string> labels) {
   GILFREE_CHECK(options.shards >= 1 && options.shards <= 64);
-  if (options.breaker.enabled) {
-    return run_sharded_breaker(base, program_source, driver_config, options,
-                               sink, labels);
-  }
   const double ghz = base.profile.machine.ghz;
 
   // Partition the load deterministically before any engine runs, so the
@@ -367,7 +193,7 @@ ShardedRunResult run_sharded(const runtime::EngineConfig& base,
     }
   }
 
-  ShardedRunResult out;
+  FleetResult out;
   for (u32 s = 0; s < options.shards; ++s) {
     runtime::EngineConfig cfg = base;
     cfg.shard_id = s;

@@ -66,53 +66,14 @@ struct FleetResult {
   void merge(const std::vector<std::string>& paths, double ghz);
 };
 
-/// Per-shard circuit breakers with brown-out routing (docs/ROBUSTNESS.md).
-/// The sharded run is sliced into `epochs` contiguous schedule windows; after
-/// each window every shard's health (drop+shed ratio, optionally an epoch-p99
-/// latency budget) feeds its tle::BreakerCore. An open (browned-out) shard's
-/// keys deterministically spill to the next healthy shard until a recovery
-/// probe epoch succeeds. Open-loop arrivals only.
-struct BreakerOptions {
-  bool enabled = false;
-  u32 epochs = 8;        ///< Schedule windows per run (health granularity).
-  u32 trip_streak = 2;   ///< Consecutive unhealthy epochs that trip a shard.
-  u32 probe_initial = 1; ///< Epochs browned-out before the first probe.
-  u32 probe_max = 8;     ///< Backoff cap between failed probes, in epochs.
-  double shed_ratio = 0.25;   ///< Unhealthy when (dropped+shed)/slice exceeds.
-  Cycles latency_budget = 0;  ///< Unhealthy when epoch p99 exceeds; 0 = off.
-  i32 fault_shard = -1;  ///< >= 0: confine --fault-* injection to this shard
-                         ///< (asymmetric brown-out demonstration).
-};
-
-/// Multi-engine sharding of one logical server run (--shards=, --router=,
-/// --breaker-*).
+/// Multi-engine sharding of one logical server run (--shards=, --router=).
 struct ShardOptions {
   u32 shards = 1;
   Router router = Router::kHash;
-  BreakerOptions breaker;
 
-  /// Reads --shards=, --router=, and the --breaker-* family; throws
-  /// std::invalid_argument on semantic errors (strict-CLI convention).
+  /// Reads --shards= and --router=; throws std::invalid_argument on
+  /// semantic errors (strict-CLI convention).
   static ShardOptions from_flags(const CliFlags& flags);
-};
-
-/// One circuit-breaker state transition during a sharded breaker run, in
-/// (epoch, shard) order. `state` is "open", "probe", "probe-failed", or
-/// "closed" — the same strings the trace JSONL carries.
-struct BreakerTransition {
-  u32 epoch = 0;
-  u32 shard = 0;
-  std::string state;
-};
-
-/// run_sharded's result: the merged fleet plus the breaker's decisions.
-struct ShardedRunResult : FleetResult {
-  /// Breaker mode only: every brown-out / probe / recovery transition, in
-  /// deterministic (epoch, shard) order.
-  std::vector<BreakerTransition> breaker_transitions;
-  /// Breaker mode only: requests served off their preferred (router-chosen)
-  /// shard because it was browned out.
-  u64 spilled = 0;
 };
 
 /// Runs `program_source` (webrick_source()/rails_source()) against the load
@@ -145,11 +106,10 @@ ServerRunResult run_open_loop_slice(runtime::EngineConfig cfg,
 /// counts, and the global request log; throughput uses the makespan across
 /// shards. When `sink` is set, each shard's run is delivered to it tagged
 /// with `labels` plus shard=<i>/shards=<n>.
-ShardedRunResult run_sharded(const runtime::EngineConfig& base,
-                             const std::string& program_source,
-                             const DriverConfig& driver_config,
-                             const ShardOptions& options,
-                             obs::Sink* sink = nullptr,
-                             std::map<std::string, std::string> labels = {});
+FleetResult run_sharded(const runtime::EngineConfig& base,
+                        const std::string& program_source,
+                        const DriverConfig& driver_config,
+                        const ShardOptions& options, obs::Sink* sink = nullptr,
+                        std::map<std::string, std::string> labels = {});
 
 }  // namespace gilfree::httpsim

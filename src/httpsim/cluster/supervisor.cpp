@@ -9,9 +9,11 @@
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
+#include "common/strutil.hpp"
 #include "httpsim/cluster/worker.hpp"
 #include "obs/json.hpp"
 #include "obs/sink.hpp"
+#include "tle/breaker.hpp"
 
 namespace gilfree::httpsim::cluster {
 
@@ -98,6 +100,49 @@ ClusterOptions ClusterOptions::from_flags(const CliFlags& flags) {
         "--autoscale=on needs headroom: raise --scale-max above --shards "
         "or lower --scale-min below it");
   }
+
+  BreakerOptions& b = o.breaker;
+  const std::string breaker = flags.get("breaker", b.enabled ? "on" : "off");
+  if (breaker == "on") {
+    b.enabled = true;
+  } else if (breaker != "off") {
+    throw std::invalid_argument("--breaker must be on or off (got \"" +
+                                breaker + "\")");
+  }
+  const long streak =
+      flags.get_int("breaker-streak", static_cast<long>(b.trip_streak));
+  if (streak < 1 || streak > 64)
+    throw std::invalid_argument("--breaker-streak must be in [1,64]");
+  b.trip_streak = static_cast<u32>(streak);
+  const long probe =
+      flags.get_int("breaker-probe", static_cast<long>(b.probe_initial));
+  if (probe < 1 || probe > 64)
+    throw std::invalid_argument("--breaker-probe must be in [1,64]");
+  b.probe_initial = static_cast<u32>(probe);
+  const long probe_max =
+      flags.get_int("breaker-probe-max", static_cast<long>(b.probe_max));
+  if (probe_max < probe || probe_max > 256)
+    throw std::invalid_argument(
+        "--breaker-probe-max must be in [--breaker-probe,256]");
+  b.probe_max = static_cast<u32>(probe_max);
+  b.shed_ratio = flags.get_double("breaker-shed-ratio", b.shed_ratio);
+  if (b.shed_ratio <= 0.0 || b.shed_ratio > 1.0)
+    throw std::invalid_argument("--breaker-shed-ratio must be in (0,1]");
+  const long latency =
+      flags.get_int("breaker-latency", static_cast<long>(b.latency_budget));
+  if (latency < 0)
+    throw std::invalid_argument("--breaker-latency must be >= 0 cycles");
+  b.latency_budget = static_cast<Cycles>(latency);
+  const long fault_shard =
+      flags.get_int("breaker-fault-shard", static_cast<long>(b.fault_shard));
+  if (fault_shard < -1 || fault_shard >= shards)
+    throw std::invalid_argument(
+        "--breaker-fault-shard must be -1 or a shard index < --shards");
+  b.fault_shard = static_cast<i32>(fault_shard);
+  if (b.enabled && (o.shards < 2 || o.epochs < 2 || o.steal || o.autoscale))
+    throw std::invalid_argument(
+        "--breaker=on requires --shards >= 2 and --cluster-epochs >= 2, "
+        "without --steal=on or --autoscale=on");
   return o;
 }
 
@@ -132,6 +177,20 @@ std::vector<std::string> ClusterOptions::to_flags() const {
     out.push_back("--scale-sustain=" + std::to_string(scale_sustain));
   if (scale_idle != def.scale_idle)
     out.push_back("--scale-idle=" + std::to_string(scale_idle));
+  const BreakerOptions& b = breaker;
+  if (b.enabled) out.push_back("--breaker=on");
+  if (b.trip_streak != def.breaker.trip_streak)
+    out.push_back("--breaker-streak=" + std::to_string(b.trip_streak));
+  if (b.probe_initial != def.breaker.probe_initial)
+    out.push_back("--breaker-probe=" + std::to_string(b.probe_initial));
+  if (b.probe_max != def.breaker.probe_max)
+    out.push_back("--breaker-probe-max=" + std::to_string(b.probe_max));
+  if (b.shed_ratio != def.breaker.shed_ratio)
+    out.push_back(strprintf("--breaker-shed-ratio=%.17g", b.shed_ratio));
+  if (b.latency_budget != def.breaker.latency_budget)
+    out.push_back("--breaker-latency=" + std::to_string(b.latency_budget));
+  if (b.fault_shard != def.breaker.fault_shard)
+    out.push_back("--breaker-fault-shard=" + std::to_string(b.fault_shard));
   return out;
 }
 
@@ -238,6 +297,14 @@ InitMsg make_init(const ClusterSpec& spec, u32 slot, u32 slots) {
   init.slot = slot;
   init.slots = slots;
   init.engine_flags = spec.engine_flags;
+  // Asymmetric brown-out demonstration: the fault campaign hits only the
+  // designated shard, the others stay healthy spill targets.
+  const BreakerOptions& b = spec.options.breaker;
+  if (b.enabled && b.fault_shard >= 0 &&
+      static_cast<i32>(slot) != b.fault_shard)
+    std::erase_if(init.engine_flags, [](const std::string& f) {
+      return starts_with(f, "--fault-");
+    });
   init.driver_flags = spec.driver.to_flags();
   if (!spec.artifact_stem.empty()) {
     init.trace_path =
@@ -267,6 +334,21 @@ std::string steal_line(const StealEvent& ev) {
   return line;
 }
 
+/// Records one breaker transition and mirrors it into the trace stream so
+/// trace consumers see brown-outs inline with the steal/scale events.
+void note_transition(ClusterRunResult& result, obs::Sink* sink, u32 epoch,
+                     u32 shard, const char* state) {
+  result.breaker_transitions.push_back(BreakerTransition{epoch, shard, state});
+  std::string line = "{\"ev\":\"breaker\",\"shard\":";
+  line += std::to_string(shard);
+  line += ",\"epoch\":";
+  line += std::to_string(epoch);
+  line += ",\"state\":\"";
+  line += state;
+  line += "\"}";
+  emit_event(result, sink, line, /*trace=*/true);
+}
+
 std::string scale_line(const ScaleEvent& ev) {
   std::string line = "{\"ev\":\"scale\",\"epoch\":";
   line += std::to_string(ev.epoch);
@@ -291,7 +373,8 @@ ClusterRunResult run_cluster(const ClusterSpec& spec, obs::Sink* sink) {
 
   // Validate the engine spec in the supervisor before any fork, so name and
   // flag errors surface as one clean exception instead of a worker exit.
-  const InitMsg probe = make_init(spec, 0, slots);
+  InitMsg probe = make_init(spec, 0, slots);
+  probe.engine_flags = spec.engine_flags;  // the unconfined fault campaign
   const runtime::EngineConfig base = engine_config_from_init(probe);
   const double ghz = base.profile.machine.ghz;
 
@@ -307,6 +390,12 @@ ClusterRunResult run_cluster(const ClusterSpec& spec, obs::Sink* sink) {
   std::vector<std::vector<ScheduledRequest>> pending(slots);
   std::vector<u64> backlog_carry(slots, 0);
   std::vector<Cycles> epoch_p99(slots, 0);
+  const BreakerOptions& bo = opt.breaker;
+  const tle::BreakerParams breaker_params{bo.trip_streak, bo.probe_initial,
+                                          bo.probe_max};
+  std::vector<tle::BreakerCore> breaker(slots);
+  std::vector<tle::BreakerRoute> route(slots, tle::BreakerRoute::kClosed);
+  std::vector<std::size_t> batch_size(slots, 0);
   u32 next_slot = opt.shards;
   u32 up_streak = 0;
   u32 idle_streak = 0;
@@ -345,13 +434,35 @@ ClusterRunResult run_cluster(const ClusterSpec& spec, obs::Sink* sink) {
         emit_event(result, sink, line, /*trace=*/false);
       }
 
-      // 1. Route this window's arrivals across the active shards.
+      // 1. Route this window's arrivals across the active shards. With
+      // breakers on, each shard's breaker picks its epoch route first (a
+      // probe epoch serves the shard's own keys, an open one spills them to
+      // the next non-open shard in ring order). route() counts down the
+      // open wait, so an empty window must not call it.
+      if (bo.enabled && hi > lo) {
+        for (const u32 s : act) {
+          route[s] = breaker[s].route();
+          if (route[s] == tle::BreakerRoute::kProbe)
+            note_transition(result, sink, e, s, "probe");
+        }
+      }
       for (std::size_t i = lo; i < hi; ++i) {
         const ScheduledRequest& r = schedule[i];
         const u32 idx = route_key(opt.router, r.id, r.key,
                                   static_cast<u32>(act.size()),
                                   spec.driver.seed);
-        pending[act[idx]].push_back(r);
+        u32 target = act[idx];
+        if (route[target] == tle::BreakerRoute::kOpen) {
+          for (u32 step = 1; step < act.size(); ++step) {
+            const u32 cand = act[(idx + step) % act.size()];
+            if (route[cand] != tle::BreakerRoute::kOpen) {
+              target = cand;
+              ++result.spilled;
+              break;
+            }
+          }  // every shard open: the preferred shard keeps the request
+        }
+        pending[target].push_back(r);
       }
 
       const auto depth = [&](u32 s) {
@@ -406,6 +517,7 @@ ClusterRunResult run_cluster(const ClusterSpec& spec, obs::Sink* sink) {
         batch.schedule_total = schedule.size();
         batch.slice = std::move(pending[s]);
         pending[s].clear();
+        batch_size[s] = batch.slice.size();
         {
           std::string line = "{\"ev\":\"dispatch\",\"epoch\":";
           line += std::to_string(e);
@@ -443,6 +555,23 @@ ClusterRunResult run_cluster(const ClusterSpec& spec, obs::Sink* sink) {
         epoch_p99[s] = r.latency_hist.total() > 0
                            ? r.latency_hist.percentile(99.0)
                            : 0;
+        // Breaker health; an empty batch gives no evidence either way.
+        if (bo.enabled && batch_size[s] > 0) {
+          const double bad = static_cast<double>(r.dropped + r.shed) /
+                             static_cast<double>(batch_size[s]);
+          const bool unhealthy =
+              bad > bo.shed_ratio ||
+              (bo.latency_budget > 0 && epoch_p99[s] > bo.latency_budget);
+          if (unhealthy) {
+            const tle::BreakerOutcome out =
+                breaker[s].on_failure(breaker_params, true);
+            if (out.probe_failed)
+              note_transition(result, sink, e, s, "probe-failed");
+            if (out.tripped) note_transition(result, sink, e, s, "open");
+          } else if (breaker[s].on_success()) {
+            note_transition(result, sink, e, s, "closed");
+          }
+        }
         result.shards[s].add_epoch(std::move(r));
       }
 
@@ -488,7 +617,6 @@ ClusterRunResult run_cluster(const ClusterSpec& spec, obs::Sink* sink) {
     throw;
   }
 
-  // The same finish step as the in-process breaker runner.
   result.finish(spec.driver.paths, ghz);
   if (result.completed + result.dropped + result.shed != schedule.size())
     throw std::runtime_error("cluster: request accounting mismatch");

@@ -5,11 +5,13 @@
 // boundary it may rebalance queued work from the deepest to the shallowest
 // admission queue (cross-shard work stealing, trace-visible as `steal`
 // events) and grow or shrink the active shard set from queue-depth / p99
-// signals (autoscaling, trace-visible as `scale` events). Everything is
-// deterministic: routing, stealing, and scaling depend only on the seeded
-// schedule and the workers' (deterministic) results, so two same-seed runs
-// produce byte-identical merged logs, per-shard artifacts, and record
-// streams. docs/ARCHITECTURE.md has the state machines.
+// signals (autoscaling, trace-visible as `scale` events). Per-shard circuit
+// breakers (trace-visible as `breaker` events) may instead brown out an
+// unhealthy shard and spill its keys to its healthy neighbours. Everything
+// is deterministic: routing, stealing, scaling and breaking depend only on
+// the seeded schedule and the workers' (deterministic) results, so two
+// same-seed runs produce byte-identical merged logs, per-shard artifacts,
+// and record streams. docs/ARCHITECTURE.md has the state machines.
 #pragma once
 
 #include <string>
@@ -23,6 +25,22 @@ class Sink;
 }
 
 namespace gilfree::httpsim::cluster {
+
+/// Per-shard circuit breakers with brown-out routing (--breaker=on,
+/// docs/ROBUSTNESS.md). After each epoch every shard's health (drop+shed
+/// ratio of its batch, optionally an epoch-p99 latency budget) feeds its
+/// tle::BreakerCore. An open (browned-out) shard's keys deterministically
+/// spill to the next healthy shard until a recovery probe epoch succeeds.
+struct BreakerOptions {
+  bool enabled = false;
+  u32 trip_streak = 2;   ///< Consecutive unhealthy epochs that trip a shard.
+  u32 probe_initial = 1; ///< Epochs browned-out before the first probe.
+  u32 probe_max = 8;     ///< Backoff cap between failed probes, in epochs.
+  double shed_ratio = 0.25;   ///< Unhealthy when (dropped+shed)/batch exceeds.
+  Cycles latency_budget = 0;  ///< Unhealthy when epoch p99 exceeds; 0 = off.
+  i32 fault_shard = -1;  ///< >= 0: confine --fault-* injection to this shard
+                         ///< (asymmetric brown-out demonstration).
+};
 
 struct ClusterOptions {
   u32 shards = 4;      ///< Initial worker processes (--shards=).
@@ -59,6 +77,9 @@ struct ClusterOptions {
   /// Consecutive idle epochs before a drain-and-retire.
   u32 scale_idle = 2;
 
+  // --- Per-shard circuit breakers (--breaker=on) ---------------------------
+  BreakerOptions breaker;
+
   /// Slot capacity after defaulting.
   u32 slots() const { return max_shards == 0 ? shards : max_shards; }
 
@@ -66,8 +87,10 @@ struct ClusterOptions {
   /// --steal-margin=, --steal-batch=, --steal-rounds=,
   /// --autoscale[=on|off], --scale-min=, --scale-max=, --scale-up-depth=,
   /// --scale-up-p99=, --scale-down-depth=, --scale-sustain=,
-  /// --scale-idle=. Throws
-  /// std::invalid_argument on semantic errors (strict-CLI convention).
+  /// --scale-idle=, --breaker[=on|off], --breaker-streak=, --breaker-probe=,
+  /// --breaker-probe-max=, --breaker-shed-ratio=, --breaker-latency=,
+  /// --breaker-fault-shard=. Throws std::invalid_argument on semantic
+  /// errors (strict-CLI convention).
   static ClusterOptions from_flags(const CliFlags& flags);
   /// Canonical non-default flags; from_flags(to_flags(o)) == o. Used by the
   /// httpsim record header.
@@ -103,14 +126,30 @@ struct ScaleEvent {
   u32 slot = 0;
 };
 
+/// One circuit-breaker state transition, in (epoch, shard) order. `state`
+/// is "open", "probe", "probe-failed", or "closed" — the same strings the
+/// `breaker` trace and record lines carry.
+struct BreakerTransition {
+  u32 epoch = 0;
+  u32 shard = 0;
+  std::string state;
+
+  bool operator==(const BreakerTransition&) const = default;
+};
+
 /// A cluster run: the merged fleet (`shards` holds one accumulated result
 /// per slot, size = options.slots(); never-spawned slots stay zero — see
-/// slot_used) plus the supervisor's steal, scale and depth decisions.
+/// slot_used) plus the supervisor's steal, scale, breaker and depth
+/// decisions.
 struct ClusterRunResult : FleetResult {
   std::vector<bool> slot_used;
   std::vector<StealEvent> steals;
   std::vector<ScaleEvent> scales;
+  std::vector<BreakerTransition> breaker_transitions;
   u64 stolen = 0;  ///< Total requests migrated by stealing.
+  /// Requests served off their router-chosen shard because it was browned
+  /// out.
+  u64 spilled = 0;
   /// Worst per-shard dispatch depth (batch size + carried backlog) over all
   /// epochs, before and after the steal pass — the pair the bench gates
   /// compare to show stealing flattens the skew.
@@ -118,8 +157,9 @@ struct ClusterRunResult : FleetResult {
   u64 peak_depth = 0;
   u32 max_active = 0;  ///< Peak simultaneous shard processes.
   /// The run's deterministic decision stream: one JSONL line per epoch /
-  /// steal / dispatch / scale event plus the end summary. The record writer
-  /// persists these; replay verification re-runs and compares them.
+  /// steal / dispatch / scale / breaker event plus the end summary. The
+  /// record writer persists these; replay verification re-runs and
+  /// compares them.
   std::vector<std::string> record_lines;
 };
 
@@ -128,9 +168,9 @@ struct ClusterRunResult : FleetResult {
 u64 fnv1a64(const std::string& s);
 
 /// Runs one multi-process cluster serve. `sink`, when enabled, receives the
-/// supervisor-level steal/scale trace events (worker engine runs land in
-/// the per-shard artifacts instead). Throws std::invalid_argument on bad
-/// specs and std::runtime_error on worker/protocol failures.
+/// supervisor-level steal/scale/breaker trace events (worker engine runs
+/// land in the per-shard artifacts instead). Throws std::invalid_argument
+/// on bad specs and std::runtime_error on worker/protocol failures.
 ClusterRunResult run_cluster(const ClusterSpec& spec,
                              obs::Sink* sink = nullptr);
 

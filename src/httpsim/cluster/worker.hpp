@@ -1,8 +1,8 @@
 // The shard worker process of the multi-process cluster: a shared-nothing
 // simulator that serves arrival-schedule slices handed to it over the pipe
-// protocol. One fresh engine per epoch batch — the same epoch-slicing the
-// in-process breaker runner uses — so a worker's output for a given slice
-// is byte-identical to the in-process runner executing that slice.
+// protocol. One fresh engine per epoch batch, set up by the same
+// run_open_loop_slice the in-process sharded runner uses, so a worker's
+// output for a given slice is byte-identical to an in-process run of it.
 #pragma once
 
 #include "httpsim/cluster/protocol.hpp"

@@ -27,7 +27,8 @@ struct VmOptions {
   /// Execute compiler-annotated superinstruction pairs (getlocal+opt_*,
   /// opt_*+setlocal) back-to-back, skipping one dispatch-loop round trip.
   /// Fused pairs charge the same cycles and hit the same yield points as
-  /// the unfused sequence; `--no-fuse` disables for ablation.
+  /// the unfused sequence. No flag turns it off; micro_overhead's and
+  /// test_interp_modes' unfused profiles clear it directly.
   bool fuse_superinsns = true;
 
   /// Accumulate cycle charges in a host-local counter and flush to the

@@ -1,11 +1,13 @@
 // Multi-process cluster serving (docs/ARCHITECTURE.md cluster section):
-// strict-CLI rejection and round-trip for the --shards/--steal-*/--scale-*
-// family, the flags-off differential pinning the cluster supervisor to the
-// in-process sharded runner byte for byte, same-seed byte-identity of merged
-// logs / per-shard artifacts / record streams across worker processes,
-// steal-protocol effectiveness under a Zipf-skewed key space, queue-driven
-// autoscale spawn + drain-and-retire against a trace-replayed burst, and
-// the gilfree.record/httpsim.1 write/read/verify round trip.
+// strict-CLI rejection and round-trip for the --shards/--steal-*/--scale-*/
+// --breaker-* family, the flags-off differential pinning the cluster
+// supervisor to the in-process sharded runner byte for byte, same-seed
+// byte-identity of merged logs / per-shard artifacts / record streams across
+// worker processes, steal-protocol effectiveness under a Zipf-skewed key
+// space, queue-driven autoscale spawn + drain-and-retire against a
+// trace-replayed burst, per-shard circuit-breaker brown-outs (pinned to the
+// in-process breaker runner they replaced), and the
+// gilfree.record/httpsim.1 write/read/verify round trip.
 //
 // Like test_cross_process, the supervisor re-execs this binary
 // (/proc/self/exe) as its shard workers, so the test brings its own main
@@ -146,6 +148,22 @@ TEST(ClusterCli, ToFlagsRoundTripsNonDefaults) {
 
   // Defaults emit no flags at all.
   EXPECT_TRUE(ClusterOptions{}.to_flags().empty());
+
+  // The breaker family (which excludes stealing and autoscaling).
+  ClusterOptions b;
+  b.epochs = 8;
+  b.breaker.enabled = true;
+  b.breaker.trip_streak = 3;
+  b.breaker.probe_initial = 2;
+  b.breaker.probe_max = 16;
+  b.breaker.shed_ratio = 0.1;
+  b.breaker.latency_budget = 400'000;
+  b.breaker.fault_shard = 1;
+  // Every field above is non-default, so equal canonical flags mean every
+  // field survived the trip.
+  EXPECT_EQ(ClusterOptions::from_flags(make_flags(b.to_flags())).to_flags(),
+            b.to_flags());
+  EXPECT_EQ(b.to_flags().size(), 8u);
 }
 
 TEST(ClusterRun, RejectsClosedLoopAndZeroRequests) {
@@ -174,7 +192,7 @@ TEST(ClusterRun, FlagsOffMatchesInProcessSharding) {
   httpsim::ShardOptions sharding;
   sharding.shards = spec.options.shards;
   sharding.router = spec.options.router;
-  const httpsim::ShardedRunResult inproc = httpsim::run_sharded(
+  const httpsim::FleetResult inproc = httpsim::run_sharded(
       base, httpsim::webrick_source(), spec.driver, sharding);
 
   EXPECT_EQ(cluster.request_log, inproc.request_log);
@@ -333,6 +351,87 @@ TEST(ClusterRun, AutoscaleSpawnsIntoBurstAndRetiresAfter) {
     if (line.find("\"ev\":\"scale\"") != std::string::npos) ++scale_lines;
   EXPECT_EQ(scale_lines, r.scales.size());
   EXPECT_EQ(r.completed + r.dropped + r.shed, spec.driver.total_requests);
+}
+
+/// The chaos campaign's worst-fault httpsim phase: Poisson load past the
+/// faulted shard's service rate but within the healthy shards' spill
+/// headroom, deadlines + one retry + CoDel, and breakers on 4 shards over 8
+/// epochs with every fault confined to shard 1.
+ClusterSpec breaker_spec() {
+  ClusterSpec spec;
+  spec.driver.arrival = httpsim::Arrival::kPoisson;
+  spec.driver.total_requests = 240;
+  spec.driver.rps = 2'400'000.0;
+  spec.driver.queue_limit = 64;
+  spec.driver.overload.deadline = 2'000'000;
+  spec.driver.overload.retry_budget = 1;
+  spec.driver.overload.codel = true;
+  spec.options.shards = 4;
+  spec.options.epochs = 8;
+  spec.options.breaker.enabled = true;
+  spec.options.breaker.trip_streak = 2;
+  spec.options.breaker.latency_budget = 400'000;
+  spec.options.breaker.fault_shard = 1;
+  spec.engine_flags = {"--fault-seed=7", "--fault-persistent-yps=all",
+                       "--fault-handoff-delay=150000"};
+  return spec;
+}
+
+// The golden pin: the numbers the in-process breaker runner produced on
+// breaker_spec() before the supervisor took the breakers over. The request
+// log hash, the spill count, every transition and the totals must match.
+TEST(ClusterRun, BreakerMatchesTheInProcessRunnerItReplaced) {
+  const ClusterSpec spec = breaker_spec();
+  const ClusterRunResult r = httpsim::cluster::run_cluster(spec);
+  EXPECT_EQ(httpsim::cluster::fnv1a64(r.request_log),
+            3668277289948523399ULL);
+  EXPECT_EQ(r.spilled, 4u);
+  EXPECT_EQ(r.completed, 240u);
+  EXPECT_EQ(r.dropped, 0u);
+  EXPECT_EQ(r.shed, 0u);
+  EXPECT_EQ(r.retries, 0u);
+  EXPECT_EQ(r.makespan, 972'301u);
+  const std::vector<httpsim::cluster::BreakerTransition> expected = {
+      {5, 1, "open"}, {7, 1, "probe"}, {7, 1, "closed"}};
+  EXPECT_EQ(r.breaker_transitions, expected);
+  // Every transition is also a `breaker` line of the decision stream.
+  u32 breaker_lines = 0;
+  for (const std::string& line : r.record_lines)
+    if (line.find("\"ev\":\"breaker\"") != std::string::npos) ++breaker_lines;
+  EXPECT_EQ(breaker_lines, r.breaker_transitions.size());
+}
+
+// The epoch accumulation and final merge with breaker spill moving keys
+// between slots: the fleet is still exactly the sum of its slots.
+TEST(ClusterRun, BreakerFleetIsTheSumOfItsEpochAccumulatedShards) {
+  ClusterSpec spec = breaker_spec();
+  spec.driver.queue_limit = DriverConfig{}.queue_limit;
+  spec.options.epochs = 4;
+  spec.options.breaker.latency_budget = 0;
+  const ClusterRunResult r = httpsim::cluster::run_cluster(spec);
+  ASSERT_EQ(r.shards.size(), 4u);
+  EXPECT_EQ(r.completed + r.dropped + r.shed, spec.driver.total_requests);
+  testutil::expect_fleet_invariants(r, spec.driver.paths);
+}
+
+TEST(ClusterRun, BreakerBrownOutIsByteDeterministicForAFixedSeed) {
+  ClusterSpec spec = breaker_spec();
+  spec.driver.queue_limit = DriverConfig{}.queue_limit;
+  const ClusterRunResult a = httpsim::cluster::run_cluster(spec);
+  const ClusterRunResult b = httpsim::cluster::run_cluster(spec);
+  EXPECT_EQ(a.request_log, b.request_log);
+  EXPECT_EQ(a.record_lines, b.record_lines);
+  EXPECT_EQ(a.spilled, b.spilled);
+  EXPECT_EQ(a.breaker_transitions, b.breaker_transitions);
+  // The faulted shard's brown-out must actually engage under this load.
+  EXPECT_GE(a.breaker_transitions.size(), 1u);
+  // Transitions arrive in deterministic (epoch, shard) order.
+  for (std::size_t i = 1; i < a.breaker_transitions.size(); ++i) {
+    EXPECT_GE(a.breaker_transitions[i].epoch,
+              a.breaker_transitions[i - 1].epoch);
+  }
+  // Accounting holds across the epoch-sliced breaker path as well.
+  EXPECT_EQ(a.completed + a.dropped + a.shed, spec.driver.total_requests);
 }
 
 // gilfree.record/httpsim.1 round trip: write, read back the scenario from

@@ -1,8 +1,9 @@
 // Overload-protection correctness (docs/ROBUSTNESS.md): strict-CLI
-// rejection for the --deadline-*/--shed-*/--breaker-* families, exact
-// disposition accounting under overload and connection churn at 1 and 4
-// shards, deterministic deadline/backoff keying, and byte-identical breaker
-// brown-out runs for a fixed seed.
+// rejection for the --deadline-*/--shed-* families and the cluster's
+// --breaker-* family, exact disposition accounting under overload and
+// connection churn at 1 and 4 shards, and deterministic deadline/backoff
+// keying. The breaker's brown-out runs need shard worker processes and live
+// in test_cluster.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include "htm/profile.hpp"
 #include "httpsim/bench_server.hpp"
 #include "httpsim/client_driver.hpp"
+#include "httpsim/cluster/supervisor.hpp"
 #include "httpsim/overload.hpp"
 #include "httpsim/server_programs.hpp"
 #include "runtime/engine.hpp"
@@ -27,14 +29,12 @@ using httpsim::DriverConfig;
 using httpsim::OverloadConfig;
 using httpsim::RequestOutcome;
 using httpsim::ShardOptions;
+using httpsim::cluster::ClusterOptions;
 using testutil::expect_rejected;
 using testutil::make_flags;
 
 void reject_overload_flag(const std::string& flag) {
-  expect_rejected(flag, [](const CliFlags& f) {
-    DriverConfig::from_flags(f);
-    ShardOptions::from_flags(f);
-  });
+  expect_rejected(flag, [](const CliFlags& f) { DriverConfig::from_flags(f); });
 }
 
 TEST(OverloadCli, EveryOverloadFlagRejectsBadValues) {
@@ -50,35 +50,43 @@ TEST(OverloadCli, EveryOverloadFlagRejectsBadValues) {
   reject_overload_flag("--shed-interval=0");
 }
 
+/// The breakers are a cluster supervisor policy: ClusterOptions parses them.
+void reject_breaker_flag(const std::string& flag) {
+  expect_rejected(flag,
+                  [](const CliFlags& f) { ClusterOptions::from_flags(f); });
+}
+
 TEST(OverloadCli, EveryBreakerFlagRejectsBadValues) {
-  reject_overload_flag("--breaker=maybe");
-  reject_overload_flag("--breaker-epochs=1");
-  reject_overload_flag("--breaker-epochs=257");
-  reject_overload_flag("--breaker-streak=0");
-  reject_overload_flag("--breaker-probe=0");
-  reject_overload_flag("--breaker-probe-max=0");
-  reject_overload_flag("--breaker-shed-ratio=0");
-  reject_overload_flag("--breaker-shed-ratio=1.5");
-  reject_overload_flag("--breaker-latency=-1");
-  reject_overload_flag("--breaker-fault-shard=-2");
+  reject_breaker_flag("--breaker=maybe");
+  reject_breaker_flag("--breaker-streak=0");
+  reject_breaker_flag("--breaker-probe=0");
+  reject_breaker_flag("--breaker-probe-max=0");
+  reject_breaker_flag("--breaker-shed-ratio=0");
+  reject_breaker_flag("--breaker-shed-ratio=1.5");
+  reject_breaker_flag("--breaker-latency=-1");
+  reject_breaker_flag("--breaker-fault-shard=-2");
 }
 
 TEST(OverloadCli, BreakerRequiresShardsAndOpenLoopConstraintsHold) {
-  // --breaker=on with the default single shard is a semantic error.
-  {
-    CliFlags f = make_flags({"--breaker=on"});
-    EXPECT_THROW(ShardOptions::from_flags(f), std::invalid_argument);
-  }
+  const auto rejects = [](std::vector<std::string> args) {
+    CliFlags f = make_flags(std::move(args));
+    EXPECT_THROW(ClusterOptions::from_flags(f), std::invalid_argument);
+  };
+  // Breakers need at least two shards to spill between and at least two
+  // epochs to judge health between.
+  rejects({"--breaker=on", "--shards=1", "--cluster-epochs=8"});
+  rejects({"--breaker=on", "--shards=4"});
+  // Neither stealing nor autoscaling may move work under the breakers.
+  rejects({"--breaker=on", "--cluster-epochs=8", "--steal=on"});
+  rejects({"--breaker=on", "--cluster-epochs=8", "--shards=2",
+           "--scale-max=4", "--autoscale=on"});
+  // --breaker-fault-shard must name a shard below --shards.
+  rejects({"--shards=4", "--cluster-epochs=8", "--breaker=on",
+           "--breaker-fault-shard=4"});
   // Deadlines belong to the open-loop driver only.
   {
     CliFlags f = make_flags({"--arrival=closed", "--deadline=1000000"});
     EXPECT_THROW(DriverConfig::from_flags(f), std::invalid_argument);
-  }
-  // --breaker-fault-shard must name a shard below --shards.
-  {
-    CliFlags f =
-        make_flags({"--shards=4", "--breaker=on", "--breaker-fault-shard=4"});
-    EXPECT_THROW(ShardOptions::from_flags(f), std::invalid_argument);
   }
 }
 
@@ -87,12 +95,12 @@ TEST(OverloadCli, GoodValuesParseIntoTheConfig) {
       {"--arrival=poisson", "--deadline=1500000", "--deadline-jitter=0.25",
        "--deadline-retries=3", "--deadline-backoff=40000", "--shed=codel",
        "--shed-target=300000", "--shed-interval=1000000", "--shards=4",
-       "--breaker=on", "--breaker-epochs=10", "--breaker-streak=3",
+       "--cluster-epochs=10", "--breaker=on", "--breaker-streak=3",
        "--breaker-probe=2", "--breaker-probe-max=16",
        "--breaker-shed-ratio=0.5", "--breaker-latency=400000",
        "--breaker-fault-shard=1"});
   const DriverConfig d = DriverConfig::from_flags(f);
-  const ShardOptions so = ShardOptions::from_flags(f);
+  const ClusterOptions co = ClusterOptions::from_flags(f);
   f.reject_unknown();  // every flag above must be consumed
   EXPECT_EQ(d.overload.deadline, 1'500'000u);
   EXPECT_DOUBLE_EQ(d.overload.deadline_jitter, 0.25);
@@ -101,14 +109,14 @@ TEST(OverloadCli, GoodValuesParseIntoTheConfig) {
   EXPECT_TRUE(d.overload.codel);
   EXPECT_EQ(d.overload.codel_target, 300'000u);
   EXPECT_EQ(d.overload.codel_interval, 1'000'000u);
-  EXPECT_TRUE(so.breaker.enabled);
-  EXPECT_EQ(so.breaker.epochs, 10u);
-  EXPECT_EQ(so.breaker.trip_streak, 3u);
-  EXPECT_EQ(so.breaker.probe_initial, 2u);
-  EXPECT_EQ(so.breaker.probe_max, 16u);
-  EXPECT_DOUBLE_EQ(so.breaker.shed_ratio, 0.5);
-  EXPECT_EQ(so.breaker.latency_budget, 400'000u);
-  EXPECT_EQ(so.breaker.fault_shard, 1);
+  EXPECT_EQ(co.epochs, 10u);
+  EXPECT_TRUE(co.breaker.enabled);
+  EXPECT_EQ(co.breaker.trip_streak, 3u);
+  EXPECT_EQ(co.breaker.probe_initial, 2u);
+  EXPECT_EQ(co.breaker.probe_max, 16u);
+  EXPECT_DOUBLE_EQ(co.breaker.shed_ratio, 0.5);
+  EXPECT_EQ(co.breaker.latency_budget, 400'000u);
+  EXPECT_EQ(co.breaker.fault_shard, 1);
 }
 
 // --- deterministic keying ---------------------------------------------------
@@ -238,29 +246,6 @@ TEST(Overload, OpenLoopShardedFleetIsTheSumOfItsShards) {
   testutil::expect_fleet_invariants(r, d.paths);
 }
 
-TEST(Overload, BreakerFleetIsTheSumOfItsEpochAccumulatedShards) {
-  DriverConfig d;
-  d.arrival = Arrival::kPoisson;
-  d.total_requests = 240;
-  d.rps = 2'400'000.0;
-  d.overload.deadline = 2'000'000;
-  d.overload.retry_budget = 1;
-  d.overload.codel = true;
-  ShardOptions so;
-  so.shards = 4;
-  so.breaker.enabled = true;
-  so.breaker.epochs = 4;
-  so.breaker.fault_shard = 1;
-  auto cfg = runtime::EngineConfig::htm_dynamic(htm::SystemProfile::zec12());
-  cfg.fault.persistent_all_yps = true;
-  cfg.fault.gil_handoff_delay_cycles = 150'000;
-  cfg.fault.seed = 7;
-  const auto r = httpsim::run_sharded(cfg, httpsim::webrick_source(), d, so);
-  ASSERT_EQ(r.shards.size(), 4u);
-  EXPECT_EQ(r.completed + r.dropped + r.shed, d.total_requests);
-  testutil::expect_fleet_invariants(r, d.paths);
-}
-
 // --- flags-off byte identity ------------------------------------------------
 
 TEST(Overload, DisabledOverloadKeepsRequestLogBytesIdentical) {
@@ -286,55 +271,6 @@ TEST(Overload, DisabledOverloadKeepsRequestLogBytesIdentical) {
     EXPECT_EQ(rec.deadline, 0u);
     EXPECT_EQ(rec.attempts, 0u);
   }
-}
-
-// --- breaker determinism ----------------------------------------------------
-
-TEST(Overload, BreakerBrownOutIsByteDeterministicForAFixedSeed) {
-  const auto base =
-      runtime::EngineConfig::htm_dynamic(htm::SystemProfile::zec12());
-  // Mirrors the chaos campaign's worst-fault httpsim phase, where this
-  // load deterministically browns out the faulted shard.
-  DriverConfig d;
-  d.arrival = Arrival::kPoisson;
-  d.total_requests = 240;
-  d.rps = 2'400'000.0;
-  d.overload.deadline = 2'000'000;
-  d.overload.retry_budget = 1;
-  d.overload.codel = true;
-  ShardOptions so;
-  so.shards = 4;
-  so.breaker.enabled = true;
-  so.breaker.epochs = 8;
-  so.breaker.trip_streak = 2;
-  so.breaker.latency_budget = 400'000;
-  so.breaker.fault_shard = 1;
-  auto cfg = base;
-  cfg.fault.persistent_all_yps = true;
-  cfg.fault.gil_handoff_delay_cycles = 150'000;
-  cfg.fault.seed = 7;
-
-  const auto a =
-      httpsim::run_sharded(cfg, httpsim::webrick_source(), d, so);
-  const auto b =
-      httpsim::run_sharded(cfg, httpsim::webrick_source(), d, so);
-  EXPECT_EQ(a.request_log, b.request_log);
-  EXPECT_EQ(a.spilled, b.spilled);
-  ASSERT_EQ(a.breaker_transitions.size(), b.breaker_transitions.size());
-  for (std::size_t i = 0; i < a.breaker_transitions.size(); ++i) {
-    EXPECT_EQ(a.breaker_transitions[i].epoch, b.breaker_transitions[i].epoch);
-    EXPECT_EQ(a.breaker_transitions[i].shard, b.breaker_transitions[i].shard);
-    EXPECT_EQ(a.breaker_transitions[i].state, b.breaker_transitions[i].state);
-  }
-  // The faulted shard's brown-out must actually engage under this load.
-  EXPECT_GE(a.breaker_transitions.size(), 1u);
-  // Transitions arrive in deterministic (epoch, shard) order.
-  for (std::size_t i = 1; i < a.breaker_transitions.size(); ++i) {
-    EXPECT_GE(a.breaker_transitions[i].epoch,
-              a.breaker_transitions[i - 1].epoch);
-  }
-  // Accounting holds across the epoch-sliced breaker path as well.
-  EXPECT_EQ(a.completed + a.dropped + a.shed, d.total_requests);
 }
 
 }  // namespace

@@ -27,7 +27,7 @@
 namespace gilfree::testutil {
 
 struct HttpObserved {
-  httpsim::ShardedRunResult result;
+  httpsim::FleetResult result;
   std::string trace;    ///< Trace file bytes (all shard runs).
   std::string metrics;  ///< metrics_to_json over the sink's runs.
 };
