@@ -164,6 +164,18 @@ TEST(InterpModes, HtmEngineIsHostModeInvariant) {
   run_cube(stm, testutil::random_program(seed++), "HTM/stm-persistent");
 }
 
+TEST(InterpModes, FreeEnginesAreHostModeInvariant) {
+  u64 seed = 21;
+  for (const htm::SystemProfile& profile :
+       {htm::SystemProfile::zec12(), htm::SystemProfile::xeon_e3()}) {
+    const std::string name = profile.machine.name;
+    run_cube(EngineConfig::fine_grained(profile),
+             testutil::random_program(seed++), "FineGrained/" + name);
+    run_cube(EngineConfig::unsynced(profile),
+             testutil::random_program(seed++), "Unsynced/" + name);
+  }
+}
+
 TEST(InterpModes, FusionFiresAndIsReportedHonestly) {
   const std::string src = testutil::random_program(7);
   const EngineConfig base = EngineConfig::gil(htm::SystemProfile::zec12());
