@@ -104,7 +104,11 @@ inline void observe(runtime::EngineConfig& cfg, obs::Sink& sink,
   cfg.obs_sink = &sink;
 }
 
-/// Uniform record/replay wiring (docs/DEBUGGING.md): every harness accepts
+/// Record/replay wiring (docs/DEBUGGING.md) for the harnesses that record:
+/// ablation_conflict_removal, ablation_dynlen_params, ablation_yield_points,
+/// fig4_micro, fig5_npb, fig6b_bt_classw, fig8_abort_ratios,
+/// fig8_cycle_breakdown, fig9_scalability, robustness_campaign,
+/// stats_abort_reasons and tier_crossover. They accept
 ///   --record-out=FILE        write the decision stream of every replayable
 ///                            workload run to FILE (schema gilfree.record/2),
 ///   --record-limit=N         events kept per run before truncation.
@@ -113,7 +117,8 @@ inline void observe(runtime::EngineConfig& cfg, obs::Sink& sink,
 /// call wire() on each engine configuration right before the run. Recording
 /// headers are only stamped for replayable runs: registry workloads on
 /// GIL/HTM-* configurations (httpsim phases and non-registry programs get
-/// no record stream).
+/// no record stream). A harness that never calls wire() must not construct
+/// one, so the strict CLI rejects --record-* there with exit 2.
 class RecordWiring {
  public:
   explicit RecordWiring(const CliFlags& flags) : cli_(&flags) {

@@ -23,9 +23,6 @@ int main(int argc, char** argv) {
   // features; bench/gc_scaling covers the full matrix.
   vm::HeapConfig gc_overrides;
   parse_gc_flags(flags, gc_overrides);
-  // Every variant mutates the heap beyond what a record header carries, so
-  // this harness takes --record-* (strict CLI) but never records.
-  const RecordWiring record(flags);
   flags.reject_unknown();
 
   const auto profile = htm::SystemProfile::zec12();

@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "bench/bench_common.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "fault/fault_injector.hpp"
@@ -35,10 +34,6 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
-  // This probe has no Engine (raw HtmFacility over one registered buffer),
-  // so there is nothing replayable; the wiring exists for the uniform strict
-  // --record-* CLI.
-  const bench::RecordWiring record(flags);
   flags.reject_unknown();
 
   const auto profile = htm::SystemProfile::xeon_e3();

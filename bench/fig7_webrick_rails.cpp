@@ -81,9 +81,6 @@ int main(int argc, char** argv) {
   const stm::StmConfig stm_cfg = parse_stm_flags(flags);
   vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
   parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  // Accepts --record-out like every harness; httpsim runs are not
-  // replayable, so none is ever recorded.
-  RecordWiring record(flags);
   flags.reject_unknown();
 
   TablePrinter abort_table({"server", "clients", "abort_ratio_pct"});

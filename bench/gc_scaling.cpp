@@ -76,9 +76,6 @@ int main(int argc, char** argv) {
   // (segment sizes, adaptation windows, sweep quantum).
   vm::HeapConfig gc_overrides;
   parse_gc_flags(flags, gc_overrides);
-  // Every variant mutates the heap beyond what a record header carries, so
-  // this harness takes --record-* (strict CLI) but never records.
-  const RecordWiring record(flags);
   flags.reject_unknown();
 
   const auto profile = htm::SystemProfile::zec12();

@@ -54,9 +54,6 @@ int main(int argc, char** argv) {
   }
   vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
   parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  // Accepts --record-out like every harness; httpsim runs are not
-  // replayable, so none is ever recorded.
-  RecordWiring record(flags);
   flags.reject_unknown();
 
   htm::SystemProfile profile = htm::SystemProfile::zec12();

@@ -3,20 +3,20 @@
 // The simulator's *virtual* cycle streams are mode-invariant by design (the
 // differential test asserts it); what the interpreter overhaul buys is host
 // time per simulated bytecode. This benchmark runs the §5.6-style fixnum
-// While loop under the GIL engine in four configurations —
+// While loop under the GIL engine in three configurations —
 //
 //   virtual-host   host fast path disabled: one virtual call per charge and
 //                  per memory access, the pre-overhaul interpreter cost
 //                  profile
-//   plain          host fast path, no fusion, eager clocks
-//   fuse           + superinstruction pairs
-//   fuse+batched   + batched cycle charging (span-deferred clocks)
+//   plain          host fast path, no fusion
+//   fuse           + superinstruction pairs (the default path)
 //
 // — verifies that simulated cycles, results, and retired-instruction counts
-// are identical across all four, and reports host ns per simulated bytecode
+// are identical across all three, and reports host ns per simulated bytecode
 // (minimum over --repeats) plus the percentage reduction against the
-// virtual-host baseline. Results are written as JSON (BENCH_interp.json) for
-// the CI perf-smoke gate.
+// virtual-host baseline. --json=FILE writes the results (schema
+// gilfree.bench_interp/2, committed as BENCH_interp.json) for the CI
+// perf-smoke gate.
 //
 //   $ ./build/bench/micro_overhead --repeats=5 --json=BENCH_interp.json
 //   $ ./build/bench/micro_overhead --quick            # fewer, shorter runs
@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.hpp"
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -41,15 +40,13 @@ namespace {
 struct BenchConfig {
   const char* name;
   bool fuse;
-  bool batched;
   bool fast_path;
 };
 
 constexpr BenchConfig kConfigs[] = {
-    {"virtual-host", false, false, false},
-    {"plain", false, false, true},
-    {"fuse", true, false, true},
-    {"fuse+batched", true, true, true},
+    {"virtual-host", false, false},
+    {"plain", false, true},
+    {"fuse", true, true},
 };
 
 struct BenchResult {
@@ -76,7 +73,6 @@ BenchResult run_config(const BenchConfig& bc, const std::string& src,
     runtime::EngineConfig cfg =
         runtime::EngineConfig::gil(htm::SystemProfile::xeon_e3());
     cfg.vm.fuse_superinsns = bc.fuse;
-    cfg.vm.batched_charging = bc.batched;
     cfg.vm.host_fast_path = bc.fast_path;
     runtime::Engine engine(std::move(cfg));
     engine.load_program({src});
@@ -99,7 +95,7 @@ void write_json(const std::string& path, long iters, long repeats,
   std::ofstream out(path);
   GILFREE_CHECK_MSG(out.good(), "cannot write " << path);
   const double base = results[0].ns_per_insn();
-  out << "{\"schema\":\"gilfree.bench_interp/1\","
+  out << "{\"schema\":\"gilfree.bench_interp/2\","
       << "\"machine\":\"XeonE3-1275v3\",\"engine\":\"GIL\","
       << "\"program\":\"while_fixnum_loop\",\"iters\":" << iters
       << ",\"repeats\":" << repeats << ",\"baseline\":\"virtual-host\","
@@ -112,7 +108,6 @@ void write_json(const std::string& path, long iters, long repeats,
     if (i) out << ",";
     out << "{\"name\":\"" << bc.name
         << "\",\"fuse\":" << (bc.fuse ? "true" : "false")
-        << ",\"batched\":" << (bc.batched ? "true" : "false")
         << ",\"host_fast_path\":" << (bc.fast_path ? "true" : "false")
         << ",\"host_ns_total\":" << r.host_ns_total
         << ",\"host_ns_per_insn\":" << r.ns_per_insn()
@@ -130,10 +125,7 @@ int main(int argc, char** argv) {
   const bool quick = flags.get_bool("quick", false);
   const long iters = flags.get_int("iters", quick ? 5000 : 20000);
   const long repeats = flags.get_int("repeats", quick ? 3 : 5);
-  const std::string json_path = flags.get("json", "BENCH_interp.json");
-  // Host-time runs are not replayable (record headers carry no host-path
-  // variant), but the harness still takes --record-* for the strict CLI.
-  const bench::RecordWiring record(flags);
+  const std::string json_path = flags.get("json", "");
   flags.reject_unknown();
 
   const std::string src = while_program(iters);
@@ -167,7 +159,9 @@ int main(int argc, char** argv) {
                    std::to_string(r.sim_cycles), std::to_string(r.insns)});
   }
   std::cout << table.to_string();
-  write_json(json_path, iters, repeats, results);
-  std::cout << "wrote " << json_path << "\n";
+  if (!json_path.empty()) {
+    write_json(json_path, iters, repeats, results);
+    std::cout << "wrote " << json_path << "\n";
+  }
   return 0;
 }

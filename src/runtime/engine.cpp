@@ -335,7 +335,6 @@ Engine::SchedThread* Engine::pick_next() {
 }
 
 void Engine::unpark(SchedThread& st) {
-  flush_fastpath();  // advance_to is a max(): pending must land first
   machine_->advance_to(st.cpu, st.wake_at);
   const Cycles waited =
       st.wake_at > st.parked_since ? st.wake_at - st.parked_since : 0;
@@ -437,7 +436,6 @@ RunStats Engine::run() {
       step_thread(st, fuel);
       if (st.status != ThreadStatus::kRunnable) break;
     }
-    flush_fastpath();  // pick_next reads raw clocks
     if (config_.max_insns != 0 &&
         interp_->stats().insns_retired > config_.max_insns) {
       GILFREE_CHECK_MSG(false, "instruction budget exceeded ("
@@ -445,7 +443,6 @@ RunStats Engine::run() {
     }
   }
 
-  flush_fastpath();
   RunStats stats;
   stats.total_cycles = machine_->global_time();
   stats.virtual_seconds = machine_->seconds(stats.total_cycles);
@@ -1355,21 +1352,16 @@ bool Engine::maybe_shed_request(SchedThread& st) {
 // ---------------------------------------------------------------------------
 
 void Engine::init_fastpath() {
-  if (!config_.vm.host_fast_path) return;  // benchmark baseline: stay virtual
+  if (!config_.vm.host_fast_path) return;  // reference path: stay virtual
   fast.smt_slowdown = config_.profile.machine.cost.smt_slowdown;
   fast.mem_access_cost = config_.profile.machine.cost.mem_access;
   fast.dispatch_cost = config_.profile.machine.cost.dispatch;
-  // Batched clock charging is only sound without an HTM facility: the
-  // facility samples the machine clock inside tx_begin/tx_load/tx_store
-  // (interrupt model), which would observe a stale clock mid-span.
-  defer_clock_ = (htm_ == nullptr) && config_.vm.batched_charging;
   fastpath_on_ = true;
   sync_fastpath();
 }
 
 void Engine::sync_fastpath() {
   if (!fastpath_on_) return;
-  flush_fastpath();  // pending cycles belong to the previous clock
   SchedThread& st = cur();
   fast.clock = machine_->clock_slot(st.cpu);
   fast.busy_self = machine_->busy_flag(st.cpu);
@@ -1378,7 +1370,6 @@ void Engine::sync_fastpath() {
                 : st.in_stm    ? &st.stm_pending_cycles
                 : st.holds_gil ? &st.breakdown.gil_held
                                : &st.breakdown.other;
-  fast.defer_clock = defer_clock_;
   // In-transaction accesses must flow through tx_load/tx_store (footprint
   // growth, conflict detection, interrupt-model clock sampling); outside
   // transactions a thread-private line can never conflict. Software
@@ -1558,9 +1549,6 @@ vm::Value Engine::spawn_thread(vm::Value proc_val,
                                std::vector<vm::Value> args) {
   SchedThread& creator = cur();
   GILFREE_CHECK(!creator.in_tx && !creator.in_stm);
-  // The child's clock is initialized from the creator's, and advance_to is
-  // a max(): batched cycles must land first.
-  flush_fastpath();
   const u32 tid = static_cast<u32>(threads_.size());
   GILFREE_CHECK_MSG(tid < heap_->config().max_threads,
                     "too many VM threads");
@@ -1591,9 +1579,8 @@ vm::Value Engine::spawn_thread(vm::Value proc_val,
 
   interp_->init_proc_frame(*st.vm, proc_val, args);
 
-  // new_thread_object / init_proc_frame above charge allocation cycles,
-  // which batched mode defers: flush again so the child starts at the
-  // creator's true clock.
+  // Read after new_thread_object / init_proc_frame charged their
+  // allocation cycles: the child starts at the creator's current clock.
   const Cycles now = now_of(creator.cpu);
   switch (config_.mode) {
     case SyncMode::kGil:

@@ -323,25 +323,13 @@ class Engine final : public vm::Host, public fault::FaultListener {
   }
 
   // --- Host fast path (vm::HostFastPath wiring) ----------------------------
-  /// Activates the fast path at run() start: cost constants, batching policy.
+  /// Activates the fast path at run() start: cost constants.
   void init_fastpath();
   /// Re-points clock / busy / bucket pointers at the current thread's state.
   /// Must run after every transition of current thread, CPU, in_tx, or
-  /// holds_gil; flushes pending cycles to the old clock first.
+  /// holds_gil.
   void sync_fastpath();
-  /// Lands deferred (batched) cycles on the owning CPU clock. Required
-  /// before any clock *read*; clock writes commute with the batch.
-  void flush_fastpath() {
-    if (fast.pending != 0 && fast.clock != nullptr) {
-      *fast.clock += fast.pending;
-      fast.pending = 0;
-    }
-  }
-  /// Flush-then-read of a CPU clock (the only safe read under batching).
-  Cycles now_of(CpuId cpu) {
-    flush_fastpath();
-    return machine_->clock(cpu);
-  }
+  Cycles now_of(CpuId cpu) { return machine_->clock(cpu); }
 
   vm::Heap::RootSet collect_roots();
 
@@ -402,7 +390,6 @@ class Engine final : public vm::Host, public fault::FaultListener {
   bool running_ = false;
   bool shed_requests_ = false;  ///< server_->deadline_shedding() at run().
   bool fastpath_on_ = false;  ///< Set by init_fastpath(); off during boot.
-  bool defer_clock_ = false;  ///< Batched clock charging (GIL / free modes).
 
   Cycles next_timer_deadline_ = 0;
   Cycles allocator_busy_until_ = 0;  ///< FineGrained internal-lock timeline.

@@ -62,9 +62,6 @@ struct HostFastPath {
   const u8* busy_self = nullptr;  ///< Live busy flags: contention is read at
   const u8* busy_sib = nullptr;   ///< charge time, never cached stale.
   double smt_slowdown = 1.0;
-  /// Defer clock writes into `pending` (flushed by the engine at span
-  /// boundaries and before any clock read). Bucket accounting stays eager.
-  bool defer_clock = false;
   /// Thread-private (shared=false) lines may bypass the virtual memory seam
   /// entirely. Engine-maintained: false inside transactions, where accesses
   /// must grow the footprint and sample the interrupt model.
@@ -79,7 +76,6 @@ struct HostFastPath {
   /// must return to the engine.
   u64* yield_counter = nullptr;
   Cycles yield_cost = 0;          ///< yield_check + tls_access.
-  Cycles pending = 0;             ///< Deferred, already-inflated cycles.
   Cycles mem_access_cost = 3;
   Cycles dispatch_cost = 14;
 };
@@ -226,8 +222,8 @@ class Host {
 
   /// Charge `c` cycles without a virtual call. Replicates
   /// sim::Machine::advance exactly: per-charge SMT inflation with the same
-  /// double→integer truncation, so batched and eager charging produce
-  /// bit-identical clocks.
+  /// double→integer truncation, so the fast path and the virtual charge()
+  /// produce bit-identical clocks.
   void charge_fast(Cycles c) {
     if (fast.clock == nullptr) {
       charge(c);
@@ -271,11 +267,7 @@ class Host {
   }
   void add_charged(Cycles charged) {
     *fast.bucket += charged;
-    if (fast.defer_clock) {
-      fast.pending += charged;
-    } else {
-      *fast.clock += charged;
-    }
+    *fast.clock += charged;
   }
 
   /// mem_load/mem_store inside a hardware transaction: the memory-access

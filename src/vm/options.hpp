@@ -31,18 +31,14 @@ struct VmOptions {
   /// test_interp_modes' unfused profiles clear it directly.
   bool fuse_superinsns = true;
 
-  /// Accumulate cycle charges in a host-local counter and flush to the
-  /// simulated clock at span boundaries instead of per charge. Only applied
-  /// in modes whose semantics never read the clock mid-span (GIL /
-  /// FineGrained / Unsynced); HTM mode always charges eagerly because the
-  /// facility samples the clock at every transactional access.
-  bool batched_charging = true;
-
   /// Route cycle charges and private-line accesses through the host fast
   /// path (resolved pointers into the machine) instead of the virtual
-  /// Machine interface. Off reproduces the pre-overhaul host cost profile —
-  /// one virtual call per charge and per memory access — and exists solely
-  /// as the micro_overhead baseline; simulated behaviour is identical.
+  /// Machine interface. Off keeps one virtual call per charge and per
+  /// memory access and every yield point in the engine: the reference path
+  /// test_interp_modes compares Host::span_yield, the in-transaction direct
+  /// facility calls and the private-line bypass against, and
+  /// micro_overhead's virtual-host baseline. Simulated behaviour is
+  /// identical.
   bool host_fast_path = true;
 };
 

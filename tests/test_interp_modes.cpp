@@ -1,7 +1,6 @@
 // Differential test for the interpreter hot-path overhaul: superinstruction
-// fusion, batched cycle charging, and the host fast path are HOST-time
-// optimizations only. For any program, machine profile, and engine, every
-// combination must produce
+// fusion and the host fast path are HOST-time optimizations only. For any
+// program, machine profile, and engine, every combination must produce
 //
 //   - the same recorded results and program output,
 //   - the same total simulated cycles and retired-instruction counts,
@@ -37,19 +36,15 @@ using runtime::EngineConfig;
 struct ModeConfig {
   const char* name;
   bool fuse;
-  bool batched;
   bool fast_path;
 };
 
-// The fusion × batching square, plus the virtual-host baseline
-// (host_fast_path off: one virtual call per charge and access — the
-// pre-overhaul cost profile).
+// Fusion on and off, plus the virtual-host reference (host_fast_path off:
+// one virtual call per charge and access, every yield point in the engine).
 constexpr ModeConfig kModes[] = {
-    {"plain", false, false, true},
-    {"fuse", true, false, true},
-    {"batched", false, true, true},
-    {"fuse+batched", true, true, true},
-    {"virtual-host", false, false, false},
+    {"plain", false, true},
+    {"fuse", true, true},
+    {"virtual-host", false, false},
 };
 
 struct Observed {
@@ -82,7 +77,6 @@ Observed run_mode(const EngineConfig& base, const ModeConfig& mc,
     obs::Sink sink(oc);
     EngineConfig cfg = base;
     cfg.vm.fuse_superinsns = mc.fuse;
-    cfg.vm.batched_charging = mc.batched;
     cfg.vm.host_fast_path = mc.fast_path;
     cfg.heap.initial_slots = 80'000;
     cfg.obs_sink = &sink;
@@ -180,8 +174,8 @@ TEST(InterpModes, FusionFiresAndIsReportedHonestly) {
   const std::string src = testutil::random_program(7);
   const EngineConfig base = EngineConfig::gil(htm::SystemProfile::zec12());
 
-  const Observed fused = run_mode(base, {"f", true, true, true}, src);
-  const Observed plain = run_mode(base, {"p", false, true, true}, src);
+  const Observed fused = run_mode(base, {"f", true, true}, src);
+  const Observed plain = run_mode(base, {"p", false, true}, src);
   EXPECT_GT(fused.stats.interp.fused_instructions, 0u)
       << "compiler-annotated pairs must actually fuse";
   EXPECT_EQ(plain.stats.interp.fused_instructions, 0u);
